@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .field import IntensityImage
 from .measurement import Measurement, check_compatible
-from .patterns import PatternSet, fwht
+from .patterns import PatternSet, pattern_sums, project, synthesize
 from .tvreg import tv_anisotropic, tv_prox
 
 
@@ -35,18 +35,6 @@ class ReconResult:
     iterations_used: int
     residual_history: tuple
     raw: np.ndarray
-
-
-def _scatter(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
-    full = np.zeros(pattern_set.pixels, dtype=np.float64)
-    full[list(pattern_set.selection)] = weights
-    return full
-
-
-def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] * P_i as an order x order grid (one FWHT)."""
-    n = pattern_set.order
-    return fwht(_scatter(pattern_set, weights)).reshape(n, n)
 
 
 def _to_unit_image(raw: np.ndarray, pitch: float) -> IntensityImage:
@@ -113,10 +101,7 @@ def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 1
         raise ParameterError("DGI needs at least 2 measurements")
     n_pixels = pattern_set.pixels
     readings = meas.readings
-    sums = np.array(
-        [pattern_set.logical_masks[i].sum(dtype=np.int64) for i in range(m_count)],
-        dtype=np.float64,
-    )
+    sums = pattern_sums(pattern_set)
     mean_s = sums.mean()
     if abs(mean_s) < 1e-12 * n_pixels:
         normalized = readings.copy()
@@ -147,8 +132,10 @@ def cstv_reconstruct(
     A is the modulation-scaled pattern-integration operator.  Solved with
     proximal gradient + FISTA acceleration in its monotone variant (a trial
     iterate that raises the objective is rejected, so the recorded objective
-    never increases); the TV proximal map uses 10 inner dual iterations and
-    the Lipschitz constant comes from 20 power iterations on A^T A.
+    never increases); the TV proximal map uses 10 inner dual iterations.
+    The step is 1/L with the exact Lipschitz constant L = m^2 * N of the
+    data term: A^T A = m^2 * H P_sel H, and H H = N * I, so A^T A / (m^2 N)
+    is an orthogonal projection.
     """
     check_compatible(meas, pattern_set)
     if max_iters < 1:
@@ -161,28 +148,13 @@ def cstv_reconstruct(
     n = pattern_set.order
     depth = pattern_set.modulation_depth
     readings = meas.readings
+    step = 1.0 / (depth * depth * pattern_set.pixels)
 
-    def forward(x: np.ndarray) -> np.ndarray:
-        return depth * fwht(x.ravel())[list(pattern_set.selection)]
-
-    def adjoint(y: np.ndarray) -> np.ndarray:
-        return depth * fwht(_scatter(pattern_set, y)).reshape(n, n)
-
-    rng = np.random.Generator(np.random.PCG64(0x5E11))
-    v = rng.standard_normal((n, n))
-    v /= np.linalg.norm(v)
-    lipschitz = 1.0
-    for _ in range(20):
-        w = adjoint(forward(v))
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        lipschitz = norm
-        v = w / norm
-    step = 1.0 / lipschitz
+    def residual(x: np.ndarray) -> np.ndarray:
+        return depth * project(pattern_set, x) - readings
 
     def objective(x: np.ndarray) -> float:
-        r = forward(x) - readings
+        r = residual(x)
         return 0.5 * float(r @ r) + tv_weight * tv_anisotropic(x)
 
     x = np.zeros((n, n))
@@ -192,7 +164,7 @@ def cstv_reconstruct(
     f_init = max(f_x, 1e-300)
     history = []
     for _ in range(max_iters):
-        grad = adjoint(forward(y) - readings)
+        grad = depth * synthesize(pattern_set, residual(y))
         z = tv_prox(y - step * grad, tv_weight * step, iterations=10)
         np.maximum(z, 0.0, out=z)
         f_z = objective(z)

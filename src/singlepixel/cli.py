@@ -205,7 +205,7 @@ def _benchmark_cell(args):
     count = max(1, int(round(cr * order * order)))
     pattern_set = walsh_hadamard_patterns(order, count, modulation_depth=spec.modulation_depth)
     cell_seed = int(
-        np.random.SeedSequence((base_seed, int(round(cr * 1e6)), hash(method) & 0xFFFF,
+        np.random.SeedSequence((base_seed, int(round(cr * 1e6)), METHODS.index(method),
                                 int(noise_sigma * 1e9) & 0xFFFFFF, repeat)).generate_state(1)[0]
     )
     meas = measure(diffracted, pattern_set, noise_sigma=noise_sigma, seed=cell_seed)
@@ -279,7 +279,8 @@ def run_benchmark(
         snrs = np.array([v[1] for v in vals])
         rows.append(
             f"{cr!r},{method},{noise_sigma!r},{repeats},"
-            f"{ssims.mean()!r},{ssims.std()!r},{snrs.mean()!r},{snrs.std()!r}"
+            f"{float(ssims.mean())!r},{float(ssims.std())!r},"
+            f"{float(snrs.mean())!r},{float(snrs.std())!r}"
         )
     _write_csv(out_path, rows)
     return rows

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, ParameterError
+from .errors import ConsistencyError, DimensionError, FormatError, ParameterError
 from .field import ComplexField, IntensityImage, intensity
-from .patterns import PatternSet, fwht
+from .patterns import PatternSet, pattern_sums, project
 from .propagation import PropagationSpec, propagate
 
 
@@ -61,9 +61,7 @@ def block_pool(values: np.ndarray, order: int) -> np.ndarray:
 
 def pattern_coefficients(image: IntensityImage, pattern_set: PatternSet) -> np.ndarray:
     """<P_i, image> for every pattern in the set, via one FWHT."""
-    pooled = block_pool(image.values, pattern_set.order)
-    coeffs = fwht(pooled.ravel())
-    return coeffs[list(pattern_set.selection)]
+    return project(pattern_set, block_pool(image.values, pattern_set.order))
 
 
 def check_compatible(meas: Measurement, pattern_set: PatternSet) -> None:
@@ -123,7 +121,7 @@ def pattern_total_intensity(pattern_set: PatternSet, i: int) -> float:
     """Sum of the logical mask entries S_i (N for the DC row, else 0)."""
     if not 0 <= i < pattern_set.count:
         raise IndexError(f"pattern index {i} out of range for M={pattern_set.count}")
-    return float(pattern_set.logical_masks[i].sum(dtype=np.int64))
+    return float(pattern_sums(pattern_set)[i])
 
 
 def write_measurement_csv(path, meas: Measurement) -> None:
@@ -139,8 +137,6 @@ def write_measurement_csv(path, meas: Measurement) -> None:
 
 
 def read_measurement_csv(path) -> Measurement:
-    from .errors import FormatError
-
     noise_sigma = 0.0
     seed = 0
     differential = True
@@ -155,11 +151,14 @@ def read_measurement_csv(path) -> Measurement:
                 if "=" not in token:
                     continue
                 key, val = token.split("=", 1)
-                if key == "noise_sigma":
-                    noise_sigma = float(val)
-                elif key == "seed":
-                    seed = int(val)
-                elif key == "differential":
+                try:
+                    if key == "noise_sigma":
+                        noise_sigma = float(val)
+                    elif key == "seed":
+                        seed = int(val)
+                except ValueError:
+                    raise FormatError(f"bad {key} {val!r} in the header of {path}") from None
+                if key == "differential":
                     differential = val == "true"
                 elif key == "pattern_ref":
                     pattern_ref = val
@@ -171,9 +170,13 @@ def read_measurement_csv(path) -> Measurement:
         parts = ln.split(",")
         if len(parts) != 2:
             raise FormatError(f"malformed measurement row {row_no} in {path}: {ln!r}")
-        if int(parts[0]) != row_no:
+        try:
+            index, reading = int(parts[0]), float(parts[1])
+        except ValueError:
+            raise FormatError(f"malformed measurement row {row_no} in {path}: {ln!r}") from None
+        if index != row_no:
             raise FormatError(f"non-contiguous index at row {row_no} in {path}")
-        readings.append(float(parts[1]))
+        readings.append(reading)
     return Measurement(
         readings=np.array(readings, dtype=np.float64),
         pattern_ref=pattern_ref,

@@ -1,10 +1,9 @@
 """Walsh-Hadamard differential pattern sets and the photomodulator model.
 
-Logical masks are rows of a Sylvester-ordered Hadamard matrix of order
-N = n*n reshaped to n x n.  Row i has entries (-1)**popcount(i & j), which is
-exactly what the fast Walsh-Hadamard transform (FWHT) below diagonalizes, so
-every pattern integration elsewhere in the toolkit runs in O(N log N) without
-ever materializing an N x N matrix.
+A pattern is named by its row r of the Sylvester Hadamard matrix of order
+N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]).  Masks
+are derived on demand; `project` and `synthesize` apply the pattern operator
+and its adjoint through the fast Walsh-Hadamard transform in O(N log N).
 
 Physically a +1 logical state is the unpumped (transparent) modulator region;
 pumped regions attenuate the probe intensity by the modulation depth m.
@@ -15,6 +14,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -114,18 +114,43 @@ def _sequency_selection(order_n: int, count_m: int) -> list:
     return selection
 
 
+def _check_order(n: int) -> None:
+    if n < 2 or n & (n - 1):
+        raise ParameterError(f"pattern order must be a power of two >= 2, got {n}")
+
+
+def _walsh_rows(rows: np.ndarray, length: int) -> np.ndarray:
+    """Rows of H_length as int8: entry c of row r is (-1)**popcount(r & c)."""
+    overlap = rows[:, None] & np.arange(length, dtype=np.int64)
+    parity = np.zeros_like(overlap)
+    for _ in range(length.bit_length() - 1):
+        parity ^= overlap & 1
+        overlap >>= 1
+    return (1 - 2 * parity).astype(np.int8)
+
+
+def _hadamard_masks(order: int, rows) -> np.ndarray:
+    """The (M, order, order) int8 masks of the given rows, in O(M*N) (nothing for M = 0)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        return np.empty((0, order, order), dtype=np.int8)
+    r1, r0 = np.divmod(rows, order)
+    return _walsh_rows(r1, order)[:, :, None] * _walsh_rows(r0, order)[:, None, :]
+
+
 @dataclass(frozen=True)
 class PatternSet:
-    """Ordered set of +/-1 Walsh-Hadamard masks with physical decomposition.
+    """Ordered set of +/-1 Walsh-Hadamard masks, named by Hadamard row index.
+
+    The masks, the pattern operator, the pattern sums and the fingerprint
+    all follow from the selection.
 
     Attributes
     ----------
     order : int
         Pixels per side n; the pattern grid is n x n and N = n*n.
-    logical_masks : ndarray, shape (M, n, n), int8
-        The +/-1 masks.
     selection : tuple of int
-        Natural-order Hadamard row index backing each mask.
+        Natural-order Hadamard row index of each mask, each in [0, N).
     ordering : str
         "natural" or "sequency" (how the selection was generated).
     modulation_depth : float
@@ -133,35 +158,34 @@ class PatternSet:
     """
 
     order: int
-    logical_masks: np.ndarray
     selection: tuple
     ordering: str
     modulation_depth: float = 0.9
 
     def __post_init__(self):
         n = self.order
-        if n < 2 or n & (n - 1):
-            raise ParameterError(f"pattern order must be a power of two >= 2, got {n}")
-        masks = np.asarray(self.logical_masks, dtype=np.int8)
-        if masks.ndim != 3 or masks.shape[1:] != (n, n):
-            raise DimensionError(f"logical masks must have shape (M, {n}, {n})")
-        if not np.all(np.abs(masks) == 1):
-            raise ParameterError("logical masks must contain only +1 and -1")
-        if len(self.selection) != masks.shape[0]:
-            raise DimensionError("selection length must match mask count")
-        if masks.shape[0] > n * n:
+        _check_order(n)
+        selection = tuple(int(i) for i in self.selection)
+        if len(selection) > n * n:
             raise ParameterError(f"at most N = {n * n} patterns for order {n}")
+        if any(not 0 <= i < n * n for i in selection):
+            raise ParameterError(f"selection indices must lie in [0, {n * n})")
         if not 0.0 < self.modulation_depth <= 1.0:
             raise ParameterError("modulation depth must lie in (0, 1]")
         if self.ordering not in _ORDERING_CODES:
             raise ParameterError(f"unknown ordering {self.ordering!r}")
+        object.__setattr__(self, "selection", selection)
+
+    @cached_property
+    def logical_masks(self) -> np.ndarray:
+        """The (M, n, n) int8 +/-1 masks, derived on first read (read-only)."""
+        masks = _hadamard_masks(self.order, self.selection)
         masks.setflags(write=False)
-        object.__setattr__(self, "logical_masks", masks)
-        object.__setattr__(self, "selection", tuple(int(i) for i in self.selection))
+        return masks
 
     @property
     def count(self) -> int:
-        return self.logical_masks.shape[0]
+        return len(self.selection)
 
     @property
     def pixels(self) -> int:
@@ -177,7 +201,7 @@ class PatternSet:
 
     @property
     def fingerprint(self) -> str:
-        crc = zlib.crc32(self.logical_masks.tobytes())
+        crc = zlib.crc32(np.asarray(self.selection, dtype="<u8").tobytes())
         return f"{crc:08x}"
 
     def subset(self, count: int) -> "PatternSet":
@@ -188,11 +212,32 @@ class PatternSet:
             return self
         return PatternSet(
             order=self.order,
-            logical_masks=self.logical_masks[:count].copy(),
             selection=self.selection[:count],
             ordering=self.ordering,
             modulation_depth=self.modulation_depth,
         )
+
+
+def project(pattern_set: PatternSet, grid: np.ndarray) -> np.ndarray:
+    """<P_i, grid> for every pattern i, for an order x order grid (one FWHT)."""
+    return fwht(grid.ravel())[list(pattern_set.selection)]
+
+
+def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
+    """sum_i weights[i] * P_i as an order x order grid (one FWHT).
+
+    The adjoint of `project`; for distinct rows project(synthesize(w)) = N*w.
+    """
+    full = np.zeros(pattern_set.pixels, dtype=np.float64)
+    full[list(pattern_set.selection)] = weights
+    n = pattern_set.order
+    return fwht(full).reshape(n, n)
+
+
+def pattern_sums(pattern_set: PatternSet) -> np.ndarray:
+    """S_i, the sum of the entries of each mask: N for row 0, 0 for every balanced row."""
+    selection = np.asarray(pattern_set.selection, dtype=np.int64)
+    return np.where(selection == 0, float(pattern_set.pixels), 0.0)
 
 
 def walsh_hadamard_patterns(
@@ -210,25 +255,16 @@ def walsh_hadamard_patterns(
     length-N row instead would keep full detail along one image axis and
     almost none along the other, because the reshape is separable.)
     """
-    if order_n < 2 or order_n & (order_n - 1):
-        raise ParameterError(f"pattern order must be a power of two >= 2, got {order_n}")
+    _check_order(order_n)
     n_pixels = order_n * order_n
     if not 1 <= count_m <= n_pixels:
         raise ParameterError(f"pattern count must lie in [1, {n_pixels}], got {count_m}")
     if ordering not in _ORDERING_CODES:
         raise ParameterError(f"ordering must be one of {sorted(_ORDERING_CODES)}")
 
-    if ordering == NATURAL:
-        selection = list(range(count_m))
-    else:
-        selection = _sequency_selection(order_n, count_m)
-
-    masks = np.empty((count_m, order_n, order_n), dtype=np.int8)
-    for k, idx in enumerate(selection):
-        masks[k] = hadamard_row(idx, n_pixels).reshape(order_n, order_n)
+    selection = range(count_m) if ordering == NATURAL else _sequency_selection(order_n, count_m)
     return PatternSet(
         order=order_n,
-        logical_masks=masks,
         selection=tuple(selection),
         ordering=ordering,
         modulation_depth=modulation_depth,
@@ -239,7 +275,7 @@ def positive_negative_split(pattern_set: PatternSet, i: int) -> tuple[np.ndarray
     """Binary masks (p_plus, p_minus) whose difference is logical mask i."""
     if not 0 <= i < pattern_set.count:
         raise IndexError(f"pattern index {i} out of range for M={pattern_set.count}")
-    mask = pattern_set.logical_masks[i]
+    mask = _hadamard_masks(pattern_set.order, pattern_set.selection[i : i + 1])[0]
     p_plus = (mask > 0).astype(np.uint8)
     p_minus = (mask < 0).astype(np.uint8)
     return p_plus, p_minus
@@ -322,9 +358,9 @@ def save_patterns(path, pattern_set: PatternSet) -> None:
 def load_patterns(path, modulation_depth: float = 0.9) -> PatternSet:
     """Read a SPIP pattern file and recover the Hadamard row selection.
 
-    Every stored mask is validated against the Hadamard-row invariant by
-    transforming it: a genuine row of H_N has FWHT equal to N at exactly one
-    position and zero elsewhere, which also identifies its natural index.
+    Entry 2^k of row r of H_N is -1 exactly when bit k of r is set, so those
+    log2(N) entries of a stored mask name its row.  The mask is accepted
+    only if every byte equals that row, derived afresh.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -349,25 +385,23 @@ def load_patterns(path, modulation_depth: float = 0.9) -> PatternSet:
     bad = np.flatnonzero(np.abs(body) != 1)
     if bad.size:
         raise FormatError(f"mask byte not +1/-1 at byte {head_size + int(bad[0])}")
-    masks = body.reshape(count, order, order)
-
-    coeffs = fwht(masks.reshape(count, n_pixels).astype(np.float64))
-    selection = []
-    for k in range(count):
-        idx = int(np.argmax(np.abs(coeffs[k])))
-        peak = coeffs[k, idx]
-        rest = np.delete(coeffs[k], idx)
-        if peak != n_pixels or np.any(rest != 0.0):
-            raise FormatError(
-                f"mask {k} (starting at byte {head_size + k * n_pixels}) "
-                "is not a Walsh-Hadamard row"
-            )
-        selection.append(idx)
+    _check_order(order)
+    masks = body.reshape(count, n_pixels)
+    bits = np.arange(n_pixels.bit_length() - 1, dtype=np.int64)
+    selection = ((masks[:, 1 << bits] < 0) << bits).sum(axis=1, dtype=np.int64)
+    wrong = np.flatnonzero(
+        np.any(masks != _hadamard_masks(order, selection).reshape(count, n_pixels), axis=1)
+    )
+    if wrong.size:
+        k = int(wrong[0])
+        raise FormatError(
+            f"mask {k} (starting at byte {head_size + k * n_pixels}) "
+            "is not a Walsh-Hadamard row"
+        )
 
     return PatternSet(
         order=order,
-        logical_masks=masks.copy(),
-        selection=tuple(selection),
+        selection=tuple(selection.tolist()),
         ordering=_ORDERING_NAMES[ordering_code],
         modulation_depth=modulation_depth,
     )

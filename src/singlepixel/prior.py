@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classical import ReconMethod, ReconResult, dgi_reconstruct, _scatter
+from .classical import ReconMethod, ReconResult, dgi_reconstruct
 from .errors import DimensionError, NumericalError, ParameterError
 from .field import ComplexField, IntensityImage
 from .measurement import Measurement, block_pool, check_compatible
 from .network import DEFAULT_PLAN, GeneratorNet
-from .patterns import PatternSet, fwht
+from .patterns import PatternSet, project, synthesize, upsample_mask
 from .propagation import PropagationSpec, propagate, transfer_gradient
 from .tvreg import tv_anisotropic, tv_subgradient
 
@@ -79,14 +79,6 @@ def generate(net: GeneratorNet, image: IntensityImage, use_running_stats: bool =
     return IntensityImage(values=out, pitch=image.pitch)
 
 
-def _pool_adjoint(grid: np.ndarray, height: int, width: int) -> np.ndarray:
-    order = grid.shape[0]
-    b = height // order
-    if b == 1:
-        return grid
-    return np.repeat(np.repeat(grid, b, axis=0), b, axis=1)
-
-
 def loss_and_gradient(
     net: GeneratorNet,
     input_image: IntensityImage,
@@ -116,8 +108,7 @@ def loss_and_gradient(
     diffracted = field_d.values.real**2 + field_d.values.imag**2
 
     depth = pattern_set.modulation_depth
-    coeffs = fwht(block_pool(diffracted, pattern_set.order).ravel())
-    predicted = depth * coeffs[list(pattern_set.selection)]
+    predicted = depth * project(pattern_set, block_pool(diffracted, pattern_set.order))
     residual = predicted - meas.readings
     data_loss = float(residual @ residual)
     loss = data_loss + tv_weight * tv_anisotropic(output)
@@ -126,11 +117,8 @@ def loss_and_gradient(
 
     # Reverse pass.  Pattern integration is linear: its adjoint scatters the
     # residual back through the FWHT and replicates over pooled blocks.
-    g_pred = 2.0 * residual
-    g_pooled = depth * fwht(_scatter(pattern_set, g_pred)).reshape(
-        pattern_set.order, pattern_set.order
-    )
-    g_diffracted = _pool_adjoint(g_pooled, height, width)
+    g_pooled = depth * synthesize(pattern_set, 2.0 * residual)
+    g_diffracted = upsample_mask(g_pooled, height, width)
 
     cotangent_d = ComplexField(values=g_diffracted * field_d.values, pitch=input_image.pitch)
     cotangent_0 = transfer_gradient(cotangent_d, prop)

@@ -117,7 +117,7 @@ def parse_scene(text: str) -> SceneSpec:
             noise_sigma=float(pop("noise_sigma", "0")),
             seed=int(pop("seed", "0")),
         )
-    except ParameterError as err:
+    except ValueError as err:  # a ParameterError, or a non-numeric value
         raise FormatError(f"invalid scene: {err}") from err
     if entries:
         raise FormatError(f"unknown scene keys: {sorted(entries)}")

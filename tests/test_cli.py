@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import singlepixel
 from singlepixel.cli import main
 from singlepixel.measurement import read_measurement_csv
 from singlepixel.patterns import load_patterns
@@ -203,6 +207,11 @@ def test_benchmark_grid(workspace):
     rows = (out_dir / "benchmark.csv").read_text().splitlines()
     assert rows[0] == "cr,method,noise_sigma,repeats,ssim_mean,ssim_std,snr_mean,snr_std"
     assert len(rows) == 1 + 2 * 2 * 2
+    for row in rows[1:]:
+        fields = row.split(",")
+        del fields[1]  # method
+        for field in fields:
+            float(field)
 
 
 def test_benchmark_deterministic_under_thread_cap(workspace, monkeypatch):
@@ -218,3 +227,39 @@ def test_benchmark_deterministic_under_thread_cap(workspace, monkeypatch):
         ]) == 0
         outs.append((out_dir / "benchmark.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_benchmark_identical_across_hash_seeds(workspace):
+    tmp_path, scene, _ = workspace
+    env = dict(os.environ, PYTHONPATH=str(Path(singlepixel.__file__).resolve().parents[1]))
+    outs = []
+    for hash_seed in ("1", "2"):
+        out_dir = tmp_path / f"bench_{hash_seed}"
+        subprocess.run(
+            [sys.executable, "-m", "singlepixel.cli", "benchmark", "--scene", str(scene),
+             "--cr", "0.25", "--methods", "hspi,dgi", "--noise-sigma", "0.1",
+             "--out-dir", str(out_dir)],
+            env={**env, "PYTHONHASHSEED": hash_seed}, check=True, timeout=120,
+        )
+        outs.append((out_dir / "benchmark.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("bad_scene,bad_rows", [
+    ("grid = abc", None),
+    ("seed = 1.5", None),
+    (None, "x,1.0"),
+    (None, "0,abc"),
+])
+def test_malformed_scene_or_measurement_exits_3(workspace, tmp_path, capsys, bad_scene, bad_rows):
+    _, scene, patterns = workspace
+    if bad_scene is not None:
+        scene.write_text(SCENE + bad_scene + "\n")
+    measurement = tmp_path / "m.csv"
+    measurement.write_text("index,reading\n" + (bad_rows or "0,1.0") + "\n")
+    code = main([
+        "reconstruct", "--measurement", str(measurement), "--patterns", str(patterns),
+        "--scene", str(scene), "--method", "hspi", "--out-dir", str(tmp_path / "rec"),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: ")

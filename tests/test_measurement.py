@@ -176,6 +176,18 @@ class TestMeasurementCsv:
         with pytest.raises(FormatError):
             read_measurement_csv(path)
 
+    @pytest.mark.parametrize("text,match", [
+        ("index,reading\n0,1.0\nx,1.0\n", "row 1"),
+        ("index,reading\n0,abc\n", "row 0"),
+        ("# noise_sigma=abc seed=0\nindex,reading\n0,1.0\n", "noise_sigma"),
+        ("# noise_sigma=0.1 seed=1.5\nindex,reading\n0,1.0\n", "seed"),
+    ])
+    def test_non_numeric_field_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=match):
+            read_measurement_csv(path)
+
     def test_mismatched_length_detected(self, rng):
         pset = walsh_hadamard_patterns(4, 16)
         meas = measure(image(rng.random((4, 4))), pset)

@@ -1,24 +1,35 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from singlepixel.classical import cstv_reconstruct, dgi_reconstruct, hspi_reconstruct
 from singlepixel.errors import DimensionError, FormatError, ParameterError
 from singlepixel.field import IntensityImage
+from singlepixel.measurement import measure
+from singlepixel.network import GeneratorNet
 from singlepixel.patterns import (
     DrudeParams,
+    PatternSet,
     apply_mask,
     drude_permittivity,
     fwht,
     hadamard_row,
     load_patterns,
     mask_sequency,
+    pattern_sums,
     positive_negative_split,
+    project,
     row_sequency,
     save_patterns,
     sequency_to_natural,
+    synthesize,
     walsh_hadamard_patterns,
 )
+from singlepixel.prior import loss_and_gradient
+from singlepixel.propagation import PropagationSpec
 
 
 def brute_force_hadamard(n):
@@ -264,3 +275,88 @@ class TestPatternFile:
         path.write_bytes(blob)
         with pytest.raises(FormatError, match="expected"):
             load_patterns(path)
+
+
+@st.composite
+def pattern_sets(draw, max_count=None):
+    """A PatternSet of order 2-32 over distinct random Hadamard rows."""
+    order = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    n_pixels = order * order
+    count = draw(st.integers(1, min(n_pixels, max_count or n_pixels)))
+    selection = draw(st.lists(st.integers(0, n_pixels - 1), min_size=count, max_size=count,
+                              unique=True))
+    ordering = draw(st.sampled_from(["natural", "sequency"]))
+    return PatternSet(order, tuple(selection), ordering, 0.9)
+
+
+class TestIndexDescriptor:
+    @given(pset=pattern_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_masks_are_the_selected_hadamard_rows(self, pset):
+        n_pixels = pset.pixels
+        reference = np.stack([hadamard_row(i, n_pixels) for i in pset.selection])
+        assert pset.logical_masks.dtype == np.int8
+        assert np.array_equal(pset.logical_masks.reshape(pset.count, n_pixels), reference)
+        assert np.array_equal(pattern_sums(pset), reference.sum(axis=1))
+
+    @given(pset=pattern_sets(max_count=4), junk=st.integers(0, 255))
+    @settings(max_examples=12, deadline=None)
+    def test_file_round_trip_and_every_corrupted_byte(self, tmp_path_factory, pset, junk):
+        path = tmp_path_factory.mktemp("spip") / "p.spip"
+        save_patterns(path, pset)
+        blob = path.read_bytes()
+        loaded = load_patterns(path)
+        assert loaded.selection == pset.selection
+        save_patterns(path, loaded)
+        assert path.read_bytes() == blob
+        for pos in range(15, len(blob)):
+            # a sign flip (0xFE) leaves a +/-1 mask; any other change leaves a bad byte
+            for delta in {0xFE, junk} - {0}:
+                corrupt = bytearray(blob)
+                corrupt[pos] ^= delta
+                path.write_bytes(bytes(corrupt))
+                with pytest.raises(FormatError):
+                    load_patterns(path)
+
+    @given(pset=pattern_sets(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_synthesize_is_the_adjoint_of_project(self, pset, seed):
+        rng = np.random.default_rng(seed)
+        grid = rng.standard_normal((pset.order, pset.order))
+        weights = rng.standard_normal(pset.count)
+        lhs = project(pset, grid) @ weights
+        rhs = np.sum(grid * synthesize(pset, weights))
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9 * pset.pixels)
+        # distinct rows are orthogonal with squared norm N, which makes the
+        # CS-TV Lipschitz constant m^2 * N exact
+        assert np.allclose(project(pset, synthesize(pset, weights)), pset.pixels * weights,
+                           rtol=1e-12, atol=1e-9 * pset.pixels)
+
+    def test_operators_never_build_the_masks(self):
+        pset = walsh_hadamard_patterns(16, 64)
+        image = IntensityImage(values=np.random.default_rng(0).random((16, 16)), pitch=1e-4)
+        meas = measure(image, pset, noise_sigma=0.01, seed=1)
+        hspi_reconstruct(meas, pset)
+        dgi_reconstruct(meas, pset)
+        cstv_reconstruct(meas, pset, max_iters=3)
+        prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3)
+        loss_and_gradient(GeneratorNet(plan=(1, 4, 4, 1), seed=0), image, meas, pset, prop)
+        assert "logical_masks" not in vars(pset)
+        assert pset.logical_masks.shape == (64, 16, 16)
+        assert "logical_masks" in vars(pset)
+
+    def test_fingerprint_names_the_selection(self):
+        a = PatternSet(4, (0, 5, 3), "natural")
+        assert a.fingerprint == PatternSet(4, (0, 5, 3), "sequency").fingerprint
+        assert a.fingerprint != PatternSet(4, (0, 3, 5), "natural").fingerprint
+        assert a == PatternSet(4, [0, 5, 3], "natural")
+
+    def test_rejects_row_outside_order(self):
+        with pytest.raises(ParameterError):
+            PatternSet(4, (16,), "natural")
+
+    def test_empty_file_of_huge_order_loads(self, tmp_path):
+        path = tmp_path / "empty.spip"
+        path.write_bytes(struct.pack("<4sHIIB", b"SPIP", 1, 65536, 0, 0))
+        pset = load_patterns(path)
+        assert (pset.order, pset.count) == (65536, 0)

@@ -73,6 +73,14 @@ seed = 7
         with pytest.raises(FormatError):
             parse_scene("grid = 64\n")
 
+    @pytest.mark.parametrize("key,value", [
+        ("grid", "abc"), ("seed", "1.5"), ("modulation_depth", "high"), ("noise_sigma", "x"),
+    ])
+    def test_non_numeric_value_rejected(self, key, value):
+        lines = [ln for ln in self.SCENE.splitlines() if not ln.startswith(key)]
+        with pytest.raises(FormatError, match=f"invalid scene: .*'{value}'"):
+            parse_scene("\n".join(lines + [f"{key} = {value}"]))
+
     def test_load_scene_from_file(self, tmp_path):
         path = tmp_path / "scene.txt"
         path.write_text(self.SCENE)
