@@ -200,7 +200,7 @@ def run_reconstruct(
 
 
 def _benchmark_cell(args):
-    (spec, diffracted, obj_mask, reference, order, cr, method, noise_sigma, repeat,
+    (spec, diffracted, obj, reference, order, cr, method, noise_sigma, repeat,
      iterations, base_seed) = args
     count = max(1, int(round(cr * order * order)))
     pattern_set = walsh_hadamard_patterns(order, count, modulation_depth=spec.modulation_depth)
@@ -221,8 +221,9 @@ def _benchmark_cell(args):
         result = reconstruct_untrained(
             meas, pattern_set, prop, iterations=iterations, seed=cell_seed, pitch=pitch
         )
+        reference = obj  # the generator images the object plane, not the detector plane
     ssim_val = ssim(result.image, reference, DEFAULT_SSIM)
-    snr_val = snr(result.image, obj_mask).value
+    snr_val = snr(result.image, obj.values >= 0.5).value
     return ssim_val, snr_val
 
 
@@ -244,10 +245,9 @@ def run_benchmark(
     for method in methods:
         if method not in METHODS:
             raise SinglePixelError(f"unknown method {method!r}")
-    _, diffracted = diffract_scene(spec)
+    obj, diffracted = diffract_scene(spec)
     order = spec.grid
     reference = full_sample_reference(diffracted, order)
-    obj_mask = build_scene(spec).values >= 0.5
 
     cells = [
         (cr, method, noise_sigma)
@@ -259,7 +259,7 @@ def run_benchmark(
     for cr, method, noise_sigma in cells:
         for repeat in range(repeats):
             jobs.append(
-                (spec, diffracted, obj_mask, reference, order, cr, method,
+                (spec, diffracted, obj, reference, order, cr, method,
                  noise_sigma, repeat, iterations, spec.seed)
             )
     max_workers = int(os.environ.get("SPI_THREADS", "0")) or (os.cpu_count() or 1)

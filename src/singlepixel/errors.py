@@ -1,5 +1,7 @@
 """Exception types shared across the toolkit."""
 
+from pathlib import Path
+
 
 class SinglePixelError(Exception):
     """Base class for all toolkit errors."""
@@ -40,3 +42,13 @@ class NumericalError(SinglePixelError, RuntimeError):
         super().__init__(message)
         self.stage = stage
         self.iteration = iteration
+
+
+def read_text(path) -> str:
+    """Contents of a UTF-8 text file; bytes that are not UTF-8 raise FormatError."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        bad = data[err.start]
+        raise FormatError(f"{path} is not UTF-8 text: byte {err.start} is {bad:#04x}") from None

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, FormatError, ParameterError
+from .errors import ConsistencyError, DimensionError, FormatError, ParameterError, read_text
 from .field import ComplexField, IntensityImage, intensity
 from .patterns import PatternSet, pattern_sums, project
 from .propagation import PropagationSpec, propagate
@@ -142,8 +142,7 @@ def read_measurement_csv(path) -> Measurement:
     differential = True
     pattern_ref = ""
     readings = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     body = []
     for ln in lines:
         if ln.startswith("#"):

@@ -8,13 +8,34 @@ normalization runs on the statistics of the single image being optimized
 
 Everything is float64 numpy.  The backward pass is exact reverse-mode
 differentiation of the forward pass, including the dependence of the batch
-statistics on the input; correctness is pinned by finite-difference tests.
+statistics on the input; correctness is pinned by finite-difference tests
+and by a per-layer reference implementation in the tests.
+
+Buffers.  Per grid size, each layer owns a zero-bordered (C_in, H+2, W+2)
+input buffer, its (C_in*9, H*W) im2col columns and, in BN blocks, the
+(C_out, H*W) GEMM output that batch norm turns into x-hat in place.  A
+block writes its activation straight into the interior of the next layer's
+bordered buffer, so the border is written once, when the buffer is made,
+and im2col is a single strided copy.  These per-layer arrays are what the
+backward pass reads: the columns for the weight gradient, x-hat for batch
+norm, and the activation, whose sign is that of the pre-activation because
+the leak is positive.  The backward pass shares its bordered buffer, its
+columns and its input-gradient output across layers by shape.  The input
+gradient of a convolution is the convolution of the upstream gradient with
+the flipped, channel-transposed kernel, so it reuses im2col; the first
+layer's input gradient is not formed, since the network input is fixed.
+
+Dead BN-block bias.  Batch norm subtracts the per-channel mean, which
+cancels a conv bias exactly.  In batch-statistics mode a BN block therefore
+leaves its bias out of the forward pass and reports its gradient as exact
+zeros, so Adam never moves it.  The parameter slot stays, so the
+checkpoint format is unchanged; the running mean is recorded with the bias
+included, as the inference-mode forward pass adds it.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,104 +47,78 @@ _CHECKPOINT_MAGIC = b"SPIN"
 _CHECKPOINT_VERSION = 1
 
 
-def _im2col(x: np.ndarray, scratch: dict | None = None, tag=None) -> np.ndarray:
-    """(C, H, W) -> (C*9, H*W) columns of the zero-padded 3x3 neighborhoods.
+class _Im2col:
+    """Zero-bordered (C, H+2, W+2) input buffer and its 3x3 im2col columns.
 
-    `scratch` (optional) recycles the padded and column buffers between
-    calls; allocating tens of MB per convolution otherwise dominates the
-    iteration cost on large grids.  The column buffer is cached for the
-    backward pass, so its key carries the caller's layer tag.
+    Callers write the input into `interior`; the border is zeroed once, here.
+    `columns()` fills the (C*9, H*W) column buffer, ordered channel-major and
+    then by kernel row and column, with one strided copy.
     """
+
+    def __init__(self, c: int, h: int, w: int):
+        self.padded = np.zeros((c, h + 2, w + 2))
+        self.interior = self.padded[:, 1:-1, 1:-1]
+        self.cols = np.empty((c * 9, h * w))
+        windows = np.lib.stride_tricks.sliding_window_view(self.padded, (3, 3), axis=(1, 2))
+        self._windows = windows.transpose(0, 3, 4, 1, 2)
+        self._cols5 = self.cols.reshape(c, 3, 3, h, w)
+
+    def columns(self) -> np.ndarray:
+        np.copyto(self._cols5, self._windows)
+        return self.cols
+
+
+def flip_kernel(weight: np.ndarray) -> np.ndarray:
+    """(C_out, C_in, 3, 3) -> (C_in, C_out, 3, 3), each kernel rotated 180 degrees.
+
+    Convolving with this kernel is the adjoint of convolving with `weight`.
+    """
+    return weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+
+def conv3x3(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Same-padded 3x3 cross-correlation, (C_in, H, W) -> (C_out, H, W), no bias."""
     c, h, w = x.shape
-    xp = _buffer(scratch, ("pad", c, h, w), (c, h + 2, w + 2))
-    xp.fill(0.0)
-    xp[:, 1:-1, 1:-1] = x
-    cols = _buffer(scratch, ("cols", tag, c, h, w), (c, 9, h, w))
-    k = 0
-    for di in range(3):
-        for dj in range(3):
-            cols[:, k] = xp[:, di : di + h, dj : dj + w]
-            k += 1
-    return cols.reshape(c * 9, h * w)
+    buf = _Im2col(c, h, w)
+    buf.interior[...] = x
+    return (weight.reshape(len(weight), -1) @ buf.columns()).reshape(-1, h, w)
 
 
-def _col2im(dcols: np.ndarray, c: int, h: int, w: int, scratch: dict | None = None) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add columns back onto the (C, H, W) grid."""
-    d = dcols.reshape(c, 9, h, w)
-    xp = _buffer(scratch, ("unpad", c, h, w), (c, h + 2, w + 2))
-    xp.fill(0.0)
-    k = 0
-    for di in range(3):
-        for dj in range(3):
-            xp[:, di : di + h, dj : dj + w] += d[:, k]
-            k += 1
-    return xp[:, 1:-1, 1:-1].copy()
+def conv3x3_input_grad(g: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the input of `conv3x3(x, weight)` given dL/d(output)."""
+    return conv3x3(g, flip_kernel(weight))
 
 
-def _buffer(scratch: dict | None, key, shape) -> np.ndarray:
-    if scratch is None:
-        return np.empty(shape)
-    buf = scratch.get(key)
-    if buf is None or buf.shape != shape:
-        buf = np.empty(shape)
-        scratch[key] = buf
-    return buf
+def bn_forward(z: np.ndarray, gamma, beta, eps: float):
+    """Batch norm over each row of z (C, H*W); z becomes x-hat in place.
 
-
-def conv3x3_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, scratch=None, tag=None):
-    c_out = weight.shape[0]
-    _, h, w = x.shape
-    cols = _im2col(x, scratch, tag)
-    z = weight.reshape(c_out, -1) @ cols + bias[:, None]
-    return z.reshape(c_out, h, w), cols
-
-
-def conv3x3_backward(g: np.ndarray, cols: np.ndarray, weight: np.ndarray, x_shape, scratch=None):
-    c_in, h, w = x_shape
-    c_out = weight.shape[0]
-    gm = np.ascontiguousarray(g.reshape(c_out, h * w))
-    g_weight = (gm @ cols.T).reshape(weight.shape)
-    g_bias = gm.sum(axis=1)
-    dcols = _buffer(scratch, ("dcols", c_in, h, w), (c_in * 9, h * w))
-    np.matmul(weight.reshape(c_out, -1).T, gm, out=dcols)
-    g_x = _col2im(dcols, c_in, h, w, scratch)
-    return g_weight, g_bias, g_x
-
-
-def bn_forward(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float):
-    mean = z.mean(axis=(1, 2))
-    var = z.var(axis=(1, 2))
+    Returns (gamma * x-hat + beta, mean, var, inv_std).
+    """
+    n = z.shape[1]
+    mean = z.mean(axis=1)
+    z -= mean[:, None]
+    var = np.einsum("ij,ij->i", z, z) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (z - mean[:, None, None]) * inv_std[:, None, None]
-    y = gamma[:, None, None] * xhat + beta[:, None, None]
-    return y, (xhat, inv_std, mean, var)
+    z *= inv_std[:, None]
+    y = z * gamma[:, None]
+    y += beta[:, None]
+    return y, mean, var, inv_std
 
 
-def bn_backward(gy: np.ndarray, gamma: np.ndarray, cache):
-    xhat, inv_std, _, _ = cache
-    n = xhat.shape[1] * xhat.shape[2]
-    g_gamma = (gy * xhat).sum(axis=(1, 2))
-    g_beta = gy.sum(axis=(1, 2))
-    gxhat = gy * gamma[:, None, None]
-    s1 = gxhat.sum(axis=(1, 2))[:, None, None]
-    s2 = (gxhat * xhat).sum(axis=(1, 2))[:, None, None]
-    gz = (inv_std[:, None, None] / n) * (n * gxhat - s1 - xhat * s2)
-    return gz, g_gamma, g_beta
+def bn_backward(g: np.ndarray, xhat: np.ndarray, gamma, inv_std):
+    """In place: g, dL/dy as (C, H*W), becomes dL/dz.  Returns (dL/dgamma, dL/dbeta)."""
+    n = g.shape[1]
+    g_gamma = np.einsum("ij,ij->i", g, xhat)
+    g_beta = g.sum(axis=1)
+    g -= xhat * (g_gamma / n)[:, None]
+    g -= (g_beta / n)[:, None]
+    g *= (gamma * inv_std)[:, None]
+    return g_gamma, g_beta
 
 
 def bn_inference(z: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
     inv_std = 1.0 / np.sqrt(var + eps)
-    return gamma[:, None, None] * (z - mean[:, None, None]) * inv_std[:, None, None] + beta[
-        :, None, None
-    ]
-
-
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, x, slope * x)
-
-
-def leaky_relu_backward(g: np.ndarray, x: np.ndarray, slope: float) -> np.ndarray:
-    return np.where(x > 0, g, slope * g)
+    return gamma[:, None] * (z - mean[:, None]) * inv_std[:, None] + beta[:, None]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -141,12 +136,17 @@ class GeneratorNet:
     Parameters are kept as a flat list of arrays in a fixed order (per BN
     block: weight, bias, gamma, beta; head: weight, bias) so the optimizer
     and the checkpoint format can treat them uniformly.
+
+    The arrays a forward pass caches for `backward` live in buffers the net
+    reuses, so a cache is valid until the next forward pass.
     """
 
     def __init__(self, plan=DEFAULT_PLAN, seed: int = 0, leak: float = 0.2,
                  bn_momentum: float = 0.99, bn_eps: float = 1e-3):
         if len(plan) < 2 or plan[0] != 1 or plan[-1] != 1:
             raise DimensionError("channel plan must start and end with 1 channel")
+        if not 0 < leak <= 1:  # max(y, leak*y) and the sign rule of backward need it
+            raise ParameterError(f"LeakyReLU slope must lie in (0, 1], got {leak}")
         self.plan = tuple(int(c) for c in plan)
         self.seed = int(seed)
         self.leak = float(leak)
@@ -175,6 +175,25 @@ class GeneratorNet:
         w, b = self.params[base : base + 2]
         return w, b, None, None
 
+    def _layer_buffers(self, h: int, w: int) -> list:
+        """Per-layer (im2col, GEMM output) buffers for an H x W input."""
+        bufs = self._scratch.get((h, w))
+        if bufs is None:
+            bufs = [
+                (_Im2col(self.plan[layer], h, w),
+                 np.empty((self.plan[layer + 1], h * w)) if layer < self.n_blocks else None)
+                for layer in range(len(self.plan) - 1)
+            ]
+            self._scratch[(h, w)] = bufs
+        return bufs
+
+    def _shared(self, key, make):
+        """A backward-pass buffer shared by every layer that asks for `key`."""
+        buf = self._scratch.get(key)
+        if buf is None:
+            buf = self._scratch[key] = make()
+        return buf
+
     def forward(self, image: np.ndarray, batch_stats: bool = True,
                 update_running: bool = False, want_cache: bool = False):
         """Run the generator on a 2D image; returns the 2D output in (0, 1).
@@ -186,37 +205,41 @@ class GeneratorNet:
         x = np.asarray(image, dtype=np.float64)
         if x.ndim != 2:
             raise DimensionError("generator input must be a 2D image")
-        act = x[None, :, :]
-        cache = []
-        for layer in range(len(self.plan) - 1):
-            w, b, gamma, beta = self._layer_params(layer)
-            z, cols = conv3x3_forward(act, w, b, self._scratch, layer)
-            if layer < self.n_blocks:
-                if batch_stats:
-                    y, bn_cache = bn_forward(z, gamma, beta, self.bn_eps)
-                    if update_running:
-                        self._update_running(layer, bn_cache)
-                else:
-                    run = self.running[layer]
-                    if run["mean"] is None:
-                        raise ParameterError(
-                            "no running statistics yet; run a training-mode forward first"
-                        )
-                    y = bn_inference(z, gamma, beta, run["mean"], run["var"], self.bn_eps)
-                    bn_cache = None
-                out = leaky_relu(y, self.leak)
-                cache.append({"cols": cols, "x_shape": act.shape, "bn": bn_cache, "y": y})
-                act = out
+        if want_cache and not batch_stats:
+            raise ParameterError("gradients need the batch-statistics forward pass")
+        h, w = x.shape
+        bufs = self._layer_buffers(h, w)
+        bufs[0][0].interior[0] = x
+        inv_stds = []
+        for layer in range(self.n_blocks):
+            weight, bias, gamma, beta = self._layer_params(layer)
+            im2col, z = bufs[layer]
+            act = bufs[layer + 1][0].interior
+            np.matmul(weight.reshape(len(weight), -1), im2col.columns(), out=z)
+            if batch_stats:
+                y, mean, var, inv_std = bn_forward(z, gamma, beta, self.bn_eps)
+                inv_stds.append(inv_std)
+                if update_running:
+                    self._update_running(layer, mean + bias, var)
             else:
-                s = sigmoid(z[0])
-                cache.append({"cols": cols, "x_shape": act.shape, "s": s})
-                act = s
+                run = self.running[layer]
+                if run["mean"] is None:
+                    raise ParameterError(
+                        "no running statistics yet; run a training-mode forward first"
+                    )
+                z += bias[:, None]
+                y = bn_inference(z, gamma, beta, run["mean"], run["var"], self.bn_eps)
+            y = y.reshape(act.shape)
+            np.maximum(y, self.leak * y, out=act)
+        weight, bias, _, _ = self._layer_params(self.n_blocks)
+        z = weight.reshape(1, -1) @ bufs[self.n_blocks][0].columns()
+        z += bias[:, None]
+        s = sigmoid(z.reshape(h, w))
         if want_cache:
-            return act, cache
-        return act
+            return s, (bufs, inv_stds, s)
+        return s
 
-    def _update_running(self, layer: int, bn_cache) -> None:
-        _, _, mean, var = bn_cache
+    def _update_running(self, layer: int, mean, var) -> None:
         run = self.running[layer]
         if run["mean"] is None:
             run["mean"] = mean.copy()
@@ -226,34 +249,41 @@ class GeneratorNet:
             run["mean"] = m * run["mean"] + (1.0 - m) * mean
             run["var"] = m * run["var"] + (1.0 - m) * var
 
+    def _input_grad(self, g: np.ndarray, weight: np.ndarray, h: int, w: int) -> np.ndarray:
+        """dL/d(layer input) as (C_in, H*W), from g = dL/dz as (C_out, H*W)."""
+        c_out, c_in = weight.shape[:2]
+        im2col = self._shared(("grad_im2col", c_out, h, w), lambda: _Im2col(c_out, h, w))
+        out = self._shared(("grad_input", c_in, h, w), lambda: np.empty((c_in, h * w)))
+        im2col.interior[...] = g.reshape(c_out, h, w)
+        return np.matmul(flip_kernel(weight).reshape(c_in, -1), im2col.columns(), out=out)
+
     def backward(self, g_output: np.ndarray, cache) -> list[np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every parameter, given dL/d(output)."""
-        grads = [np.zeros_like(p) for p in self.params]
-        head = len(self.plan) - 2
-        layer_cache = cache[head]
-        s = layer_cache["s"]
-        g = (g_output * s * (1.0 - s))[None, :, :]
-        w, _, _, _ = self._layer_params(head)
-        g_w, g_b, g_x = conv3x3_backward(
-            g, layer_cache["cols"], w, layer_cache["x_shape"], self._scratch
-        )
-        base = self.n_blocks * 4
-        grads[base] = g_w
-        grads[base + 1] = g_b
-        g = g_x
+        """Gradients of a scalar loss w.r.t. every parameter, given dL/d(output).
+
+        The gradient of each BN block's conv bias is exactly zero.
+        """
+        bufs, inv_stds, s = cache
+        h, w = s.shape
+        weight, _, _, _ = self._layer_params(self.n_blocks)
+        g = (g_output * s * (1.0 - s)).reshape(1, h * w)
+        grads = [(g @ bufs[self.n_blocks][0].cols.T).reshape(weight.shape), g.sum(axis=1)]
+        if self.n_blocks:  # the input gradient of layer 0 is never needed
+            g = self._input_grad(g, weight, h, w)
         for layer in range(self.n_blocks - 1, -1, -1):
-            layer_cache = cache[layer]
-            w, _, gamma, _ = self._layer_params(layer)
-            g = leaky_relu_backward(g, layer_cache["y"], self.leak)
-            g, g_gamma, g_beta = bn_backward(g, gamma, layer_cache["bn"])
-            g_w, g_b, g = conv3x3_backward(
-                g, layer_cache["cols"], w, layer_cache["x_shape"], self._scratch
-            )
-            base = layer * 4
-            grads[base] = g_w
-            grads[base + 1] = g_b
-            grads[base + 2] = g_gamma
-            grads[base + 3] = g_beta
+            weight, _, gamma, _ = self._layer_params(layer)
+            im2col, xhat = bufs[layer]
+            act = bufs[layer + 1][0].interior
+            # LeakyReLU slope: 1 where the activation is positive, else the leak.
+            # Arithmetic on the mask, not a masked or branching select, because
+            # the sign pattern is random and branches mispredict.
+            slope = (act > 0) * (1.0 - self.leak)
+            slope += self.leak
+            g *= slope.reshape(g.shape)
+            g_gamma, g_beta = bn_backward(g, xhat, gamma, inv_stds[layer])
+            g_w = (g @ im2col.cols.T).reshape(weight.shape)
+            grads[:0] = [g_w, np.zeros(len(weight)), g_gamma, g_beta]
+            if layer > 0:
+                g = self._input_grad(g, weight, h, w)
         return grads
 
 

@@ -68,11 +68,11 @@ def hadamard_row(index: int, length: int) -> np.ndarray:
     return row
 
 
-def sequency_to_natural(sequency: int, bits: int) -> int:
+def sequency_to_natural(sequency, bits: int):
     """Natural (Sylvester) row index of the row with the given sign-change count.
 
     The row of H_{2^bits} with exactly `sequency` sign changes sits at natural
-    index bit_reverse(gray(sequency)).
+    index bit_reverse(gray(sequency)).  Works elementwise on integer arrays.
     """
     g = sequency ^ (sequency >> 1)
     rev = 0
@@ -105,13 +105,10 @@ def _sequency_selection(order_n: int, count_m: int) -> list:
     max component then sx so the order is deterministic.
     """
     bits = order_n.bit_length() - 1
-    keys = sorted(
-        (sx + sy, max(sx, sy), sx, sy) for sy in range(order_n) for sx in range(order_n)
-    )
-    selection = []
-    for _, _, sx, sy in keys[:count_m]:
-        selection.append(sequency_to_natural(sy, bits) * order_n + sequency_to_natural(sx, bits))
-    return selection
+    natural = sequency_to_natural(np.arange(order_n), bits)
+    sy, sx = np.divmod(np.arange(order_n * order_n), order_n)
+    first = np.lexsort((sy, sx, np.maximum(sx, sy), sx + sy))[:count_m]
+    return (natural[sy[first]] * order_n + natural[sx[first]]).tolist()
 
 
 def _check_order(n: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, read_text
 from .field import IntensityImage
 
 THREE_SLIT = "three_slit"
@@ -125,8 +125,7 @@ def parse_scene(text: str) -> SceneSpec:
 
 
 def load_scene(path) -> SceneSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene(fh.read())
+    return parse_scene(read_text(path))
 
 
 def _edge_to_pixel(coord_m: float, pitch: float) -> int:

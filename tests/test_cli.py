@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import singlepixel
+import singlepixel.cli as cli
 from singlepixel.cli import main
 from singlepixel.measurement import read_measurement_csv
 from singlepixel.patterns import load_patterns
 from singlepixel.pgm import read_pgm, write_pgm
-from singlepixel.scenes import star_mask
+from singlepixel.scenes import parse_scene, star_mask
 
 SCENE = """
 grid = 16
@@ -263,3 +264,41 @@ def test_malformed_scene_or_measurement_exits_3(workspace, tmp_path, capsys, bad
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bad_file", ["scene", "measurement"])
+def test_non_utf8_input_exits_3(workspace, tmp_path, capsys, bad_file):
+    _, scene, patterns = workspace
+    measurement = tmp_path / "m.csv"
+    measurement.write_text("index,reading\n0,1.0\n")
+    target = scene if bad_file == "scene" else measurement
+    target.write_bytes(b"\xff\xfe" + target.read_bytes())
+    code = main([
+        "reconstruct", "--measurement", str(measurement), "--patterns", str(patterns),
+        "--scene", str(scene), "--method", "hspi", "--out-dir", str(tmp_path / "rec"),
+    ])
+    assert code == 3
+    assert "is not UTF-8 text" in capsys.readouterr().err
+
+
+def test_benchmark_scores_untrained_against_the_object(tmp_path, monkeypatch):
+    """The generator reconstructs the object plane, so benchmark.csv takes
+    its SSIM against the object, which it matches better than the
+    diffraction plane the classical methods are scored against."""
+    spec = parse_scene(SCENE.replace("grid = 16", "grid = 32"))
+    images = []
+
+    def spy(image, reference, params):
+        images.append(image)
+        return real_ssim(image, reference, params)
+
+    real_ssim = cli.ssim
+    monkeypatch.setattr(cli, "ssim", spy)
+    rows = cli.run_benchmark(spec, [0.25], ["untrained"], [0.0], 1, tmp_path / "b.csv",
+                             iterations=30)
+    (image,) = images
+    obj, diffracted = cli.diffract_scene(spec)
+    against_object = real_ssim(image, obj)
+    against_diffraction = real_ssim(image, cli.full_sample_reference(diffracted, spec.grid))
+    assert float(rows[1].split(",")[4]) == against_object
+    assert against_object > against_diffraction

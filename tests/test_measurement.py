@@ -188,6 +188,12 @@ class TestMeasurementCsv:
         with pytest.raises(FormatError, match=match):
             read_measurement_csv(path)
 
+    def test_non_utf8_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfeindex,reading\n0,1.0\n")
+        with pytest.raises(FormatError, match="not UTF-8 text: byte 0 is 0xff"):
+            read_measurement_csv(path)
+
     def test_mismatched_length_detected(self, rng):
         pset = walsh_hadamard_patterns(4, 16)
         meas = measure(image(rng.random((4, 4))), pset)

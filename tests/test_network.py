@@ -1,10 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import correlate
 
 from singlepixel.errors import FormatError, ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import measure
-from singlepixel.network import GeneratorNet, load_checkpoint, save_checkpoint
+from singlepixel.network import (
+    DEFAULT_PLAN,
+    GeneratorNet,
+    conv3x3,
+    conv3x3_input_grad,
+    load_checkpoint,
+    save_checkpoint,
+)
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.prior import AdamState, generate, loss_and_gradient, prepare_prior_input
 from singlepixel.propagation import PropagationSpec
@@ -40,10 +50,21 @@ class TestForward:
         a, b = small_net(seed=5), small_net(seed=6)
         assert any(not np.array_equal(pa, pb) for pa, pb in zip(a.params, b.params))
 
+    @pytest.mark.parametrize("leak", [0.0, -0.2, 1.5, float("nan")])
+    def test_leak_outside_unit_interval_rejected(self, leak):
+        with pytest.raises(ParameterError):
+            GeneratorNet(plan=(1, 4, 1), leak=leak)
+
     def test_inference_mode_needs_running_stats(self, rng):
         net = small_net()
         with pytest.raises(ParameterError):
             net.forward(rng.random((8, 8)), batch_stats=False)
+
+    def test_gradient_cache_needs_batch_stats(self, rng):
+        net = small_net()
+        net.forward(rng.random((8, 8)), update_running=True)
+        with pytest.raises(ParameterError, match="batch-statistics"):
+            net.forward(rng.random((8, 8)), batch_stats=False, want_cache=True)
 
 
 class TestNetworkGradients:
@@ -80,13 +101,140 @@ class TestNetworkGradients:
 
     def test_bn_block_conv_bias_gradient_is_zero(self, rng):
         # batch normalization subtracts the per-channel mean, so a conv bias
-        # inside a BN block cannot influence the output
+        # inside a BN block cannot influence the output; the head's bias can
         net = small_net(seed=4)
         x = rng.random((8, 8))
         _, cache = net.forward(x, want_cache=True)
         grads = net.backward(rng.standard_normal((8, 8)), cache)
         for layer in range(net.n_blocks):
-            assert np.abs(grads[layer * 4 + 1]).max() < 1e-9
+            assert not np.any(grads[layer * 4 + 1])
+        assert np.all(grads[-1] != 0)
+
+
+class TestConvolution:
+    @settings(max_examples=40, deadline=None)
+    @given(c_in=st.integers(1, 4), c_out=st.integers(1, 4), h=st.integers(1, 9),
+           w=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+    def test_matches_scipy_correlate(self, c_in, c_out, h, w, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((c_in, h, w))
+        kernel = rng.standard_normal((c_out, c_in, 3, 3))
+        expected = np.array([
+            sum(correlate(x[i], kernel[o, i], mode="same", method="direct") for i in range(c_in))
+            for o in range(c_out)
+        ])
+        out = conv3x3(x, kernel)
+        assert out.shape == (c_out, h, w)
+        assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+    @settings(max_examples=40, deadline=None)
+    @given(c_in=st.integers(1, 5), c_out=st.integers(1, 5), h=st.integers(1, 12),
+           w=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_input_gradient_is_the_adjoint(self, c_in, c_out, h, w, seed):
+        # <conv(x), g> = <x, conv_input_grad(g)> for every x and g
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((c_in, h, w))
+        g = rng.standard_normal((c_out, h, w))
+        kernel = rng.standard_normal((c_out, c_in, 3, 3))
+        lhs = float(np.vdot(conv3x3(x, kernel), g))
+        rhs = float(np.vdot(x, conv3x3_input_grad(g, kernel)))
+        scale = np.abs(conv3x3(x, kernel)).sum() * np.abs(g).max()
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def _reference_conv(x, kernel, bias):
+    """Same-padded 3x3 cross-correlation plus bias, one kernel tap at a time."""
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    out = np.zeros((kernel.shape[0], h, w)) + bias[:, None, None]
+    for a in range(3):
+        for b in range(3):
+            out += np.einsum("oi,ihw->ohw", kernel[:, :, a, b], xp[:, a : a + h, b : b + w])
+    return out
+
+
+def _reference_conv_backward(g, x, kernel):
+    """(dL/dkernel, dL/dbias, dL/dx) of _reference_conv, input gradient by scatter-add."""
+    _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    g_kernel = np.empty_like(kernel)
+    g_xp = np.zeros_like(xp)
+    for a in range(3):
+        for b in range(3):
+            g_kernel[:, :, a, b] = np.einsum("ohw,ihw->oi", g, xp[:, a : a + h, b : b + w])
+            g_xp[:, a : a + h, b : b + w] += np.einsum("oi,ohw->ihw", kernel[:, :, a, b], g)
+    return g_kernel, g.sum(axis=(1, 2)), g_xp[:, 1:-1, 1:-1]
+
+
+def _reference_pass(net, image, g_output):
+    """Textbook forward and backward of the generator, layer by layer.
+
+    BN blocks add their conv bias and differentiate batch norm through the
+    mean and the variance separately.  Returns (output, per-layer batch
+    means and variances, gradients in net.params order).
+    """
+    eps, leak = net.bn_eps, net.leak
+    act = image[None]
+    saved, stats = [], []
+    for layer in range(net.n_blocks):
+        kernel, bias, gamma, beta = net.params[4 * layer : 4 * layer + 4]
+        z = _reference_conv(act, kernel, bias)
+        mean = z.mean(axis=(1, 2), keepdims=True)
+        var = z.var(axis=(1, 2), keepdims=True)
+        xhat = (z - mean) / np.sqrt(var + eps)
+        y = gamma[:, None, None] * xhat + beta[:, None, None]
+        saved.append((act, z, mean, var, xhat, y))
+        stats.append((mean.ravel(), var.ravel()))
+        act = np.where(y > 0, y, leak * y)
+    kernel, bias = net.params[4 * net.n_blocks :]
+    s = 1.0 / (1.0 + np.exp(-_reference_conv(act, kernel, bias)[0]))
+
+    g_kernel, g_bias, g = _reference_conv_backward((g_output * s * (1 - s))[None], act, kernel)
+    grads = [g_kernel, g_bias]
+    n = image.size
+    for layer in range(net.n_blocks - 1, -1, -1):
+        kernel, _, gamma, _ = net.params[4 * layer : 4 * layer + 4]
+        x, z, mean, var, xhat, y = saved[layer]
+        gy = np.where(y > 0, g, leak * g)
+        g_xhat = gy * gamma[:, None, None]
+        g_var = (g_xhat * (z - mean)).sum(axis=(1, 2), keepdims=True) * -0.5 * (var + eps) ** -1.5
+        g_mean = (-g_xhat / np.sqrt(var + eps)).sum(axis=(1, 2), keepdims=True) + g_var * (
+            -2.0 * (z - mean)
+        ).mean(axis=(1, 2), keepdims=True)
+        g_z = g_xhat / np.sqrt(var + eps) + g_var * 2.0 * (z - mean) / n + g_mean / n
+        g_kernel, g_bias, g = _reference_conv_backward(g_z, x, kernel)
+        grads[:0] = [g_kernel, g_bias, (gy * xhat).sum(axis=(1, 2)), gy.sum(axis=(1, 2))]
+    return s, stats, grads
+
+
+class TestAgainstReference:
+    def test_forward_and_backward_match_textbook_layers(self):
+        """The fused forward and backward against _reference_pass at three grid
+        sizes, one net, every parameter randomized (BN-block conv biases too,
+        which batch norm cancels)."""
+        rng = np.random.default_rng(11)
+        net = GeneratorNet(plan=DEFAULT_PLAN, seed=7)
+        for p in net.params:
+            p += 0.3 * rng.standard_normal(p.shape)
+        for n in (8, 32, 64):
+            image = rng.random((n, n))
+            g_output = rng.standard_normal((n, n))
+            expected_out, stats, expected = _reference_pass(net, image, g_output)
+            out, cache = net.forward(image, update_running=True, want_cache=True)
+            grads = net.backward(g_output, cache)
+            assert np.abs(out - expected_out).max() <= 1e-12
+            if n == 8:  # the first update copies the batch statistics, bias included
+                for run, (mean, var) in zip(net.running, stats):
+                    assert np.abs(run["mean"] - mean).max() <= 1e-12 * np.abs(mean).max()
+                    assert np.abs(run["var"] - var).max() <= 1e-12 * var.max()
+            for i, (got, want) in enumerate(zip(grads, expected)):
+                assert got.shape == net.params[i].shape
+                if i < 4 * net.n_blocks and i % 4 == 1:
+                    # dead BN-block bias: exact zeros; the reference holds round-off
+                    assert not np.any(got)
+                else:
+                    err = np.abs(got - want).max() / np.abs(want).max()
+                    assert err <= 1e-12, (n, i, err)
 
 
 class TestBatchNormModes:
@@ -113,6 +261,17 @@ class TestBatchNormModes:
         train_out = generate(net, inp).values
         eval_out = generate(net, inp, use_running_stats=True).values
         assert np.abs(train_out - eval_out).max() < 1e-3
+
+    def test_inference_with_fresh_statistics_matches_training(self, rng):
+        """Running statistics copied from one pass reproduce that pass in
+        inference mode, also when the BN-block conv biases are non-zero."""
+        net = small_net(seed=6)
+        for layer in range(net.n_blocks):
+            net.params[4 * layer + 1] += rng.standard_normal(net.plan[layer + 1])
+        x = rng.random((8, 8))
+        train_out = net.forward(x, update_running=True)
+        eval_out = net.forward(x, batch_stats=False)
+        assert np.abs(train_out - eval_out).max() < 1e-12
 
 
 class TestCheckpoint:

@@ -61,6 +61,21 @@ class TestOrderings:
             nat = sequency_to_natural(s, bits)
             assert row_sequency(h[nat]) == s
 
+    def test_sequency_selection_matches_sorted_tuples(self):
+        """The sequency selection equals the sort of (sx + sy, max, sx, sy)
+        tuples it replaced, so fingerprints and pattern files are unchanged."""
+        for bits in range(1, 9):
+            n = 1 << bits
+            keys = sorted((sx + sy, max(sx, sy), sx, sy) for sy in range(n) for sx in range(n))
+            oracle = [
+                sequency_to_natural(sy, bits) * n + sequency_to_natural(sx, bits)
+                for _, _, sx, sy in keys
+            ]
+            for m in sorted({1, 2, 3, n, n * n // 4, n * n // 2 + 1, n * n - 1, n * n}):
+                selection = walsh_hadamard_patterns(n, m).selection
+                assert selection == tuple(oracle[:m])
+                assert all(type(i) is int for i in selection)
+
     def test_mask_sequency_of_separable_rows(self):
         # natural index r1*n + r0 reshapes to walsh(r1) (x) walsh(r0) whose
         # 2D sign-change count is n * (seq_y + seq_x)

@@ -86,6 +86,12 @@ seed = 7
         path.write_text(self.SCENE)
         assert load_scene(path).grid == 128
 
+    def test_load_scene_rejects_non_utf8(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_bytes(self.SCENE.encode() + b"# \xe9t\xe9\n")
+        with pytest.raises(FormatError, match=r"not UTF-8 text: byte \d+ is 0xe9"):
+            load_scene(path)
+
     def test_pitch_consistency(self):
         spec = parse_scene(self.SCENE)
         assert spec.pitch == pytest.approx(10.5e-3 / 128)
