@@ -34,7 +34,7 @@ from .patterns import (
     walsh_hadamard_patterns,
 )
 from .pgm import read_pgm, write_pgm
-from .prior import backprop_refocus_sweep, reconstruct_untrained
+from .prior import reconstruct_untrained
 from .propagation import PropagationSpec, propagate
 from .scenes import SceneSpec, build_scene, load_scene, parse_length
 

@@ -6,10 +6,20 @@ output is an image in (0, 1) on the same grid as the input.  Batch
 normalization runs on the statistics of the single image being optimized
 (momentum-0.99 running statistics are tracked for inference mode only).
 
-Everything is float64 numpy.  The backward pass is exact reverse-mode
-differentiation of the forward pass, including the dependence of the batch
-statistics on the input; correctness is pinned by finite-difference tests
-and by a per-layer reference implementation in the tests.
+The backward pass is exact reverse-mode differentiation of the forward
+pass, including the dependence of the batch statistics on the input;
+correctness is pinned by finite-difference tests and by a per-layer
+reference implementation in the tests, both on float64 nets.
+
+Dtype split.  The convolutions, batch norm and LeakyReLU run in the net's
+`dtype` (float64 by default; the untrained reconstructor uses float32, which
+halves every byte those memory-bound passes move).  Every per-layer buffer
+and the backward scratch are in that dtype, and each pass casts the weights,
+gamma and beta it reads.  Everything the optimizer and the physics see stays
+float64: the parameters, the running statistics, the head's bias and sigmoid
+output, the incoming output gradient and every returned gradient.  A float32
+net therefore has float64 master weights, and its checkpoint is the same
+float64 file a float64 net writes.
 
 Buffers.  Per grid size, each layer owns a zero-bordered (C_in, H+2, W+2)
 input buffer, its (C_in*9, H*W) im2col columns and, in BN blocks, the
@@ -55,10 +65,10 @@ class _Im2col:
     then by kernel row and column, with one strided copy.
     """
 
-    def __init__(self, c: int, h: int, w: int):
-        self.padded = np.zeros((c, h + 2, w + 2))
+    def __init__(self, c: int, h: int, w: int, dtype=np.float64):
+        self.padded = np.zeros((c, h + 2, w + 2), dtype=dtype)
         self.interior = self.padded[:, 1:-1, 1:-1]
-        self.cols = np.empty((c * 9, h * w))
+        self.cols = np.empty((c * 9, h * w), dtype=dtype)
         windows = np.lib.stride_tricks.sliding_window_view(self.padded, (3, 3), axis=(1, 2))
         self._windows = windows.transpose(0, 3, 4, 1, 2)
         self._cols5 = self.cols.reshape(c, 3, 3, h, w)
@@ -121,6 +131,10 @@ def bn_inference(z: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarra
     return gamma[:, None] * (z - mean[:, None]) * inv_std[:, None] + beta[:, None]
 
 
+def _float64(a: np.ndarray) -> np.ndarray:
+    return a.astype(np.float64, copy=False)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -133,20 +147,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class GeneratorNet:
     """Untrained convolutional generator f_theta.
 
-    Parameters are kept as a flat list of arrays in a fixed order (per BN
-    block: weight, bias, gamma, beta; head: weight, bias) so the optimizer
-    and the checkpoint format can treat them uniformly.
+    Parameters are kept as a flat list of float64 arrays in a fixed order
+    (per BN block: weight, bias, gamma, beta; head: weight, bias) so the
+    optimizer and the checkpoint format can treat them uniformly.  `dtype`
+    is the precision of the layer arithmetic only (see the module docstring).
 
     The arrays a forward pass caches for `backward` live in buffers the net
     reuses, so a cache is valid until the next forward pass.
     """
 
     def __init__(self, plan=DEFAULT_PLAN, seed: int = 0, leak: float = 0.2,
-                 bn_momentum: float = 0.99, bn_eps: float = 1e-3):
+                 bn_momentum: float = 0.99, bn_eps: float = 1e-3, dtype=np.float64):
         if len(plan) < 2 or plan[0] != 1 or plan[-1] != 1:
             raise DimensionError("channel plan must start and end with 1 channel")
         if not 0 < leak <= 1:  # max(y, leak*y) and the sign rule of backward need it
             raise ParameterError(f"LeakyReLU slope must lie in (0, 1], got {leak}")
+        self.dtype = np.dtype(dtype)
+        if self.dtype not in (np.float32, np.float64):
+            raise ParameterError(f"generator dtype must be float32 or float64, got {self.dtype}")
         self.plan = tuple(int(c) for c in plan)
         self.seed = int(seed)
         self.leak = float(leak)
@@ -168,20 +186,25 @@ class GeneratorNet:
                 self.running.append({"mean": None, "var": None})
 
     def _layer_params(self, layer: int):
-        base = layer * 4 if layer < self.n_blocks else self.n_blocks * 4
+        """(weight, bias, gamma, beta) of a BN block, (weight, bias, None, None)
+        of the head; all but the bias cast to the net's dtype."""
         if layer < self.n_blocks:
-            w, b, g, be = self.params[base : base + 4]
-            return w, b, g, be
-        w, b = self.params[base : base + 2]
-        return w, b, None, None
+            w, b, g, be = self.params[4 * layer : 4 * layer + 4]
+            return self._cast(w), b, self._cast(g), self._cast(be)
+        w, b = self.params[4 * self.n_blocks :]
+        return self._cast(w), b, None, None
+
+    def _cast(self, a: np.ndarray) -> np.ndarray:
+        return a.astype(self.dtype, copy=False)
 
     def _layer_buffers(self, h: int, w: int) -> list:
         """Per-layer (im2col, GEMM output) buffers for an H x W input."""
         bufs = self._scratch.get((h, w))
         if bufs is None:
             bufs = [
-                (_Im2col(self.plan[layer], h, w),
-                 np.empty((self.plan[layer + 1], h * w)) if layer < self.n_blocks else None)
+                (_Im2col(self.plan[layer], h, w, self.dtype),
+                 np.empty((self.plan[layer + 1], h * w), dtype=self.dtype)
+                 if layer < self.n_blocks else None)
                 for layer in range(len(self.plan) - 1)
             ]
             self._scratch[(h, w)] = bufs
@@ -227,12 +250,13 @@ class GeneratorNet:
                     raise ParameterError(
                         "no running statistics yet; run a training-mode forward first"
                     )
-                z += bias[:, None]
-                y = bn_inference(z, gamma, beta, run["mean"], run["var"], self.bn_eps)
+                z += self._cast(bias)[:, None]
+                y = bn_inference(z, gamma, beta, self._cast(run["mean"]), self._cast(run["var"]),
+                                 self.bn_eps)
             y = y.reshape(act.shape)
             np.maximum(y, self.leak * y, out=act)
         weight, bias, _, _ = self._layer_params(self.n_blocks)
-        z = weight.reshape(1, -1) @ bufs[self.n_blocks][0].columns()
+        z = _float64(weight.reshape(1, -1) @ bufs[self.n_blocks][0].columns())
         z += bias[:, None]
         s = sigmoid(z.reshape(h, w))
         if want_cache:
@@ -242,8 +266,8 @@ class GeneratorNet:
     def _update_running(self, layer: int, mean, var) -> None:
         run = self.running[layer]
         if run["mean"] is None:
-            run["mean"] = mean.copy()
-            run["var"] = var.copy()
+            run["mean"] = np.array(mean, dtype=np.float64)
+            run["var"] = np.array(var, dtype=np.float64)
         else:
             m = self.bn_momentum
             run["mean"] = m * run["mean"] + (1.0 - m) * mean
@@ -252,13 +276,15 @@ class GeneratorNet:
     def _input_grad(self, g: np.ndarray, weight: np.ndarray, h: int, w: int) -> np.ndarray:
         """dL/d(layer input) as (C_in, H*W), from g = dL/dz as (C_out, H*W)."""
         c_out, c_in = weight.shape[:2]
-        im2col = self._shared(("grad_im2col", c_out, h, w), lambda: _Im2col(c_out, h, w))
-        out = self._shared(("grad_input", c_in, h, w), lambda: np.empty((c_in, h * w)))
+        dtype = self.dtype
+        im2col = self._shared(("grad_im2col", c_out, h, w), lambda: _Im2col(c_out, h, w, dtype))
+        out = self._shared(("grad_input", c_in, h, w), lambda: np.empty((c_in, h * w), dtype))
         im2col.interior[...] = g.reshape(c_out, h, w)
         return np.matmul(flip_kernel(weight).reshape(c_in, -1), im2col.columns(), out=out)
 
     def backward(self, g_output: np.ndarray, cache) -> list[np.ndarray]:
-        """Gradients of a scalar loss w.r.t. every parameter, given dL/d(output).
+        """Float64 gradients of a scalar loss w.r.t. every parameter, given
+        dL/d(output).
 
         The gradient of each BN block's conv bias is exactly zero.
         """
@@ -266,7 +292,9 @@ class GeneratorNet:
         h, w = s.shape
         weight, _, _, _ = self._layer_params(self.n_blocks)
         g = (g_output * s * (1.0 - s)).reshape(1, h * w)
-        grads = [(g @ bufs[self.n_blocks][0].cols.T).reshape(weight.shape), g.sum(axis=1)]
+        g_bias = g.sum(axis=1)
+        g = self._cast(g)
+        grads = [_float64(g @ bufs[self.n_blocks][0].cols.T).reshape(weight.shape), g_bias]
         if self.n_blocks:  # the input gradient of layer 0 is never needed
             g = self._input_grad(g, weight, h, w)
         for layer in range(self.n_blocks - 1, -1, -1):
@@ -276,12 +304,12 @@ class GeneratorNet:
             # LeakyReLU slope: 1 where the activation is positive, else the leak.
             # Arithmetic on the mask, not a masked or branching select, because
             # the sign pattern is random and branches mispredict.
-            slope = (act > 0) * (1.0 - self.leak)
+            slope = np.multiply(act > 0, 1.0 - self.leak, dtype=self.dtype)
             slope += self.leak
             g *= slope.reshape(g.shape)
             g_gamma, g_beta = bn_backward(g, xhat, gamma, inv_stds[layer])
-            g_w = (g @ im2col.cols.T).reshape(weight.shape)
-            grads[:0] = [g_w, np.zeros(len(weight)), g_gamma, g_beta]
+            g_w = _float64(g @ im2col.cols.T).reshape(weight.shape)
+            grads[:0] = [g_w, np.zeros(len(weight)), _float64(g_gamma), _float64(g_beta)]
             if layer > 0:
                 g = self._input_grad(g, weight, h, w)
         return grads
@@ -290,7 +318,7 @@ class GeneratorNet:
 def save_checkpoint(path, net: GeneratorNet, adam=None) -> None:
     """Binary checkpoint: magic "SPIN", version, channel plan, parameters,
     BN running statistics, and (optionally) Adam state, all little-endian
-    float64, so optimization trajectories can resume bit-exactly."""
+    float64, so a float64 net's optimization can resume bit-exactly."""
     chunks = [struct.pack("<4sHH", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, len(net.plan))]
     chunks.append(struct.pack(f"<{len(net.plan)}I", *net.plan))
     chunks.append(struct.pack("<dI", net.leak, net.seed))
@@ -314,7 +342,12 @@ def save_checkpoint(path, net: GeneratorNet, adam=None) -> None:
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (net, adam_state_or_None)."""
+    """Inverse of save_checkpoint; returns (net, adam_state_or_None).
+
+    The file holds no layer dtype, so the net comes back float64: a run
+    saved from a float32 net resumes from the same numbers but continues
+    in float64.
+    """
     from .prior import AdamState
 
     with open(path, "rb") as fh:

@@ -157,12 +157,17 @@ def reconstruct_untrained(
     The fixed network input is the DGI estimate of the diffracted image; the
     returned image is the generator output after the final update, and
     residual_history records the loss seen at every iteration.
+
+    Without `net`, the generator is a float32 net: its layers run in float32
+    while its parameters, the Adam state and the whole physics chain
+    (propagation, pattern projection and their adjoints) stay float64.  Pass
+    `net=GeneratorNet(..., dtype=np.float64)` for an all-float64 run.
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
     input_image = prepare_prior_input(meas, pattern_set, pitch)
     if net is None:
-        net = GeneratorNet(plan=plan, seed=seed)
+        net = GeneratorNet(plan=plan, seed=seed, dtype=np.float32)
     adam = AdamState.for_params(net.params)
     history = []
     for it in range(iterations):

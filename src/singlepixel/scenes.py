@@ -117,6 +117,8 @@ def parse_scene(text: str) -> SceneSpec:
             noise_sigma=float(pop("noise_sigma", "0")),
             seed=int(pop("seed", "0")),
         )
+        if spec.object_kind == THREE_SLIT:
+            _slit_and_gap_spans(spec)  # never draw two bars for three slits
     except ValueError as err:  # a ParameterError, or a non-numeric value
         raise FormatError(f"invalid scene: {err}") from err
     if entries:
@@ -160,6 +162,20 @@ def _slit_column_edges(spec: SceneSpec) -> list:
     return edges
 
 
+def _slit_and_gap_spans(spec: SceneSpec) -> list:
+    """Drawn column ranges [lo, hi) of the slits, then of the gaps between them.
+
+    Raises ParameterError when one of them rasterizes to no column.
+    """
+    edges = _slit_column_edges(spec)
+    spans = edges + [(hi, lo) for (_, hi), (lo, _) in zip(edges, edges[1:])]
+    if any(hi <= lo for lo, hi in spans):
+        raise ParameterError(
+            f"a slit or gap covers no pixel column at grid {spec.grid}: {edges}"
+        )
+    return spans
+
+
 def _build_three_slit(spec: SceneSpec) -> IntensityImage:
     n = spec.grid
     total = sum(spec.slit_widths) + sum(spec.slit_separations)
@@ -197,14 +213,9 @@ def slit_feature_columns(spec: SceneSpec) -> tuple:
     """
     if spec.object_kind != THREE_SLIT:
         raise ParameterError("slit_feature_columns needs a three_slit scene")
-    edges = _slit_column_edges(spec)
-    spans = edges + [(hi, lo) for (_, hi), (lo, _) in zip(edges, edges[1:])]
-    if any(hi <= lo for lo, hi in spans):
-        raise ParameterError(
-            f"a slit or gap covers no pixel column at grid {spec.grid}: {edges}"
-        )
-    centers = tuple((lo + hi) // 2 for lo, hi in spans)
-    return centers[: len(edges)], centers[len(edges):]
+    centers = tuple((lo + hi) // 2 for lo, hi in _slit_and_gap_spans(spec))
+    n_slits = len(spec.slit_widths)
+    return centers[:n_slits], centers[n_slits:]
 
 
 def slit_row_bounds(spec: SceneSpec) -> tuple:

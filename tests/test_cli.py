@@ -14,6 +14,8 @@ from singlepixel.patterns import load_patterns
 from singlepixel.pgm import read_pgm, write_pgm
 from singlepixel.scenes import parse_scene, star_mask
 
+# The 0.7 mm gaps exceed the 0.66 mm pitch at 16 px, so every slit and gap
+# covers a column at 16 and at 32 px, as the scene parser requires.
 SCENE = """
 grid = 16
 fov = 10.5mm
@@ -21,7 +23,7 @@ wavelength = 833.3um
 distance = 0.5mm
 object = three_slit
 slit_widths = 2mm, 1.5mm, 1.5mm
-slit_separations = 0.6mm, 0.6mm
+slit_separations = 0.7mm, 0.7mm
 modulation_depth = 0.9
 noise_sigma = 0.1
 seed = 5
@@ -264,6 +266,19 @@ def test_malformed_scene_or_measurement_exits_3(workspace, tmp_path, capsys, bad
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_scene_with_a_vanished_gap_exits_3(workspace, capsys):
+    # FIG4C at the default 64 px over 10.5 mm: one 118 um gap covers no column
+    tmp_path, scene, patterns = workspace
+    scene.write_text("object = three_slit\n"
+                     "slit_widths = 1217um, 884um, 920um\n"
+                     "slit_separations = 118um, 118um\n")
+    code = main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")])
+    assert code == 3
+    assert "covers no pixel column" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
 
 
 @pytest.mark.parametrize("bad_file", ["scene", "measurement"])

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,93 @@ class TestAgainstReference:
                 else:
                     err = np.abs(got - want).max() / np.abs(want).max()
                     assert err <= 1e-12, (n, i, err)
+
+
+def _layer_arrays(net):
+    """Every per-layer buffer and shared backward scratch array of a net."""
+    for entry in net._scratch.values():
+        for item in entry if isinstance(entry, list) else [entry]:
+            for buf in item if isinstance(item, tuple) else (item,):
+                if buf is None:
+                    continue
+                yield from (buf.padded, buf.cols) if hasattr(buf, "cols") else (buf,)
+
+
+class TestFloat32Layers:
+    """A float32 net: float32 layer arithmetic around float64 parameters."""
+
+    def test_forward_and_gradients_match_float64(self):
+        rng = np.random.default_rng(11)
+        nets = [GeneratorNet(seed=7), GeneratorNet(seed=7, dtype=np.float32)]
+        for n in (8, 32, 64):
+            image = rng.random((n, n))
+            g_output = rng.standard_normal((n, n))
+            results = []
+            for net in nets:
+                out, cache = net.forward(image, want_cache=True)
+                results.append((out, net.backward(g_output, cache)))
+            (out64, grads64), (out32, grads32) = results
+            assert np.abs(out32 - out64).max() <= 1e-5
+            for i, (got, want) in enumerate(zip(grads32, grads64)):
+                assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max(), (n, i)
+
+    def test_dtypes_after_a_float32_step(self, rng):
+        n, pitch = 16, 1e-4
+        pset = walsh_hadamard_patterns(n, 64, modulation_depth=0.9)
+        meas = measure(IntensityImage(values=(rng.random((n, n)) > 0.5) * 1.0, pitch=pitch), pset)
+        inp = prepare_prior_input(meas, pset, pitch)
+        prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3)
+        net = GeneratorNet(seed=2, dtype=np.float32)
+        adam = AdamState.for_params(net.params)
+        _, grads = loss_and_gradient(net, inp, meas, pset, prop)
+        adam.update(net.params, grads)
+        out, cache = net.forward(inp.values, want_cache=True)
+        layer_arrays = list(_layer_arrays(net))
+        # per layer: bordered input and columns, plus x-hat in the BN blocks;
+        # then the backward scratch, shared by shape
+        assert len(layer_arrays) > 3 * (len(net.plan) - 1) - 1
+        assert all(a.dtype == np.float32 for a in layer_arrays)
+        float64_arrays = [out, *net.backward(np.ones((n, n)), cache), *grads, *net.params,
+                          *adam.m, *adam.v]
+        float64_arrays += [run[k] for run in net.running for k in ("mean", "var")]
+        assert all(a.dtype == np.float64 for a in float64_arrays)
+
+    def test_checkpoint_round_trips_and_stays_version_1(self, tmp_path, rng):
+        net = GeneratorNet(plan=(1, 4, 8, 4, 1), seed=9, dtype=np.float32)
+        adam = AdamState.for_params(net.params)
+        for _ in range(3):
+            out, cache = net.forward(rng.random((8, 8)), update_running=True, want_cache=True)
+            adam.update(net.params, net.backward(rng.standard_normal((8, 8)), cache))
+        path = tmp_path / "net.spin"
+        save_checkpoint(path, net, adam)
+        data = path.read_bytes()
+        assert struct.unpack_from("<4sH", data) == (b"SPIN", 1)
+        # the same file a float64 net holding the same numbers writes
+        twin = GeneratorNet(plan=net.plan, seed=9)
+        twin.params = [p.copy() for p in net.params]
+        twin.running = [dict(run) for run in net.running]
+        save_checkpoint(tmp_path / "twin.spin", twin, adam)
+        assert (tmp_path / "twin.spin").read_bytes() == data
+        loaded, loaded_adam = load_checkpoint(path)
+        for a, b in zip(loaded.params + loaded_adam.m + loaded_adam.v,
+                        net.params + adam.m + adam.v):
+            assert np.array_equal(a, b)
+        for a, b in zip(loaded.running, net.running):
+            assert np.array_equal(a["mean"], b["mean"]) and np.array_equal(a["var"], b["var"])
+        assert loaded_adam.step == 3
+
+    def test_inference_with_fresh_statistics_matches_training(self, rng):
+        net = GeneratorNet(plan=(1, 4, 8, 4, 1), seed=6, dtype=np.float32)
+        x = rng.random((8, 8))
+        train_out = net.forward(x, update_running=True)
+        eval_out = net.forward(x, batch_stats=False)
+        assert eval_out.dtype == np.float64
+        assert np.abs(train_out - eval_out).max() < 1e-5
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(ParameterError, match="float32 or float64"):
+            GeneratorNet(plan=(1, 4, 1), dtype=dtype)
 
 
 class TestBatchNormModes:

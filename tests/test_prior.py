@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from singlepixel.cli import diffract_scene
 from singlepixel.errors import ParameterError
 from singlepixel.field import ComplexField, IntensityImage, intensity, normalize
 from singlepixel.measurement import Measurement, forward_predict, measure
@@ -16,6 +17,7 @@ from singlepixel.prior import (
     reconstruct_untrained,
 )
 from singlepixel.propagation import PropagationSpec, propagate
+from singlepixel.scenes import SceneSpec
 from singlepixel.tvreg import tv_anisotropic
 
 WAVELENGTH = 833.3e-6
@@ -160,6 +162,25 @@ class TestReconstructUntrained:
         b = reconstruct_untrained(meas, pset, prop, iterations=5, seed=3, pitch=pitch)
         assert np.array_equal(a.image.values, b.image.values)
         assert a.residual_history == b.residual_history
+
+    def test_default_float32_net_matches_float64(self):
+        """The default generator (float32 layers) against an explicit float64
+        one, at the untrained-64 benchmark's geometry, scene noise and first
+        generator seed, over that benchmark's 50 iterations."""
+        spec = SceneSpec(grid=64, fov=10.5e-3, wavelength=WAVELENGTH, distance=0.5e-3,
+                         object_kind="three_slit", slit_widths=(2e-3, 1.5e-3, 1.5e-3),
+                         slit_separations=(0.6e-3, 0.6e-3), noise_sigma=0.5, seed=1813382119)
+        obj, diffracted = diffract_scene(spec)
+        pset = walsh_hadamard_patterns(64, 1024, modulation_depth=spec.modulation_depth)
+        meas = measure(diffracted, pset, noise_sigma=spec.noise_sigma, seed=spec.seed)
+        prop = PropagationSpec(wavelength=spec.wavelength, distance=spec.distance)
+        seed = 827308000
+        default = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed,
+                                        pitch=spec.pitch)
+        exact = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed, pitch=spec.pitch,
+                                      net=GeneratorNet(seed=seed, dtype=np.float64))
+        assert np.abs(default.image.values - exact.image.values).max() <= 1e-4
+        assert abs(ssim(default.image, obj) - ssim(exact.image, obj)) <= 1e-3
 
     def test_iterations_must_be_positive(self, rng):
         obj, pset, prop, meas, pitch = instance(rng)

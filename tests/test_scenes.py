@@ -92,6 +92,18 @@ seed = 7
         with pytest.raises(FormatError, match=r"not UTF-8 text: byte \d+ is 0xe9"):
             load_scene(path)
 
+    @pytest.mark.parametrize("grid,widths", [
+        # 164 um pitch, 118 um gaps: the second gap falls on no column
+        ("64", "1217um, 884um, 920um"),
+        # 82 um pitch: a 30 um middle slit falls on no column
+        ("128", "1217um, 30um, 920um"),
+    ])
+    def test_slit_or_gap_without_a_column_rejected(self, grid, widths):
+        text = self.SCENE.replace("grid = 128", f"grid = {grid}")
+        text = text.replace("slit_widths = 1217um, 884um, 920um", f"slit_widths = {widths}")
+        with pytest.raises(FormatError, match="covers no pixel column"):
+            parse_scene(text)
+
     def test_pitch_consistency(self):
         spec = parse_scene(self.SCENE)
         assert spec.pitch == pytest.approx(10.5e-3 / 128)
