@@ -7,13 +7,7 @@ single-element detector readouts, and reconstructs objects classically
 sensing) or with a physics-constrained untrained convolutional generator.
 """
 
-from .classical import (
-    ReconMethod,
-    ReconResult,
-    cstv_reconstruct,
-    dgi_reconstruct,
-    hspi_reconstruct,
-)
+from .classical import ReconResult, cstv_reconstruct, dgi_reconstruct, hspi_reconstruct
 from .errors import (
     ConsistencyError,
     DegenerateInputError,
@@ -24,22 +18,8 @@ from .errors import (
     ParameterError,
     SinglePixelError,
 )
-from .field import (
-    ComplexField,
-    IntensityImage,
-    field_from_amplitude,
-    intensity,
-    normalize,
-    total_power,
-)
-from .measurement import (
-    Measurement,
-    forward_predict,
-    measure,
-    pattern_total_intensity,
-    read_measurement_csv,
-    write_measurement_csv,
-)
+from .field import ComplexField, IntensityImage, intensity, normalize
+from .measurement import Measurement, measure, read_measurement_csv, write_measurement_csv
 from .metrics import (
     SnrValue,
     SsimParams,
@@ -49,15 +29,11 @@ from .metrics import (
     snr,
     ssim,
 )
-from .network import GeneratorNet, load_checkpoint, save_checkpoint
+from .network import GeneratorNet
 from .patterns import (
-    DrudeParams,
     PatternSet,
-    apply_mask,
-    drude_permittivity,
     fwht,
     load_patterns,
-    positive_negative_split,
     save_patterns,
     walsh_hadamard_patterns,
 )
@@ -69,7 +45,7 @@ from .prior import (
     loss_and_gradient,
     reconstruct_untrained,
 )
-from .propagation import PropagationSpec, propagate, split_components, transfer_gradient
-from .scenes import SceneSpec, build_scene, load_scene, parse_scene, star_mask
+from .propagation import PropagationSpec, propagate, transfer_gradient
+from .scenes import SceneSpec, build_scene, load_scene, parse_scene
 
 __version__ = "0.1.0"

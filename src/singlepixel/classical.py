@@ -9,7 +9,6 @@ evaluation and file output.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,17 +20,9 @@ from .patterns import PatternSet, pattern_sums, project, synthesize
 from .tvreg import tv_anisotropic, tv_prox
 
 
-class ReconMethod(enum.Enum):
-    HSPI = "hspi"
-    DGI = "dgi"
-    CSTV = "cstv"
-    UNTRAINED = "untrained"
-
-
 @dataclass(frozen=True)
 class ReconResult:
     image: IntensityImage
-    method: ReconMethod
     iterations_used: int
     residual_history: tuple
     raw: np.ndarray
@@ -71,7 +62,6 @@ def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 
     raw = synthesize(pattern_set, meas.readings) / pattern_set.pixels
     return ReconResult(
         image=_clip_unit_image(raw, pitch),
-        method=ReconMethod.HSPI,
         iterations_used=0,
         residual_history=(),
         raw=raw,
@@ -113,7 +103,6 @@ def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 1
     raw = synthesize(pattern_set, weights)
     return ReconResult(
         image=_to_unit_image(raw, pitch),
-        method=ReconMethod.DGI,
         iterations_used=0,
         residual_history=(),
         raw=raw,
@@ -183,7 +172,6 @@ def cstv_reconstruct(
     image_values = x / peak if peak > 0 else np.zeros_like(x)
     return ReconResult(
         image=IntensityImage(values=image_values, pitch=pitch),
-        method=ReconMethod.CSTV,
         iterations_used=max_iters,
         residual_history=tuple(history),
         raw=x,

@@ -13,6 +13,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,11 +35,52 @@ from .patterns import (
     walsh_hadamard_patterns,
 )
 from .pgm import read_pgm, write_pgm
-from .prior import reconstruct_untrained
+from .prior import DEFAULT_ITERATIONS, DEFAULT_TV_WEIGHT, reconstruct_untrained
 from .propagation import PropagationSpec, propagate
 from .scenes import SceneSpec, build_scene, load_scene, parse_length
 
-METHODS = ("hspi", "dgi", "cstv", "untrained")
+
+class Settings(NamedTuple):
+    """What a reconstructor reads besides the data.
+
+    CS-TV reads `cstv_iterations` and `tv_weight` (None: its default).  The
+    generator reads the propagation, `iterations`, `seed` and `tv_weight`
+    (None: its default).
+    """
+
+    wavelength: float
+    distance: float
+    iterations: int = DEFAULT_ITERATIONS
+    cstv_iterations: int = 200
+    seed: int = 0
+    tv_weight: float | None = None
+
+
+def _untrained(meas, pattern_set, pitch, s: Settings):
+    prop = PropagationSpec(wavelength=s.wavelength, distance=s.distance)
+    return reconstruct_untrained(
+        meas, pattern_set, prop, iterations=s.iterations, seed=s.seed, pitch=pitch,
+        tv_weight=DEFAULT_TV_WEIGHT if s.tv_weight is None else s.tv_weight,
+    )
+
+
+# name -> reconstructor(meas, pattern_set, pitch, settings).  Each entry looks
+# its function up on this module when called, so a wrapper set on the module
+# attribute (a timer or tracer) sees every call.
+RECONSTRUCTORS = {
+    "hspi": lambda meas, pset, pitch, s: hspi_reconstruct(meas, pset, pitch=pitch),
+    "dgi": lambda meas, pset, pitch, s: dgi_reconstruct(meas, pset, pitch=pitch),
+    "cstv": lambda meas, pset, pitch, s: cstv_reconstruct(
+        meas, pset, tv_weight=s.tv_weight, max_iters=s.cstv_iterations, pitch=pitch
+    ),
+    "untrained": _untrained,
+}
+METHODS = tuple(RECONSTRUCTORS)
+
+
+def _check_method(method: str) -> None:
+    if method not in RECONSTRUCTORS:
+        raise SinglePixelError(f"unknown method {method!r}")
 
 
 def _atomic_write(path, writer) -> None:
@@ -139,6 +181,7 @@ def run_reconstruct(
     snr_mask_path=None,
 ):
     """Dispatch one reconstruction and write image + metrics files."""
+    _check_method(method)
     os.makedirs(out_dir, exist_ok=True)
     meas = read_measurement_csv(meas_path)
     pattern_set = load_patterns(patterns_path, modulation_depth=scene.modulation_depth)
@@ -154,24 +197,11 @@ def run_reconstruct(
     meas, pattern_set = _truncate(meas, pattern_set, cr)
     pitch = scene.fov / pattern_set.order
 
-    if method == "hspi":
-        result = hspi_reconstruct(meas, pattern_set, pitch=pitch)
-    elif method == "dgi":
-        result = dgi_reconstruct(meas, pattern_set, pitch=pitch)
-    elif method == "cstv":
-        result = cstv_reconstruct(
-            meas, pattern_set, tv_weight=tv_weight, max_iters=iterations or 200, pitch=pitch
-        )
-    elif method == "untrained":
-        distance = scene.distance if backprop_distance is None else backprop_distance
-        prop = PropagationSpec(wavelength=scene.wavelength, distance=distance)
-        kwargs = {} if tv_weight is None else {"tv_weight": tv_weight}
-        result = reconstruct_untrained(
-            meas, pattern_set, prop, iterations=iterations or 300, seed=seed,
-            pitch=pitch, **kwargs,
-        )
-    else:
-        raise SinglePixelError(f"unknown method {method!r}")
+    distance = scene.distance if backprop_distance is None else backprop_distance
+    settings = Settings(scene.wavelength, distance, seed=seed, tv_weight=tv_weight)
+    if iterations:  # absent or 0 keeps each method's default
+        settings = settings._replace(iterations=iterations, cstv_iterations=iterations)
+    result = RECONSTRUCTORS[method](meas, pattern_set, pitch, settings)
 
     _atomic_write(
         os.path.join(out_dir, f"recon_{method}.pgm"),
@@ -179,17 +209,7 @@ def run_reconstruct(
     )
 
     rows = ["metric,value", f"method,{method}", f"iterations,{result.iterations_used}"]
-    degenerate = float(result.image.values.max()) == float(result.image.values.min())
-    if reference_path is not None:
-        reference, _ = read_pgm(reference_path, pitch=pitch)
-        if degenerate:
-            rows.append("ssim,degenerate")
-        else:
-            rows.append(f"ssim,{ssim(result.image, reference, DEFAULT_SSIM)!r}")
-    if snr_mask_path is not None:
-        mask_img, _ = read_pgm(snr_mask_path, pitch=pitch)
-        value = snr(result.image, mask_img.values >= 0.5)
-        rows.append("snr," + ("inf" if value.infinite else repr(value.value)))
+    rows += _metric_rows(result.image, reference_path, snr_mask_path, pitch)
     _write_csv(os.path.join(out_dir, "metrics.csv"), rows)
 
     if result.residual_history:
@@ -197,6 +217,26 @@ def run_reconstruct(
         loss_rows.extend(f"{i},{v!r}" for i, v in enumerate(result.residual_history))
         _write_csv(os.path.join(out_dir, "loss_history.csv"), loss_rows)
     return result
+
+
+def _metric_rows(image: IntensityImage, reference_path, snr_mask_path, pitch: float) -> list:
+    """`ssim,…` and `snr,…` rows of `image` against the given PGM files.
+
+    A constant image has no structure to compare, so its SSIM row reads
+    `ssim,degenerate`.
+    """
+    rows = []
+    if reference_path is not None:
+        reference, _ = read_pgm(reference_path, pitch=pitch)
+        if float(image.values.max()) == float(image.values.min()):
+            rows.append("ssim,degenerate")
+        else:
+            rows.append(f"ssim,{ssim(image, reference, DEFAULT_SSIM)!r}")
+    if snr_mask_path is not None:
+        mask_img, _ = read_pgm(snr_mask_path, pitch=pitch)
+        value = snr(image, mask_img.values >= 0.5)
+        rows.append("snr," + ("inf" if value.infinite else repr(value.value)))
+    return rows
 
 
 def _benchmark_cell(args):
@@ -209,18 +249,10 @@ def _benchmark_cell(args):
                                 int(noise_sigma * 1e9) & 0xFFFFFF, repeat)).generate_state(1)[0]
     )
     meas = measure(diffracted, pattern_set, noise_sigma=noise_sigma, seed=cell_seed)
-    pitch = spec.fov / order
-    if method == "hspi":
-        result = hspi_reconstruct(meas, pattern_set, pitch=pitch)
-    elif method == "dgi":
-        result = dgi_reconstruct(meas, pattern_set, pitch=pitch)
-    elif method == "cstv":
-        result = cstv_reconstruct(meas, pattern_set, pitch=pitch)
-    else:
-        prop = PropagationSpec(wavelength=spec.wavelength, distance=spec.distance)
-        result = reconstruct_untrained(
-            meas, pattern_set, prop, iterations=iterations, seed=cell_seed, pitch=pitch
-        )
+    # --iterations counts generator iterations only; CS-TV keeps its default
+    settings = Settings(spec.wavelength, spec.distance, iterations=iterations, seed=cell_seed)
+    result = RECONSTRUCTORS[method](meas, pattern_set, spec.fov / order, settings)
+    if method == "untrained":
         reference = obj  # the generator images the object plane, not the detector plane
     ssim_val = ssim(result.image, reference, DEFAULT_SSIM)
     snr_val = snr(result.image, obj.values >= 0.5).value
@@ -243,8 +275,7 @@ def run_benchmark(
         if not 0 < cr <= 1:
             raise SinglePixelError(f"compression ratio {cr} outside (0, 1]")
     for method in methods:
-        if method not in METHODS:
-            raise SinglePixelError(f"unknown method {method!r}")
+        _check_method(method)
     obj, diffracted = diffract_scene(spec)
     order = spec.grid
     reference = full_sample_reference(diffracted, order)
@@ -382,13 +413,7 @@ def main(argv=None) -> int:
         elif args.command == "metrics":
             image, _ = read_pgm(args.image)
             rows = ["metric,value"]
-            if args.reference is not None:
-                reference, _ = read_pgm(args.reference)
-                rows.append(f"ssim,{ssim(image, reference, DEFAULT_SSIM)!r}")
-            if args.snr_mask is not None:
-                mask_img, _ = read_pgm(args.snr_mask)
-                value = snr(image, mask_img.values >= 0.5)
-                rows.append("snr," + ("inf" if value.infinite else repr(value.value)))
+            rows += _metric_rows(image, args.reference, args.snr_mask, image.pitch)
             if args.out:
                 _write_csv(args.out, rows)
             else:

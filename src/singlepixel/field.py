@@ -7,7 +7,7 @@ padding, and all arithmetic is double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,29 +97,6 @@ class IntensityImage:
         return IntensityImage(values=values, pitch=self.pitch)
 
 
-def field_from_amplitude(amplitude: IntensityImage, phase: np.ndarray | None = None) -> ComplexField:
-    """Build the complex field amplitude * exp(i * phase).
-
-    Parameters
-    ----------
-    amplitude : IntensityImage
-        Nonnegative real amplitude grid (not intensity; take sqrt first if
-        starting from an intensity distribution).
-    phase : ndarray or None
-        Phase in radians, same shape.  None means zero phase everywhere,
-        the convention for binary amplitude objects.
-    """
-    a = amplitude.values
-    if phase is None:
-        v = a.astype(np.complex128)
-    else:
-        p = np.asarray(phase, dtype=np.float64)
-        if p.shape != a.shape:
-            raise DimensionError(f"phase shape {p.shape} != amplitude shape {a.shape}")
-        v = a * np.exp(1j * p)
-    return ComplexField(values=v, pitch=amplitude.pitch)
-
-
 def intensity(fld: ComplexField) -> IntensityImage:
     """Squared modulus |E|^2 of a field, grid metadata preserved."""
     v = fld.values
@@ -138,9 +115,3 @@ def normalize(image: IntensityImage) -> IntensityImage:
     if peak <= 0.0:
         raise DegenerateInputError("cannot normalize an all-zero image")
     return image.with_values(image.values / peak)
-
-
-def total_power(fld: ComplexField) -> float:
-    """Sum of |E|^2 over the grid."""
-    v = fld.values
-    return float(np.sum(v.real * v.real + v.imag * v.imag))

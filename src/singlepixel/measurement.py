@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, FormatError, ParameterError, read_text
-from .field import ComplexField, IntensityImage, intensity
-from .patterns import PatternSet, pattern_sums, project
-from .propagation import PropagationSpec, propagate
+from .field import IntensityImage
+from .patterns import PatternSet, project
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,6 @@ def block_pool(values: np.ndarray, order: int) -> np.ndarray:
     return values.reshape(order, b, order, b).sum(axis=(1, 3))
 
 
-def pattern_coefficients(image: IntensityImage, pattern_set: PatternSet) -> np.ndarray:
-    """<P_i, image> for every pattern in the set, via one FWHT."""
-    return project(pattern_set, block_pool(image.values, pattern_set.order))
-
-
 def check_compatible(meas: Measurement, pattern_set: PatternSet) -> None:
     if meas.count != pattern_set.count:
         raise ConsistencyError(
@@ -85,7 +79,7 @@ def measure(
     if noise_sigma < 0:
         raise ParameterError(f"noise sigma must be nonnegative, got {noise_sigma}")
     m = pattern_set.modulation_depth
-    readings = m * pattern_coefficients(diffracted, pattern_set)
+    readings = m * project(pattern_set, block_pool(diffracted.values, pattern_set.order))
     if noise_sigma > 0:
         children = np.random.SeedSequence(seed).spawn(pattern_set.count)
         noise = np.empty(pattern_set.count)
@@ -99,29 +93,6 @@ def measure(
         noise_sigma=float(noise_sigma),
         seed=int(seed),
     )
-
-
-def forward_predict(
-    object_estimate: IntensityImage,
-    prop: PropagationSpec,
-    pattern_set: PatternSet,
-) -> np.ndarray:
-    """Noiseless readings predicted for an object-plane intensity estimate.
-
-    Chain: amplitude sqrt(O) with zero phase -> angular-spectrum propagation
-    -> intensity -> differential pattern integration.  Deterministic.
-    """
-    amp = np.sqrt(object_estimate.values)
-    fld = ComplexField(values=amp.astype(np.complex128), pitch=object_estimate.pitch)
-    diffracted = intensity(propagate(fld, prop))
-    return pattern_set.modulation_depth * pattern_coefficients(diffracted, pattern_set)
-
-
-def pattern_total_intensity(pattern_set: PatternSet, i: int) -> float:
-    """Sum of the logical mask entries S_i (N for the DC row, else 0)."""
-    if not 0 <= i < pattern_set.count:
-        raise IndexError(f"pattern index {i} out of range for M={pattern_set.count}")
-    return float(pattern_sums(pattern_set)[i])
 
 
 def write_measurement_csv(path, meas: Measurement) -> None:

@@ -18,8 +18,7 @@ and the backward scratch are in that dtype, and each pass casts the weights,
 gamma and beta it reads.  Everything the optimizer and the physics see stays
 float64: the parameters, the running statistics, the head's bias and sigmoid
 output, the incoming output gradient and every returned gradient.  A float32
-net therefore has float64 master weights, and its checkpoint is the same
-float64 file a float64 net writes.
+net therefore has float64 master weights.
 
 Buffers.  Per grid size, each layer owns a zero-bordered (C_in, H+2, W+2)
 input buffer, its (C_in*9, H*W) im2col columns and, in BN blocks, the
@@ -35,26 +34,17 @@ gradient of a convolution is the convolution of the upstream gradient with
 the flipped, channel-transposed kernel, so it reuses im2col; the first
 layer's input gradient is not formed, since the network input is fixed.
 
-Dead BN-block bias.  Batch norm subtracts the per-channel mean, which
-cancels a conv bias exactly.  In batch-statistics mode a BN block therefore
-leaves its bias out of the forward pass and reports its gradient as exact
-zeros, so Adam never moves it.  The parameter slot stays, so the
-checkpoint format is unchanged; the running mean is recorded with the bias
-included, as the inference-mode forward pass adds it.
+No conv bias in BN blocks.  Batch norm subtracts the per-channel mean, which
+cancels a conv bias exactly, so only the head's convolution has a bias.
 """
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, ParameterError
 
 DEFAULT_PLAN = (1, 16, 32, 32, 16, 1)
-
-_CHECKPOINT_MAGIC = b"SPIN"
-_CHECKPOINT_VERSION = 1
 
 
 class _Im2col:
@@ -148,9 +138,9 @@ class GeneratorNet:
     """Untrained convolutional generator f_theta.
 
     Parameters are kept as a flat list of float64 arrays in a fixed order
-    (per BN block: weight, bias, gamma, beta; head: weight, bias) so the
-    optimizer and the checkpoint format can treat them uniformly.  `dtype`
-    is the precision of the layer arithmetic only (see the module docstring).
+    (per BN block: weight, gamma, beta; head: weight, bias) so the optimizer
+    can treat them uniformly.  `dtype` is the precision of the layer
+    arithmetic only (see the module docstring).
 
     The arrays a forward pass caches for `backward` live in buffers the net
     reuses, so a cache is valid until the next forward pass.
@@ -179,20 +169,21 @@ class GeneratorNet:
             c_in, c_out = plan[layer], plan[layer + 1]
             limit = np.sqrt(6.0 / (c_in * 9 + c_out * 9))
             self.params.append(rng.uniform(-limit, limit, size=(c_out, c_in, 3, 3)))
-            self.params.append(np.zeros(c_out))
             if layer < self.n_blocks:
                 self.params.append(np.ones(c_out))   # BN gamma
                 self.params.append(np.zeros(c_out))  # BN beta
                 self.running.append({"mean": None, "var": None})
+            else:
+                self.params.append(np.zeros(c_out))  # head bias
 
     def _layer_params(self, layer: int):
-        """(weight, bias, gamma, beta) of a BN block, (weight, bias, None, None)
-        of the head; all but the bias cast to the net's dtype."""
-        if layer < self.n_blocks:
-            w, b, g, be = self.params[4 * layer : 4 * layer + 4]
-            return self._cast(w), b, self._cast(g), self._cast(be)
-        w, b = self.params[4 * self.n_blocks :]
-        return self._cast(w), b, None, None
+        """(weight, gamma, beta) of a BN block, cast to the net's dtype."""
+        return tuple(self._cast(p) for p in self.params[3 * layer : 3 * layer + 3])
+
+    def _head_params(self):
+        """(weight cast to the net's dtype, float64 bias) of the head."""
+        w, b = self.params[3 * self.n_blocks :]
+        return self._cast(w), b
 
     def _cast(self, a: np.ndarray) -> np.ndarray:
         return a.astype(self.dtype, copy=False)
@@ -235,7 +226,7 @@ class GeneratorNet:
         bufs[0][0].interior[0] = x
         inv_stds = []
         for layer in range(self.n_blocks):
-            weight, bias, gamma, beta = self._layer_params(layer)
+            weight, gamma, beta = self._layer_params(layer)
             im2col, z = bufs[layer]
             act = bufs[layer + 1][0].interior
             np.matmul(weight.reshape(len(weight), -1), im2col.columns(), out=z)
@@ -243,19 +234,18 @@ class GeneratorNet:
                 y, mean, var, inv_std = bn_forward(z, gamma, beta, self.bn_eps)
                 inv_stds.append(inv_std)
                 if update_running:
-                    self._update_running(layer, mean + bias, var)
+                    self._update_running(layer, mean, var)
             else:
                 run = self.running[layer]
                 if run["mean"] is None:
                     raise ParameterError(
                         "no running statistics yet; run a training-mode forward first"
                     )
-                z += self._cast(bias)[:, None]
                 y = bn_inference(z, gamma, beta, self._cast(run["mean"]), self._cast(run["var"]),
                                  self.bn_eps)
             y = y.reshape(act.shape)
             np.maximum(y, self.leak * y, out=act)
-        weight, bias, _, _ = self._layer_params(self.n_blocks)
+        weight, bias = self._head_params()
         z = _float64(weight.reshape(1, -1) @ bufs[self.n_blocks][0].columns())
         z += bias[:, None]
         s = sigmoid(z.reshape(h, w))
@@ -284,13 +274,10 @@ class GeneratorNet:
 
     def backward(self, g_output: np.ndarray, cache) -> list[np.ndarray]:
         """Float64 gradients of a scalar loss w.r.t. every parameter, given
-        dL/d(output).
-
-        The gradient of each BN block's conv bias is exactly zero.
-        """
+        dL/d(output)."""
         bufs, inv_stds, s = cache
         h, w = s.shape
-        weight, _, _, _ = self._layer_params(self.n_blocks)
+        weight, _ = self._head_params()
         g = (g_output * s * (1.0 - s)).reshape(1, h * w)
         g_bias = g.sum(axis=1)
         g = self._cast(g)
@@ -298,7 +285,7 @@ class GeneratorNet:
         if self.n_blocks:  # the input gradient of layer 0 is never needed
             g = self._input_grad(g, weight, h, w)
         for layer in range(self.n_blocks - 1, -1, -1):
-            weight, _, gamma, _ = self._layer_params(layer)
+            weight, gamma, _ = self._layer_params(layer)
             im2col, xhat = bufs[layer]
             act = bufs[layer + 1][0].interior
             # LeakyReLU slope: 1 where the activation is positive, else the leak.
@@ -309,94 +296,7 @@ class GeneratorNet:
             g *= slope.reshape(g.shape)
             g_gamma, g_beta = bn_backward(g, xhat, gamma, inv_stds[layer])
             g_w = _float64(g @ im2col.cols.T).reshape(weight.shape)
-            grads[:0] = [g_w, np.zeros(len(weight)), _float64(g_gamma), _float64(g_beta)]
+            grads[:0] = [g_w, _float64(g_gamma), _float64(g_beta)]
             if layer > 0:
                 g = self._input_grad(g, weight, h, w)
         return grads
-
-
-def save_checkpoint(path, net: GeneratorNet, adam=None) -> None:
-    """Binary checkpoint: magic "SPIN", version, channel plan, parameters,
-    BN running statistics, and (optionally) Adam state, all little-endian
-    float64, so a float64 net's optimization can resume bit-exactly."""
-    chunks = [struct.pack("<4sHH", _CHECKPOINT_MAGIC, _CHECKPOINT_VERSION, len(net.plan))]
-    chunks.append(struct.pack(f"<{len(net.plan)}I", *net.plan))
-    chunks.append(struct.pack("<dI", net.leak, net.seed))
-    for p in net.params:
-        chunks.append(np.ascontiguousarray(p, dtype="<f8").tobytes())
-    for run in net.running:
-        if run["mean"] is None:
-            chunks.append(struct.pack("<B", 0))
-        else:
-            chunks.append(struct.pack("<B", 1))
-            chunks.append(np.ascontiguousarray(run["mean"], dtype="<f8").tobytes())
-            chunks.append(np.ascontiguousarray(run["var"], dtype="<f8").tobytes())
-    if adam is None:
-        chunks.append(struct.pack("<B", 0))
-    else:
-        chunks.append(struct.pack("<BQ", 1, adam.step))
-        for arr in adam.m + adam.v:
-            chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (net, adam_state_or_None).
-
-    The file holds no layer dtype, so the net comes back float64: a run
-    saved from a float32 net resumes from the same numbers but continues
-    in float64.
-    """
-    from .prior import AdamState
-
-    with open(path, "rb") as fh:
-        data = fh.read()
-    off = 0
-
-    def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(data):
-            raise FormatError(f"checkpoint truncated at byte {off}")
-        vals = struct.unpack_from(fmt, data, off)
-        off += size
-        return vals
-
-    magic, version, plan_len = take("<4sHH")
-    if magic != _CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {magic!r} at byte 0")
-    if version != _CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
-    plan = take(f"<{plan_len}I")
-    leak, seed = take("<dI")
-    net = GeneratorNet(plan=plan, seed=seed, leak=leak)
-
-    def take_array(shape):
-        nonlocal off
-        count = int(np.prod(shape))
-        size = count * 8
-        if off + size > len(data):
-            raise FormatError(f"checkpoint truncated at byte {off}")
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += size
-        return arr.astype(np.float64)
-
-    net.params = [take_array(p.shape) for p in net.params]
-    for layer, run in enumerate(net.running):
-        (has_run,) = take("<B")
-        if has_run:
-            channels = net.plan[layer + 1]
-            run["mean"] = take_array((channels,))
-            run["var"] = take_array((channels,))
-
-    (has_adam,) = take("<B")
-    adam = None
-    if has_adam:
-        (step,) = take("<Q")
-        m = [take_array(p.shape) for p in net.params]
-        v = [take_array(p.shape) for p in net.params]
-        adam = AdamState(m=m, v=v, step=int(step))
-    if off != len(data):
-        raise FormatError(f"{len(data) - off} trailing bytes at byte {off}")
-    return net, adam

@@ -19,7 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionError, FormatError, ParameterError
-from .field import IntensityImage
 
 NATURAL = "natural"
 SEQUENCY = "sequency"
@@ -53,21 +52,6 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     return a
 
 
-def hadamard_row(index: int, length: int) -> np.ndarray:
-    """Row `index` of the Sylvester Hadamard matrix of the given length."""
-    if length & (length - 1) or length == 0:
-        raise ParameterError(f"Hadamard order must be a power of two, got {length}")
-    if not 0 <= index < length:
-        raise IndexError(f"row index {index} out of range for order {length}")
-    bits = length.bit_length() - 1
-    row = np.array([1], dtype=np.int8)
-    plus = np.array([1, 1], dtype=np.int8)
-    minus = np.array([1, -1], dtype=np.int8)
-    for b in range(bits - 1, -1, -1):
-        row = np.kron(row, minus if (index >> b) & 1 else plus).astype(np.int8)
-    return row
-
-
 def sequency_to_natural(sequency, bits: int):
     """Natural (Sylvester) row index of the row with the given sign-change count.
 
@@ -80,19 +64,6 @@ def sequency_to_natural(sequency, bits: int):
         rev = (rev << 1) | (g & 1)
         g >>= 1
     return rev
-
-
-def row_sequency(row: np.ndarray) -> int:
-    """Number of sign changes along a +/-1 row."""
-    return int(np.count_nonzero(row[1:] != row[:-1]))
-
-
-def mask_sequency(mask: np.ndarray) -> int:
-    """Total sign-change count of a 2D mask (along rows plus along columns)."""
-    return int(
-        np.count_nonzero(mask[:, 1:] != mask[:, :-1])
-        + np.count_nonzero(mask[1:, :] != mask[:-1, :])
-    )
 
 
 def _sequency_selection(order_n: int, count_m: int) -> list:
@@ -268,16 +239,6 @@ def walsh_hadamard_patterns(
     )
 
 
-def positive_negative_split(pattern_set: PatternSet, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Binary masks (p_plus, p_minus) whose difference is logical mask i."""
-    if not 0 <= i < pattern_set.count:
-        raise IndexError(f"pattern index {i} out of range for M={pattern_set.count}")
-    mask = _hadamard_masks(pattern_set.order, pattern_set.selection[i : i + 1])[0]
-    p_plus = (mask > 0).astype(np.uint8)
-    p_minus = (mask < 0).astype(np.uint8)
-    return p_plus, p_minus
-
-
 def upsample_mask(mask: np.ndarray, height: int, width: int) -> np.ndarray:
     """Replicate pattern cells into integer blocks of image pixels."""
     mh, mw = mask.shape
@@ -289,48 +250,6 @@ def upsample_mask(mask: np.ndarray, height: int, width: int) -> np.ndarray:
     if b == 1:
         return mask
     return np.repeat(np.repeat(mask, b, axis=0), b, axis=1)
-
-
-def apply_mask(image: IntensityImage, mask: np.ndarray, depth: float) -> IntensityImage:
-    """Attenuate pumped (mask = 1) regions: out = image * (1 - depth * mask)."""
-    if not 0.0 < depth <= 1.0:
-        raise ParameterError("modulation depth must lie in (0, 1]")
-    m = np.asarray(mask)
-    up = upsample_mask(m, image.height, image.width)
-    return image.with_values(image.values * (1.0 - depth * up))
-
-
-@dataclass(frozen=True)
-class DrudeParams:
-    """Free-carrier permittivity parameters.
-
-    omega is the probe angular frequency, omega_p the plasma frequency set by
-    the photocarrier concentration, tau_d the Drude damping time (seconds;
-    the damping rate entering the formula is 1/tau_d), eps_inf the
-    background permittivity.
-    """
-
-    eps_inf: float
-    omega_p: float
-    tau_d: float
-    omega: float
-
-    def __post_init__(self):
-        if not self.omega > 0:
-            raise ParameterError("probe frequency omega must be positive (omega = 0 is singular)")
-        if not self.tau_d > 0:
-            raise ParameterError("damping time tau_d must be positive")
-        if self.omega_p < 0:
-            raise ParameterError("plasma frequency omega_p must be nonnegative")
-
-
-def drude_permittivity(params: DrudeParams) -> complex:
-    """Complex permittivity eps_inf - omega_p^2 / (omega * (omega + i/tau_d)).
-
-    Uses the e^{-i omega t} convention, so Im(eps) >= 0 for a lossy medium.
-    """
-    w = params.omega
-    return complex(params.eps_inf) - params.omega_p**2 / (w * (w + 1j / params.tau_d))
 
 
 def save_patterns(path, pattern_set: PatternSet) -> None:

@@ -16,11 +16,11 @@ real gradient Re(c_0)/sqrt(O_0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ReconMethod, ReconResult, dgi_reconstruct
+from .classical import ReconResult, dgi_reconstruct
 from .errors import DimensionError, NumericalError, ParameterError
 from .field import ComplexField, IntensityImage
 from .measurement import Measurement, block_pool, check_compatible
@@ -180,7 +180,6 @@ def reconstruct_untrained(
     final = generate(net, input_image)
     return ReconResult(
         image=final,
-        method=ReconMethod.UNTRAINED,
         iterations_used=iterations,
         residual_history=tuple(history),
         raw=final.values,

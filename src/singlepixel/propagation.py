@@ -171,28 +171,6 @@ def propagate(field: ComplexField, spec: PropagationSpec) -> ComplexField:
     return field.with_values(out, warnings=warnings)
 
 
-def split_components(field: ComplexField, spec: PropagationSpec) -> tuple[ComplexField, ComplexField]:
-    """Homogeneous and evanescent parts of propagate(field, spec).
-
-    The two parts sum to the propagate() output; the homogeneous spectrum
-    vanishes outside the unit circle of normalized frequency and the
-    evanescent spectrum vanishes inside it.
-    """
-    n_y = field.height * spec.pad_factor
-    n_x = field.width * spec.pad_factor
-    hom, eva, capped = _transfer_factors(n_y, n_x, field.pitch, spec)
-    if spec.distance == 0.0:
-        # propagate() is the identity at d=0; the split still separates the
-        # propagating and evanescent bands of the input.
-        rho_sq, _ = _normalized_freq_sq(n_y, n_x, field.pitch, spec.wavelength)
-        hom = (rho_sq <= 1.0).astype(np.complex128)
-        eva = (rho_sq > 1.0).astype(np.complex128)
-    warnings = ("evanescent-gain-capped",) if capped else ()
-    hom_field = field.with_values(_apply_transfer(field, spec, hom))
-    eva_field = field.with_values(_apply_transfer(field, spec, eva), warnings=warnings)
-    return hom_field, eva_field
-
-
 def transfer_gradient(upstream: ComplexField, spec: PropagationSpec) -> ComplexField:
     """Adjoint (conjugate transpose) of the propagate operator.
 

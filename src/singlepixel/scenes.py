@@ -9,7 +9,7 @@ modulation depth, noise level, and seed.  Lengths in scene files take `mm` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class SceneSpec:
     @property
     def pitch(self) -> float:
         return self.fov / self.grid
-
-    def with_distance(self, distance: float) -> "SceneSpec":
-        return replace(self, distance=distance)
 
 
 def parse_length(text: str) -> float:
@@ -226,30 +223,3 @@ def slit_row_bounds(spec: SceneSpec) -> tuple:
     lo = _edge_to_pixel((spec.fov - height) / 2.0, spec.pitch)
     hi = _edge_to_pixel((spec.fov + height) / 2.0, spec.pitch)
     return lo, hi
-
-
-def star_mask(n: int, pitch: float = 1.0, points: int = 5, outer: float = 0.42,
-              inner: float = 0.17, rotation: float = -np.pi / 2) -> IntensityImage:
-    """Binary star-polygon mask, a stand-in for the hollow-star test object.
-
-    Radii are fractions of the grid side; the polygon is filled by even-odd
-    ray casting on pixel centers.
-    """
-    angles = rotation + np.arange(2 * points) * np.pi / points
-    radii = np.where(np.arange(2 * points) % 2 == 0, outer, inner) * n
-    vx = n / 2.0 + radii * np.cos(angles)
-    vy = n / 2.0 + radii * np.sin(angles)
-
-    ys, xs = np.mgrid[0:n, 0:n]
-    px = xs + 0.5
-    py = ys + 0.5
-    inside = np.zeros((n, n), dtype=bool)
-    m = len(vx)
-    for i in range(m):
-        x1, y1 = vx[i], vy[i]
-        x2, y2 = vx[(i + 1) % m], vy[(i + 1) % m]
-        crosses = (y1 <= py) != (y2 <= py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
-        inside ^= crosses & (px < x_cross)
-    return IntensityImage(values=inside.astype(np.float64), pitch=pitch)

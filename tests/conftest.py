@@ -1,7 +1,17 @@
+"""Shared fixtures, random test data and independent oracles.
+
+The oracles restate a piece of the model the slow, obvious way (a Hadamard
+row by Kronecker products, the two binary half-masks of a pattern, the
+attenuation of pumped modulator cells), so tests can check the fast paths of
+the package against them.
+"""
+
 import numpy as np
 import pytest
 
+from singlepixel.errors import ParameterError
 from singlepixel.field import ComplexField, IntensityImage
+from singlepixel.patterns import upsample_mask
 
 
 @pytest.fixture
@@ -25,3 +35,84 @@ def band_limited_field(rng, n, pitch, wavelength):
     rho_sq = (wavelength**2) * (f[:, None] ** 2 + f[None, :] ** 2)
     spectrum[rho_sq > 1.0] = 0.0
     return ComplexField(values=np.fft.ifft2(spectrum), pitch=pitch)
+
+
+def total_power(fld: ComplexField) -> float:
+    """Sum of |E|^2 over the grid."""
+    v = fld.values
+    return float(np.sum(v.real * v.real + v.imag * v.imag))
+
+
+def hadamard_row(index: int, length: int) -> np.ndarray:
+    """Row `index` of the Sylvester Hadamard matrix of the given length."""
+    if length & (length - 1) or length == 0:
+        raise ParameterError(f"Hadamard order must be a power of two, got {length}")
+    if not 0 <= index < length:
+        raise IndexError(f"row index {index} out of range for order {length}")
+    bits = length.bit_length() - 1
+    row = np.array([1], dtype=np.int8)
+    plus = np.array([1, 1], dtype=np.int8)
+    minus = np.array([1, -1], dtype=np.int8)
+    for b in range(bits - 1, -1, -1):
+        row = np.kron(row, minus if (index >> b) & 1 else plus).astype(np.int8)
+    return row
+
+
+def row_sequency(row: np.ndarray) -> int:
+    """Number of sign changes along a +/-1 row."""
+    return int(np.count_nonzero(row[1:] != row[:-1]))
+
+
+def mask_sequency(mask: np.ndarray) -> int:
+    """Total sign-change count of a 2D mask (along rows plus along columns)."""
+    return int(
+        np.count_nonzero(mask[:, 1:] != mask[:, :-1])
+        + np.count_nonzero(mask[1:, :] != mask[:-1, :])
+    )
+
+
+def positive_negative_split(pattern_set, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Binary masks (p_plus, p_minus) whose difference is logical mask i."""
+    if not 0 <= i < pattern_set.count:
+        raise IndexError(f"pattern index {i} out of range for M={pattern_set.count}")
+    n = pattern_set.order
+    mask = hadamard_row(pattern_set.selection[i], n * n).reshape(n, n)
+    p_plus = (mask > 0).astype(np.uint8)
+    p_minus = (mask < 0).astype(np.uint8)
+    return p_plus, p_minus
+
+
+def apply_mask(image: IntensityImage, mask: np.ndarray, depth: float) -> IntensityImage:
+    """Attenuate pumped (mask = 1) regions: out = image * (1 - depth * mask)."""
+    if not 0.0 < depth <= 1.0:
+        raise ParameterError("modulation depth must lie in (0, 1]")
+    m = np.asarray(mask)
+    up = upsample_mask(m, image.height, image.width)
+    return image.with_values(image.values * (1.0 - depth * up))
+
+
+def star_mask(n: int, pitch: float = 1.0, points: int = 5, outer: float = 0.42,
+              inner: float = 0.17, rotation: float = -np.pi / 2) -> IntensityImage:
+    """Binary star-polygon mask, a stand-in for the hollow-star test object.
+
+    Radii are fractions of the grid side; the polygon is filled by even-odd
+    ray casting on pixel centers.
+    """
+    angles = rotation + np.arange(2 * points) * np.pi / points
+    radii = np.where(np.arange(2 * points) % 2 == 0, outer, inner) * n
+    vx = n / 2.0 + radii * np.cos(angles)
+    vy = n / 2.0 + radii * np.sin(angles)
+
+    ys, xs = np.mgrid[0:n, 0:n]
+    px = xs + 0.5
+    py = ys + 0.5
+    inside = np.zeros((n, n), dtype=bool)
+    m = len(vx)
+    for i in range(m):
+        x1, y1 = vx[i], vy[i]
+        x2, y2 = vx[(i + 1) % m], vy[(i + 1) % m]
+        crosses = (y1 <= py) != (y2 <= py)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+        inside ^= crosses & (px < x_cross)
+    return IntensityImage(values=inside.astype(np.float64), pitch=pitch)

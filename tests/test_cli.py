@@ -9,10 +9,14 @@ import pytest
 import singlepixel
 import singlepixel.cli as cli
 from singlepixel.cli import main
+from singlepixel.errors import SinglePixelError
+from singlepixel.field import IntensityImage
 from singlepixel.measurement import read_measurement_csv
 from singlepixel.patterns import load_patterns
 from singlepixel.pgm import read_pgm, write_pgm
-from singlepixel.scenes import parse_scene, star_mask
+from singlepixel.scenes import parse_scene
+
+from conftest import star_mask
 
 # The 0.7 mm gaps exceed the 0.66 mm pitch at 16 px, so every slit and gap
 # covers a column at 16 and at 32 px, as the scene parser requires.
@@ -317,3 +321,79 @@ def test_benchmark_scores_untrained_against_the_object(tmp_path, monkeypatch):
     against_diffraction = real_ssim(image, cli.full_sample_reference(diffracted, spec.grid))
     assert float(rows[1].split(",")[4]) == against_object
     assert against_object > against_diffraction
+
+
+RECONSTRUCTOR_NAMES = ("hspi_reconstruct", "dgi_reconstruct", "cstv_reconstruct",
+                       "reconstruct_untrained")
+
+
+def simulated(workspace):
+    tmp_path, scene, patterns = workspace
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(sim_dir)]) == 0
+    return sim_dir
+
+
+def test_dispatch_reaches_the_cli_module_attributes(workspace, monkeypatch):
+    """`reconstruct` and `benchmark` call each reconstructor through its name
+    on the cli module, looked up at call time, so a wrapper set on that
+    attribute (a timer, a tracer) sees every call."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    calls = dict.fromkeys(RECONSTRUCTOR_NAMES, 0)
+    for name in RECONSTRUCTOR_NAMES:
+        def spy(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+    for method in cli.METHODS:
+        assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                     "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                     "--iterations", "2", "--out-dir", str(tmp_path / f"rec_{method}")]) == 0
+    assert calls == dict.fromkeys(RECONSTRUCTOR_NAMES, 1)
+    monkeypatch.setenv("SPI_THREADS", "1")
+    assert main(["benchmark", "--scene", str(scene), "--cr", "0.25",
+                 "--methods", ",".join(cli.METHODS), "--iterations", "2",
+                 "--out-dir", str(tmp_path / "bench")]) == 0
+    assert calls == dict.fromkeys(RECONSTRUCTOR_NAMES, 2)
+
+
+def test_reconstruct_of_zero_readings_writes_degenerate_ssim(workspace):
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("index,reading\n" + "".join(f"{i},0.0\n" for i in range(256)))
+    for method in ("hspi", "dgi", "cstv"):
+        out_dir = tmp_path / f"rec_{method}"
+        assert main(["reconstruct", "--measurement", str(zeros), "--patterns", str(patterns),
+                     "--scene", str(scene), "--method", method,
+                     "--reference", str(sim_dir / "diffracted.pgm"),
+                     "--out-dir", str(out_dir)]) == 0
+        rows = (out_dir / "metrics.csv").read_text().splitlines()
+        assert rows[-1] == "ssim,degenerate"
+
+
+def test_metrics_of_a_constant_image_writes_degenerate_ssim(tmp_path):
+    img_path, ref_path, out = tmp_path / "flat.pgm", tmp_path / "star.pgm", tmp_path / "m.csv"
+    write_pgm(img_path, IntensityImage(values=np.full((16, 16), 0.5), pitch=1e-4))
+    write_pgm(ref_path, star_mask(16, 1e-4, outer=0.4, inner=0.2))
+    assert main(["metrics", "--image", str(img_path), "--reference", str(ref_path),
+                 "--snr-mask", str(ref_path), "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert rows[:2] == ["metric,value", "ssim,degenerate"]
+    assert rows[2].startswith("snr,")
+
+
+def test_unknown_method_is_rejected(workspace, capsys):
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    out_dir = tmp_path / "rec_warp"
+    with pytest.raises(SinglePixelError, match="unknown method 'warp'"):
+        cli.run_reconstruct(sim_dir / "measurement.csv", patterns, "warp",
+                            parse_scene(SCENE), out_dir)
+    assert not out_dir.exists()
+    assert main(["benchmark", "--scene", str(scene), "--cr", "0.25", "--methods", "hspi,warp",
+                 "--out-dir", str(tmp_path / "bench")]) == 3
+    assert "unknown method 'warp'" in capsys.readouterr().err

@@ -4,14 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from singlepixel.errors import DegenerateInputError, DimensionError, InvalidFieldError, ParameterError
-from singlepixel.field import (
-    ComplexField,
-    IntensityImage,
-    field_from_amplitude,
-    intensity,
-    normalize,
-)
+from singlepixel.errors import DegenerateInputError, InvalidFieldError, ParameterError
+from singlepixel.field import ComplexField, IntensityImage, intensity, normalize
 
 
 def image(values, pitch=1e-4):
@@ -49,32 +43,6 @@ class TestConstruction:
             img.values[0, 0] = 2.0
 
 
-class TestFieldFromAmplitude:
-    def test_unit_amplitude_zero_phase(self):
-        fld = field_from_amplitude(image(np.ones((4, 4))), np.zeros((4, 4)))
-        assert np.array_equal(fld.values, np.ones((4, 4), dtype=complex))
-
-    def test_zero_amplitude_any_phase(self, rng):
-        fld = field_from_amplitude(image(np.zeros((4, 4))), rng.uniform(-np.pi, np.pi, (4, 4)))
-        assert np.all(fld.values == 0)
-
-    def test_euler_identity_at_one_pixel(self):
-        amp = np.zeros((4, 4))
-        amp[2, 1] = 1.0
-        phase = np.zeros((4, 4))
-        phase[2, 1] = np.pi / 2
-        fld = field_from_amplitude(image(amp), phase)
-        assert fld.values[2, 1] == pytest.approx(1j, abs=1e-15)
-
-    def test_default_phase_is_zero(self):
-        amp = image(np.full((4, 4), 0.7))
-        assert np.array_equal(field_from_amplitude(amp).values, 0.7 * np.ones((4, 4)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            field_from_amplitude(image(np.ones((4, 4))), np.zeros((8, 8)))
-
-
 class TestIntensity:
     def test_uniform_field(self):
         fld = ComplexField(values=np.ones((4, 4), complex), pitch=1e-4)
@@ -96,8 +64,7 @@ class TestIntensity:
     )
     @settings(max_examples=25, deadline=None)
     def test_square_of_amplitude_for_any_phase(self, amp, phase):
-        img = image(amp)
-        out = intensity(field_from_amplitude(img, phase))
+        out = intensity(ComplexField(values=amp * np.exp(1j * phase), pitch=1e-4))
         assert np.allclose(out.values, amp**2, rtol=1e-12, atol=1e-12)
 
     @given(alpha=st.floats(-10, 10))

@@ -2,17 +2,11 @@ import numpy as np
 import pytest
 
 from singlepixel.errors import ConsistencyError, FormatError, ParameterError
-from singlepixel.field import ComplexField, IntensityImage, intensity
-from singlepixel.measurement import (
-    Measurement,
-    forward_predict,
-    measure,
-    pattern_total_intensity,
-    read_measurement_csv,
-    write_measurement_csv,
-)
-from singlepixel.patterns import positive_negative_split, walsh_hadamard_patterns
-from singlepixel.propagation import PropagationSpec, propagate
+from singlepixel.field import IntensityImage
+from singlepixel.measurement import measure, read_measurement_csv, write_measurement_csv
+from singlepixel.patterns import pattern_sums, walsh_hadamard_patterns
+
+from conftest import apply_mask, positive_negative_split
 
 
 def image(values, pitch=1e-4):
@@ -24,8 +18,8 @@ def brute_force_reading(img, pset, i):
     I- (pump the +1 cells), each with attenuation 1 - m on pumped cells."""
     m = pset.modulation_depth
     plus, minus = positive_negative_split(pset, i)
-    i_plus = float((img.values * (1.0 - m * minus)).sum())
-    i_minus = float((img.values * (1.0 - m * plus)).sum())
+    i_plus = float(apply_mask(img, minus, m).values.sum())
+    i_minus = float(apply_mask(img, plus, m).values.sum())
     return i_plus - i_minus
 
 
@@ -61,13 +55,8 @@ class TestMeasure:
         pset = walsh_hadamard_patterns(4, 16, modulation_depth=0.6)
         img = image(rng.random((8, 8)))
         meas = measure(img, pset)
-        m = pset.modulation_depth
         for i in range(0, 16, 5):
-            plus, minus = positive_negative_split(pset, i)
-            up_p = np.repeat(np.repeat(plus, 2, 0), 2, 1)
-            up_m = np.repeat(np.repeat(minus, 2, 0), 2, 1)
-            expected = float((img.values * (1 - m * up_m)).sum() - (img.values * (1 - m * up_p)).sum())
-            assert meas.readings[i] == pytest.approx(expected, abs=1e-10)
+            assert meas.readings[i] == pytest.approx(brute_force_reading(img, pset, i), abs=1e-10)
 
     def test_linearity_without_noise(self, rng):
         pset = walsh_hadamard_patterns(4, 16)
@@ -104,50 +93,22 @@ class TestMeasure:
             measure(image(np.zeros((4, 4))), pset, noise_sigma=-1.0)
 
 
-class TestForwardPredict:
-    def test_zero_distance_equals_direct_measurement(self, rng):
-        pset = walsh_hadamard_patterns(8, 64)
-        obj = image(rng.random((8, 8)))
-        prop = PropagationSpec(wavelength=833.3e-6, distance=0.0)
-        predicted = forward_predict(obj, prop, pset)
-        assert np.allclose(predicted, measure(obj, pset).readings, atol=1e-12)
-
-    def test_zero_object_predicts_zero(self):
-        pset = walsh_hadamard_patterns(4, 16)
-        prop = PropagationSpec(wavelength=833.3e-6, distance=1e-3)
-        assert np.all(forward_predict(image(np.zeros((4, 4))), prop, pset) == 0)
-
-    def test_matches_measuring_the_diffracted_image(self, rng):
-        # run both code paths on a random 32x32 object
-        pset = walsh_hadamard_patterns(32, 256)
-        obj = image(rng.random((32, 32)), pitch=2e-4)
-        prop = PropagationSpec(wavelength=833.3e-6, distance=0.8e-3)
-        fld = ComplexField(values=np.sqrt(obj.values).astype(complex), pitch=obj.pitch)
-        diffracted = intensity(propagate(fld, prop))
-        expected = measure(diffracted, pset).readings
-        assert np.abs(forward_predict(obj, prop, pset) - expected).max() < 1e-9
-
-
 class TestPatternTotalIntensity:
+    """The pattern sums S_i that DGI's background correction reads."""
+
     def test_dc_row_of_order_64(self):
         pset = walsh_hadamard_patterns(64, 2)
-        assert pattern_total_intensity(pset, 0) == 4096
+        assert pattern_sums(pset)[0] == 4096
 
     def test_non_dc_rows_sum_to_zero(self):
         pset = walsh_hadamard_patterns(8, 64)
-        for i in range(1, pset.count):
-            assert pattern_total_intensity(pset, i) == 0
+        assert np.all(pattern_sums(pset)[1:] == 0)
 
     def test_split_sum_identity(self):
         pset = walsh_hadamard_patterns(4, 16)
         for i in range(16):
             plus, minus = positive_negative_split(pset, i)
-            assert int(plus.sum()) - int(minus.sum()) == pattern_total_intensity(pset, i)
-
-    def test_out_of_range(self):
-        pset = walsh_hadamard_patterns(4, 4)
-        with pytest.raises(IndexError):
-            pattern_total_intensity(pset, 4)
+            assert int(plus.sum()) - int(minus.sum()) == pattern_sums(pset)[i]
 
 
 class TestMeasurementCsv:

@@ -11,18 +11,11 @@ from singlepixel.field import IntensityImage
 from singlepixel.measurement import measure
 from singlepixel.network import GeneratorNet
 from singlepixel.patterns import (
-    DrudeParams,
     PatternSet,
-    apply_mask,
-    drude_permittivity,
     fwht,
-    hadamard_row,
     load_patterns,
-    mask_sequency,
     pattern_sums,
-    positive_negative_split,
     project,
-    row_sequency,
     save_patterns,
     sequency_to_natural,
     synthesize,
@@ -30,6 +23,8 @@ from singlepixel.patterns import (
 )
 from singlepixel.prior import loss_and_gradient
 from singlepixel.propagation import PropagationSpec
+
+from conftest import apply_mask, hadamard_row, mask_sequency, positive_negative_split, row_sequency
 
 
 def brute_force_hadamard(n):
@@ -207,34 +202,6 @@ class TestApplyMask:
         mask = (rng.random((4, 4)) > 0.5).astype(float)
         lo, hi = sorted([depth1, depth2])
         assert np.all(apply_mask(img, mask, hi).values <= apply_mask(img, mask, lo).values + 1e-15)
-
-
-class TestDrude:
-    def test_zero_plasma_frequency(self):
-        params = DrudeParams(eps_inf=11.7, omega_p=0.0, tau_d=1e-13, omega=2 * np.pi * 0.36e12)
-        assert drude_permittivity(params) == 11.7 + 0j
-
-    def test_lossy_sign_convention(self, rng):
-        for _ in range(20):
-            params = DrudeParams(
-                eps_inf=rng.uniform(1, 20),
-                omega_p=rng.uniform(0, 1e14),
-                tau_d=rng.uniform(1e-15, 1e-11),
-                omega=rng.uniform(1e11, 1e13),
-            )
-            assert drude_permittivity(params).imag >= 0
-
-    def test_against_direct_evaluation(self):
-        params = DrudeParams(eps_inf=11.7, omega_p=2 * np.pi * 5e12, tau_d=1e-13,
-                             omega=2 * np.pi * 0.36e12)
-        w = params.omega
-        expected = 11.7 - (2 * np.pi * 5e12) ** 2 / (w * (w + 1j / 1e-13))
-        got = drude_permittivity(params)
-        assert abs(got - expected) / abs(expected) < 1e-12
-
-    def test_zero_frequency_is_singular(self):
-        with pytest.raises(ParameterError):
-            DrudeParams(eps_inf=11.7, omega_p=1e12, tau_d=1e-13, omega=0.0)
 
 
 class TestPatternFile:

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from singlepixel.errors import ParameterError
-from singlepixel.field import ComplexField, intensity, total_power
-from singlepixel.propagation import PropagationSpec, propagate, split_components, transfer_gradient
+from singlepixel.field import ComplexField, intensity
+from singlepixel.propagation import PropagationSpec, propagate, transfer_gradient
 from singlepixel.scenes import SceneSpec, build_scene
 
-from conftest import band_limited_field, random_field
+from conftest import band_limited_field, random_field, total_power
 
 WAVELENGTH = 833.3e-6
 
@@ -98,29 +98,6 @@ class TestPropagate:
         corner = np.abs(plain.values[16:, 16:]).mean()
         corner_padded = np.abs(padded.values[16:, 16:]).mean()
         assert corner_padded < corner
-
-
-class TestSplitComponents:
-    def test_plane_wave_has_no_evanescent_part(self):
-        fld = ComplexField(values=np.ones((16, 16), complex), pitch=1e-4)
-        _, evanescent = split_components(fld, spec(0.5e-3))
-        assert np.abs(evanescent.values).max() < 1e-14
-
-    def test_pure_evanescent_has_no_homogeneous_part(self):
-        n, pitch = 16, WAVELENGTH / 4
-        spectrum = np.zeros((n, n), complex)
-        spectrum[4, 4] = 1.0
-        fld = ComplexField(values=np.fft.ifft2(spectrum), pitch=pitch)
-        homogeneous, _ = split_components(fld, spec(0.2e-3))
-        assert np.abs(homogeneous.values).max() < 1e-14
-
-    def test_components_sum_to_propagated_field(self, rng):
-        fld = random_field(rng, n=32, pitch=2e-4)
-        s = spec(0.4e-3)
-        homogeneous, evanescent = split_components(fld, s)
-        full = propagate(fld, s)
-        err = np.abs(homogeneous.values + evanescent.values - full.values).max()
-        assert err < 1e-12
 
 
 class TestOperatorProperties:

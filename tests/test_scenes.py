@@ -10,8 +10,9 @@ from singlepixel.scenes import (
     parse_length,
     parse_scene,
     slit_feature_columns,
-    star_mask,
 )
+
+from conftest import star_mask
 
 FIG4C = dict(
     object_kind="three_slit",
