@@ -83,6 +83,11 @@ def _check_method(method: str) -> None:
         raise SinglePixelError(f"unknown method {method!r}")
 
 
+def _check_iterations(iterations: int) -> None:
+    if iterations < 1:
+        raise SinglePixelError(f"iterations must be >= 1, got {iterations}")
+
+
 def _atomic_write(path, writer) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -182,6 +187,8 @@ def run_reconstruct(
 ):
     """Dispatch one reconstruction and write image + metrics files."""
     _check_method(method)
+    if iterations is not None:
+        _check_iterations(iterations)
     os.makedirs(out_dir, exist_ok=True)
     meas = read_measurement_csv(meas_path)
     pattern_set = load_patterns(patterns_path, modulation_depth=scene.modulation_depth)
@@ -199,7 +206,7 @@ def run_reconstruct(
 
     distance = scene.distance if backprop_distance is None else backprop_distance
     settings = Settings(scene.wavelength, distance, seed=seed, tv_weight=tv_weight)
-    if iterations:  # absent or 0 keeps each method's default
+    if iterations is not None:  # absent keeps each method's default
         settings = settings._replace(iterations=iterations, cstv_iterations=iterations)
     result = RECONSTRUCTORS[method](meas, pattern_set, pitch, settings)
 
@@ -276,6 +283,7 @@ def run_benchmark(
             raise SinglePixelError(f"compression ratio {cr} outside (0, 1]")
     for method in methods:
         _check_method(method)
+    _check_iterations(iterations)
     obj, diffracted = diffract_scene(spec)
     order = spec.grid
     reference = full_sample_reference(diffracted, order)

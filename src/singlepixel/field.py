@@ -7,7 +7,7 @@ padding, and all arithmetic is double precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,10 @@ class ComplexField:
         Relative complex amplitude per pixel.
     pitch : float
         Meters per pixel (same in x and y).
-    warnings : tuple of str
-        Non-fatal flags raised while producing this field (e.g. clamped
-        evanescent gain during backpropagation).
     """
 
     values: np.ndarray
     pitch: float
-    warnings: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128)
@@ -62,8 +58,8 @@ class ComplexField:
     def width(self) -> int:
         return self.values.shape[1]
 
-    def with_values(self, values: np.ndarray, warnings: tuple = ()) -> "ComplexField":
-        return ComplexField(values=values, pitch=self.pitch, warnings=warnings)
+    def with_values(self, values: np.ndarray) -> "ComplexField":
+        return ComplexField(values=values, pitch=self.pitch)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Architecture: a chain of (3x3 same-padded conv -> batch norm -> LeakyReLU)
 blocks followed by a 1-channel 3x3 conv head squashed by a sigmoid, so the
 output is an image in (0, 1) on the same grid as the input.  Batch
-normalization runs on the statistics of the single image being optimized
-(momentum-0.99 running statistics are tracked for inference mode only).
+normalization always uses the statistics of the current pass: the generator
+is fitted to one measurement set, as in deep image prior, and has no separate
+inference mode.
 
 The backward pass is exact reverse-mode differentiation of the forward
 pass, including the dependence of the batch statistics on the input;
@@ -16,9 +17,9 @@ Dtype split.  The convolutions, batch norm and LeakyReLU run in the net's
 halves every byte those memory-bound passes move).  Every per-layer buffer
 and the backward scratch are in that dtype, and each pass casts the weights,
 gamma and beta it reads.  Everything the optimizer and the physics see stays
-float64: the parameters, the running statistics, the head's bias and sigmoid
-output, the incoming output gradient and every returned gradient.  A float32
-net therefore has float64 master weights.
+float64: the parameters, the head's bias and sigmoid output, the incoming
+output gradient and every returned gradient.  A float32 net therefore has
+float64 master weights.
 
 Buffers.  Per grid size, each layer owns a zero-bordered (C_in, H+2, W+2)
 input buffer, its (C_in*9, H*W) im2col columns and, in BN blocks, the
@@ -89,20 +90,17 @@ def conv3x3_input_grad(g: np.ndarray, weight: np.ndarray) -> np.ndarray:
     return conv3x3(g, flip_kernel(weight))
 
 
-def bn_forward(z: np.ndarray, gamma, beta, eps: float):
-    """Batch norm over each row of z (C, H*W); z becomes x-hat in place.
+def bn_forward(z: np.ndarray, eps: float) -> np.ndarray:
+    """Normalize each row of z (C, H*W) in place, so z becomes x-hat.
 
-    Returns (gamma * x-hat + beta, mean, var, inv_std).
+    Returns the per-row inverse standard deviation.
     """
     n = z.shape[1]
-    mean = z.mean(axis=1)
-    z -= mean[:, None]
+    z -= z.mean(axis=1)[:, None]
     var = np.einsum("ij,ij->i", z, z) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     z *= inv_std[:, None]
-    y = z * gamma[:, None]
-    y += beta[:, None]
-    return y, mean, var, inv_std
+    return inv_std
 
 
 def bn_backward(g: np.ndarray, xhat: np.ndarray, gamma, inv_std):
@@ -114,11 +112,6 @@ def bn_backward(g: np.ndarray, xhat: np.ndarray, gamma, inv_std):
     g -= (g_beta / n)[:, None]
     g *= (gamma * inv_std)[:, None]
     return g_gamma, g_beta
-
-
-def bn_inference(z: np.ndarray, gamma, beta, mean, var, eps: float) -> np.ndarray:
-    inv_std = 1.0 / np.sqrt(var + eps)
-    return gamma[:, None] * (z - mean[:, None]) * inv_std[:, None] + beta[:, None]
 
 
 def _float64(a: np.ndarray) -> np.ndarray:
@@ -147,7 +140,7 @@ class GeneratorNet:
     """
 
     def __init__(self, plan=DEFAULT_PLAN, seed: int = 0, leak: float = 0.2,
-                 bn_momentum: float = 0.99, bn_eps: float = 1e-3, dtype=np.float64):
+                 bn_eps: float = 1e-3, dtype=np.float64):
         if len(plan) < 2 or plan[0] != 1 or plan[-1] != 1:
             raise DimensionError("channel plan must start and end with 1 channel")
         if not 0 < leak <= 1:  # max(y, leak*y) and the sign rule of backward need it
@@ -158,11 +151,9 @@ class GeneratorNet:
         self.plan = tuple(int(c) for c in plan)
         self.seed = int(seed)
         self.leak = float(leak)
-        self.bn_momentum = float(bn_momentum)
         self.bn_eps = float(bn_eps)
         self.n_blocks = len(plan) - 2  # conv+BN+LeakyReLU blocks before the head
         self.params: list[np.ndarray] = []
-        self.running: list[dict] = []
         self._scratch: dict = {}
         rng = np.random.Generator(np.random.PCG64(self.seed))
         for layer in range(len(plan) - 1):
@@ -172,7 +163,6 @@ class GeneratorNet:
             if layer < self.n_blocks:
                 self.params.append(np.ones(c_out))   # BN gamma
                 self.params.append(np.zeros(c_out))  # BN beta
-                self.running.append({"mean": None, "var": None})
             else:
                 self.params.append(np.zeros(c_out))  # head bias
 
@@ -208,19 +198,14 @@ class GeneratorNet:
             buf = self._scratch[key] = make()
         return buf
 
-    def forward(self, image: np.ndarray, batch_stats: bool = True,
-                update_running: bool = False, want_cache: bool = False):
+    def forward(self, image: np.ndarray, want_cache: bool = False):
         """Run the generator on a 2D image; returns the 2D output in (0, 1).
 
-        batch_stats selects BN statistics computed from this pass (the mode
-        used during optimization); otherwise the frozen running statistics
-        are used.  Gradients require want_cache=True and batch_stats=True.
+        With want_cache=True, also returns the cache that `backward` reads.
         """
         x = np.asarray(image, dtype=np.float64)
         if x.ndim != 2:
             raise DimensionError("generator input must be a 2D image")
-        if want_cache and not batch_stats:
-            raise ParameterError("gradients need the batch-statistics forward pass")
         h, w = x.shape
         bufs = self._layer_buffers(h, w)
         bufs[0][0].interior[0] = x
@@ -230,19 +215,12 @@ class GeneratorNet:
             im2col, z = bufs[layer]
             act = bufs[layer + 1][0].interior
             np.matmul(weight.reshape(len(weight), -1), im2col.columns(), out=z)
-            if batch_stats:
-                y, mean, var, inv_std = bn_forward(z, gamma, beta, self.bn_eps)
-                inv_stds.append(inv_std)
-                if update_running:
-                    self._update_running(layer, mean, var)
-            else:
-                run = self.running[layer]
-                if run["mean"] is None:
-                    raise ParameterError(
-                        "no running statistics yet; run a training-mode forward first"
-                    )
-                y = bn_inference(z, gamma, beta, self._cast(run["mean"]), self._cast(run["var"]),
-                                 self.bn_eps)
+            inv_stds.append(bn_forward(z, self.bn_eps))
+            # scale and shift in a contiguous temporary: in-place passes over
+            # the strided interior of `act` run row by row and cost more than
+            # the allocation they would save
+            y = z * gamma[:, None]
+            y += beta[:, None]
             y = y.reshape(act.shape)
             np.maximum(y, self.leak * y, out=act)
         weight, bias = self._head_params()
@@ -252,16 +230,6 @@ class GeneratorNet:
         if want_cache:
             return s, (bufs, inv_stds, s)
         return s
-
-    def _update_running(self, layer: int, mean, var) -> None:
-        run = self.running[layer]
-        if run["mean"] is None:
-            run["mean"] = np.array(mean, dtype=np.float64)
-            run["var"] = np.array(var, dtype=np.float64)
-        else:
-            m = self.bn_momentum
-            run["mean"] = m * run["mean"] + (1.0 - m) * mean
-            run["var"] = m * run["var"] + (1.0 - m) * var
 
     def _input_grad(self, g: np.ndarray, weight: np.ndarray, h: int, w: int) -> np.ndarray:
         """dL/d(layer input) as (C_in, H*W), from g = dL/dz as (C_out, H*W)."""

@@ -24,7 +24,7 @@ from .classical import ReconResult, dgi_reconstruct
 from .errors import DimensionError, NumericalError, ParameterError
 from .field import ComplexField, IntensityImage
 from .measurement import Measurement, block_pool, check_compatible
-from .network import DEFAULT_PLAN, GeneratorNet
+from .network import GeneratorNet
 from .patterns import PatternSet, project, synthesize, upsample_mask
 from .propagation import PropagationSpec, propagate, transfer_gradient
 from .tvreg import tv_anisotropic, tv_subgradient
@@ -68,15 +68,9 @@ class AdamState:
             p -= lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
 
 
-def generate(net: GeneratorNet, image: IntensityImage, use_running_stats: bool = False) -> IntensityImage:
-    """Deterministic forward pass of the generator on an input image.
-
-    By default BN uses the statistics of this pass (the optimization-mode
-    behavior); use_running_stats=True switches to the frozen running
-    statistics accumulated during optimization.
-    """
-    out = net.forward(image.values, batch_stats=not use_running_stats, update_running=False)
-    return IntensityImage(values=out, pitch=image.pitch)
+def generate(net: GeneratorNet, image: IntensityImage) -> IntensityImage:
+    """Deterministic forward pass of the generator on an input image."""
+    return IntensityImage(values=net.forward(image.values), pitch=image.pitch)
 
 
 def loss_and_gradient(
@@ -86,7 +80,6 @@ def loss_and_gradient(
     pattern_set: PatternSet,
     prop: PropagationSpec,
     tv_weight: float = DEFAULT_TV_WEIGHT,
-    update_running: bool = True,
 ):
     """Physics-chain loss and its exact gradient w.r.t. every net parameter."""
     check_compatible(meas, pattern_set)
@@ -96,9 +89,7 @@ def loss_and_gradient(
     if height % pattern_set.order or width % pattern_set.order:
         raise DimensionError("input grid must be an integer replication of the pattern order")
 
-    output, cache = net.forward(
-        input_image.values, batch_stats=True, update_running=update_running, want_cache=True
-    )
+    output, cache = net.forward(input_image.values, want_cache=True)
     if not np.all(np.isfinite(output)):
         raise NumericalError("non-finite generator output", stage="generate")
 
@@ -149,7 +140,6 @@ def reconstruct_untrained(
     *,
     pitch: float = 1.0,
     tv_weight: float = DEFAULT_TV_WEIGHT,
-    plan=DEFAULT_PLAN,
     net: GeneratorNet | None = None,
 ) -> ReconResult:
     """Adam-optimize a freshly seeded generator against the measurements.
@@ -158,16 +148,17 @@ def reconstruct_untrained(
     returned image is the generator output after the final update, and
     residual_history records the loss seen at every iteration.
 
-    Without `net`, the generator is a float32 net: its layers run in float32
-    while its parameters, the Adam state and the whole physics chain
-    (propagation, pattern projection and their adjoints) stay float64.  Pass
-    `net=GeneratorNet(..., dtype=np.float64)` for an all-float64 run.
+    Without `net`, the generator is a float32 net of the default channel
+    plan: its layers run in float32 while its parameters, the Adam state and
+    the whole physics chain (propagation, pattern projection and their
+    adjoints) stay float64.  Pass `net=GeneratorNet(..., dtype=np.float64)`
+    for an all-float64 run, or a net of another plan.
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
     input_image = prepare_prior_input(meas, pattern_set, pitch)
     if net is None:
-        net = GeneratorNet(plan=plan, seed=seed, dtype=np.float32)
+        net = GeneratorNet(seed=seed, dtype=np.float32)
     adam = AdamState.for_params(net.params)
     history = []
     for it in range(iterations):
@@ -196,7 +187,6 @@ def backprop_refocus_sweep(
     *,
     pitch: float = 1.0,
     tv_weight: float = DEFAULT_TV_WEIGHT,
-    plan=DEFAULT_PLAN,
 ) -> list[ReconResult]:
     """One untrained reconstruction per modeled distance, sharing the seed
     and pattern set, for focal-sweep analysis."""
@@ -212,7 +202,6 @@ def backprop_refocus_sweep(
             seed=seed,
             pitch=pitch,
             tv_weight=tv_weight,
-            plan=plan,
         )
         for d in distances
     ]

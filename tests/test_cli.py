@@ -397,3 +397,23 @@ def test_unknown_method_is_rejected(workspace, capsys):
     assert main(["benchmark", "--scene", str(scene), "--cr", "0.25", "--methods", "hspi,warp",
                  "--out-dir", str(tmp_path / "bench")]) == 3
     assert "unknown method 'warp'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("iterations", ["0", "-1"])
+def test_non_positive_iterations_exit_3(workspace, capsys, iterations):
+    """`--iterations` below 1 is rejected by every method of both commands,
+    before a reconstruction runs or an output is written."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    for method in cli.METHODS:
+        out_dir = tmp_path / f"rec_{method}"
+        assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                     "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                     "--iterations", iterations, "--out-dir", str(out_dir)]) == 3
+        assert not out_dir.exists()
+        assert "iterations must be >= 1" in capsys.readouterr().err
+        bench_dir = tmp_path / f"bench_{method}"
+        assert main(["benchmark", "--scene", str(scene), "--cr", "0.25", "--methods", method,
+                     "--iterations", iterations, "--out-dir", str(bench_dir)]) == 3
+        assert not (bench_dir / "benchmark.csv").exists()
+        assert "iterations must be >= 1" in capsys.readouterr().err

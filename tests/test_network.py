@@ -14,7 +14,7 @@ from singlepixel.network import (
     conv3x3_input_grad,
 )
 from singlepixel.patterns import walsh_hadamard_patterns
-from singlepixel.prior import AdamState, generate, loss_and_gradient, prepare_prior_input
+from singlepixel.prior import AdamState, loss_and_gradient, prepare_prior_input
 from singlepixel.propagation import PropagationSpec
 
 
@@ -52,17 +52,6 @@ class TestForward:
     def test_leak_outside_unit_interval_rejected(self, leak):
         with pytest.raises(ParameterError):
             GeneratorNet(plan=(1, 4, 1), leak=leak)
-
-    def test_inference_mode_needs_running_stats(self, rng):
-        net = small_net()
-        with pytest.raises(ParameterError):
-            net.forward(rng.random((8, 8)), batch_stats=False)
-
-    def test_gradient_cache_needs_batch_stats(self, rng):
-        net = small_net()
-        net.forward(rng.random((8, 8)), update_running=True)
-        with pytest.raises(ParameterError, match="batch-statistics"):
-            net.forward(rng.random((8, 8)), batch_stats=False, want_cache=True)
 
 
 class TestNetworkGradients:
@@ -157,12 +146,11 @@ def _reference_pass(net, image, g_output):
     """Textbook forward and backward of the generator, layer by layer.
 
     BN blocks differentiate batch norm through the mean and the variance
-    separately.  Returns (output, per-layer batch means and variances,
-    gradients in net.params order).
+    separately.  Returns (output, gradients in net.params order).
     """
     eps, leak = net.bn_eps, net.leak
     act = image[None]
-    saved, stats = [], []
+    saved = []
     for layer in range(net.n_blocks):
         kernel, gamma, beta = net.params[3 * layer : 3 * layer + 3]
         z = _reference_conv(act, kernel, np.zeros(len(kernel)))
@@ -171,7 +159,6 @@ def _reference_pass(net, image, g_output):
         xhat = (z - mean) / np.sqrt(var + eps)
         y = gamma[:, None, None] * xhat + beta[:, None, None]
         saved.append((act, z, mean, var, xhat, y))
-        stats.append((mean.ravel(), var.ravel()))
         act = np.where(y > 0, y, leak * y)
     kernel, bias = net.params[3 * net.n_blocks :]
     s = 1.0 / (1.0 + np.exp(-_reference_conv(act, kernel, bias)[0]))
@@ -191,7 +178,7 @@ def _reference_pass(net, image, g_output):
         g_z = g_xhat / np.sqrt(var + eps) + g_var * 2.0 * (z - mean) / n + g_mean / n
         g_kernel, _, g = _reference_conv_backward(g_z, x, kernel)
         grads[:0] = [g_kernel, (gy * xhat).sum(axis=(1, 2)), gy.sum(axis=(1, 2))]
-    return s, stats, grads
+    return s, grads
 
 
 class TestAgainstReference:
@@ -213,14 +200,10 @@ class TestAgainstReference:
         for n in (8, 32, 64):
             image = rng.random((n, n))
             g_output = rng.standard_normal((n, n))
-            expected_out, stats, expected = _reference_pass(net, image, g_output)
-            out, cache = net.forward(image, update_running=True, want_cache=True)
+            expected_out, expected = _reference_pass(net, image, g_output)
+            out, cache = net.forward(image, want_cache=True)
             grads = net.backward(g_output, cache)
             assert np.abs(out - expected_out).max() <= 1e-12
-            if n == 8:  # the first update copies the batch statistics
-                for run, (mean, var) in zip(net.running, stats):
-                    assert np.abs(run["mean"] - mean).max() <= 1e-12 * np.abs(mean).max()
-                    assert np.abs(run["var"] - var).max() <= 1e-12 * var.max()
             for i, (got, want) in enumerate(zip(grads, expected)):
                 assert got.shape == net.params[i].shape
                 err = np.abs(got - want).max() / np.abs(want).max()
@@ -273,53 +256,9 @@ class TestFloat32Layers:
         assert all(a.dtype == np.float32 for a in layer_arrays)
         float64_arrays = [out, *net.backward(np.ones((n, n)), cache), *grads, *net.params,
                           *adam.m, *adam.v]
-        float64_arrays += [run[k] for run in net.running for k in ("mean", "var")]
         assert all(a.dtype == np.float64 for a in float64_arrays)
-
-    def test_inference_with_fresh_statistics_matches_training(self, rng):
-        net = GeneratorNet(plan=(1, 4, 8, 4, 1), seed=6, dtype=np.float32)
-        x = rng.random((8, 8))
-        train_out = net.forward(x, update_running=True)
-        eval_out = net.forward(x, batch_stats=False)
-        assert eval_out.dtype == np.float64
-        assert np.abs(train_out - eval_out).max() < 1e-5
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
     def test_other_dtypes_rejected(self, dtype):
         with pytest.raises(ParameterError, match="float32 or float64"):
             GeneratorNet(plan=(1, 4, 1), dtype=dtype)
-
-
-class TestBatchNormModes:
-    def test_inference_reproduces_training_at_convergence(self):
-        """After optimization converges and the running statistics settle on
-        the (now stationary) batch statistics, inference mode must agree with
-        training mode to 1e-3."""
-        n = 16
-        pitch = 1e-4
-        obj = np.zeros((n, n))
-        obj[4:12, 3:7] = 1.0
-        obj[4:12, 10:14] = 1.0
-        pset = walsh_hadamard_patterns(n, n * n, modulation_depth=0.9)
-        meas = measure(IntensityImage(values=obj, pitch=pitch), pset)
-        prop = PropagationSpec(wavelength=833.3e-6, distance=0.0)
-        inp = prepare_prior_input(meas, pset, pitch)
-        net = GeneratorNet(seed=0)
-        adam = AdamState.for_params(net.params)
-        for _ in range(300):
-            _, grads = loss_and_gradient(net, inp, meas, pset, prop, 1e-10)
-            adam.update(net.params, grads)
-        for _ in range(800):  # EMA settles geometrically on frozen stats
-            net.forward(inp.values, batch_stats=True, update_running=True)
-        train_out = generate(net, inp).values
-        eval_out = generate(net, inp, use_running_stats=True).values
-        assert np.abs(train_out - eval_out).max() < 1e-3
-
-    def test_inference_with_fresh_statistics_matches_training(self, rng):
-        """Running statistics copied from one pass reproduce that pass in
-        inference mode."""
-        net = small_net(seed=6)
-        x = rng.random((8, 8))
-        train_out = net.forward(x, update_running=True)
-        eval_out = net.forward(x, batch_stats=False)
-        assert np.abs(train_out - eval_out).max() < 1e-12

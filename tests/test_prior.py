@@ -72,8 +72,7 @@ class TestLossAndGradient:
         amp = ComplexField(values=np.sqrt(output.values).astype(complex), pitch=pitch)
         meas = measure(intensity(propagate(amp, prop)), pset)
         tv_weight = 1e-6
-        loss, _ = loss_and_gradient(net, inp, meas, pset, prop, tv_weight,
-                                    update_running=False)
+        loss, _ = loss_and_gradient(net, inp, meas, pset, prop, tv_weight)
         assert loss == pytest.approx(tv_weight * tv_anisotropic(output.values), rel=1e-6)
 
     def test_uniform_shift_gradient_matches_finite_difference(self, rng):
@@ -86,10 +85,9 @@ class TestLossAndGradient:
         head_bias = net.params[-1]
 
         def loss_only():
-            return loss_and_gradient(net, inp, meas, pset, prop, 0.0,
-                                     update_running=False)[0]
+            return loss_and_gradient(net, inp, meas, pset, prop, 0.0)[0]
 
-        _, grads = loss_and_gradient(net, inp, meas, pset, prop, 0.0, update_running=False)
+        _, grads = loss_and_gradient(net, inp, meas, pset, prop, 0.0)
         step = 1e-5
         head_bias[0] += step
         up = loss_only()
@@ -105,10 +103,9 @@ class TestLossAndGradient:
         inp = IntensityImage(values=rng.random((16, 16)), pitch=pitch)
 
         def loss_only():
-            return loss_and_gradient(net, inp, meas, pset, prop, 1e-10,
-                                     update_running=False)[0]
+            return loss_and_gradient(net, inp, meas, pset, prop, 1e-10)[0]
 
-        _, grads = loss_and_gradient(net, inp, meas, pset, prop, 1e-10, update_running=False)
+        _, grads = loss_and_gradient(net, inp, meas, pset, prop, 1e-10)
         step = 1e-5
         prng = np.random.default_rng(11)
         max_rel = 0.0

@@ -11,8 +11,17 @@ from conftest import band_limited_field, random_field, total_power
 WAVELENGTH = 833.3e-6
 
 
-def spec(distance, **kw):
-    return PropagationSpec(wavelength=WAVELENGTH, distance=distance, **kw)
+def spec(distance):
+    return PropagationSpec(wavelength=WAVELENGTH, distance=distance)
+
+
+def pure_evanescent_field():
+    """One plane-wave bin at u = v = 1: pitch = wavelength/4 puts bin (4, 4)
+    of a 16-grid there, so u^2 + v^2 = 2 and the decay rate is exactly k*d."""
+    n, pitch = 16, WAVELENGTH / 4
+    spectrum = np.zeros((n, n), complex)
+    spectrum[4, 4] = 1.0
+    return ComplexField(values=np.fft.ifft2(spectrum), pitch=pitch)
 
 
 class TestSpecValidation:
@@ -20,19 +29,9 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             PropagationSpec(wavelength=0.0, distance=1e-3)
 
-    def test_clamp_needs_gain_cap(self):
+    def test_distance_finite(self):
         with pytest.raises(ParameterError):
-            PropagationSpec(wavelength=1e-3, distance=-1e-3, evanescent_policy="clamp")
-
-    def test_gain_cap_at_least_one(self):
-        with pytest.raises(ParameterError):
-            PropagationSpec(
-                wavelength=1e-3, distance=-1e-3, evanescent_policy="clamp", gain_cap=0.5
-            )
-
-    def test_default_policy_by_direction(self):
-        assert spec(1e-3).resolved_policy() == "attenuate"
-        assert spec(-1e-3).resolved_policy() == "zero"
+            PropagationSpec(wavelength=1e-3, distance=float("inf"))
 
 
 class TestPropagate:
@@ -50,12 +49,7 @@ class TestPropagate:
         assert np.allclose(intensity(out).values, 1.0, atol=1e-12)
 
     def test_pure_evanescent_bin_decay(self):
-        # pitch = wavelength/4 puts bin (4, 4) of a 16-grid at u = v = 1,
-        # so u^2 + v^2 = 2 and the decay rate is exactly k*d.
-        n, pitch = 16, WAVELENGTH / 4
-        spectrum = np.zeros((n, n), complex)
-        spectrum[4, 4] = 1.0
-        fld = ComplexField(values=np.fft.ifft2(spectrum), pitch=pitch)
+        fld = pure_evanescent_field()
         s = spec(0.2e-3)
         out = propagate(fld, s)
         ratio = np.abs(out.values).max() / np.abs(fld.values).max()
@@ -80,24 +74,10 @@ class TestPropagate:
         assert sharp[gaps].max() == 0.0
         assert gap_fill > 0.3
 
-    def test_clamp_policy_flags_capped_gain(self):
-        n, pitch = 16, WAVELENGTH / 4
-        spectrum = np.zeros((n, n), complex)
-        spectrum[4, 4] = 1.0
-        fld = ComplexField(values=np.fft.ifft2(spectrum), pitch=pitch)
-        out = propagate(fld, spec(-1e-3, evanescent_policy="clamp", gain_cap=2.0))
-        assert "evanescent-gain-capped" in out.warnings
-
-    def test_padding_suppresses_wraparound(self):
-        values = np.zeros((32, 32), complex)
-        values[0, 0] = 1.0
-        fld = ComplexField(values=values, pitch=5e-5)
-        far = spec(30e-3)
-        plain = propagate(fld, far)
-        padded = propagate(fld, PropagationSpec(WAVELENGTH, 30e-3, pad_factor=2))
-        corner = np.abs(plain.values[16:, 16:]).mean()
-        corner_padded = np.abs(padded.values[16:, 16:]).mean()
-        assert corner_padded < corner
+    @pytest.mark.parametrize("distance", [-0.2e-3, -1e-3])
+    def test_backpropagation_zeroes_the_evanescent_band(self, distance):
+        out = propagate(pure_evanescent_field(), spec(distance))
+        assert np.all(out.values == 0)
 
 
 class TestOperatorProperties:
@@ -114,18 +94,15 @@ class TestOperatorProperties:
         assert np.abs(two_steps.values - one_step.values).max() / scale < 1e-10
 
     def test_evanescent_decay_monotone_in_distance(self):
-        n, pitch = 16, WAVELENGTH / 4
-        spectrum = np.zeros((n, n), complex)
-        spectrum[4, 4] = 1.0
-        fld = ComplexField(values=np.fft.ifft2(spectrum), pitch=pitch)
+        fld = pure_evanescent_field()
         amp1 = np.abs(propagate(fld, spec(0.1e-3)).values).max()
         amp2 = np.abs(propagate(fld, spec(0.25e-3)).values).max()
         assert amp2 < amp1
 
     def test_inverse_consistency_with_zero_policy(self, rng):
         fld = band_limited_field(rng, 32, 2e-4, WAVELENGTH)
-        forward = propagate(fld, spec(0.8e-3, evanescent_policy="zero"))
-        back = propagate(forward, spec(-0.8e-3, evanescent_policy="zero"))
+        forward = propagate(fld, spec(0.8e-3))
+        back = propagate(forward, spec(-0.8e-3))
         scale = np.abs(fld.values).max()
         assert np.abs(back.values - fld.values).max() / scale < 1e-10
 
@@ -133,22 +110,14 @@ class TestOperatorProperties:
 class TestTransferGradient:
     def test_unitary_on_band_with_zero_policy(self, rng):
         fld = band_limited_field(rng, 32, 2e-4, WAVELENGTH)
-        s = spec(0.6e-3, evanescent_policy="zero")
+        s = spec(0.6e-3)
         restored = transfer_gradient(propagate(fld, s), s)
         scale = np.abs(fld.values).max()
         assert np.abs(restored.values - fld.values).max() / scale < 1e-12
 
-    @pytest.mark.parametrize(
-        "distance,policy,pad",
-        [
-            (0.5e-3, None, 1),
-            (-0.4e-3, "zero", 1),
-            (0.7e-3, "attenuate", 2),
-            (0.0, None, 1),
-        ],
-    )
-    def test_adjoint_identity(self, rng, distance, policy, pad):
-        s = PropagationSpec(WAVELENGTH, distance, evanescent_policy=policy, pad_factor=pad)
+    @pytest.mark.parametrize("distance", [0.5e-3, -0.4e-3, 0.7e-3, 0.0])
+    def test_adjoint_identity(self, rng, distance):
+        s = spec(distance)
         x = random_field(rng, n=16)
         y = random_field(rng, n=16)
         # inner products by direct summation
