@@ -3,7 +3,8 @@
 A pattern is named by its row r of the Sylvester Hadamard matrix of order
 N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]).  Masks
 are derived on demand; `project` and `synthesize` apply the pattern operator
-and its adjoint through the fast Walsh-Hadamard transform in O(N log N).
+and its adjoint through the Walsh-Hadamard transform, computed as two matrix
+products with H_a and H_b (N = a*b) in O(N*sqrt(N)).
 
 Physically a +1 logical state is the unpumped (transparent) modulator region;
 pumped regions attenuate the probe intensity by the modulation depth m.
@@ -14,7 +15,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,25 +32,25 @@ _PATTERN_VERSION = 1
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
-    """Fast Walsh-Hadamard transform in natural (Sylvester) order.
+    """Walsh-Hadamard transform in natural (Sylvester) order.
 
     Computes y[r] = sum_c H[r, c] * x[c] with H[r, c] = (-1)**popcount(r & c).
-    Operates on the last axis, which must have power-of-two length.  The
-    transform is its own inverse up to a factor 1/len.
+    Operates on the last axis, which must have power-of-two length, and
+    returns a new float64 array.  The transform is its own inverse up to a
+    factor 1/len.
+
+    H_N is the Kronecker product H_a (x) H_b for N = a*b with a = b or
+    a = 2b, so the last axis is reshaped to X of shape (a, b) and
+    transformed as H_a @ X @ H_b, two matrix products with cached H_a, H_b.
     """
-    a = np.array(vec, dtype=np.float64, copy=True)
-    n = a.shape[-1]
+    x = np.asarray(vec, dtype=np.float64)
+    n = x.shape[-1]
     if n & (n - 1) or n == 0:
         raise ParameterError(f"FWHT length must be a power of two, got {n}")
-    h = 1
-    lead = a.shape[:-1]
-    while h < n:
-        a = a.reshape(lead + (n // (2 * h), 2, h))
-        x = a[..., 0, :]
-        y = a[..., 1, :]
-        a = np.stack((x + y, x - y), axis=-2).reshape(lead + (n,))
-        h *= 2
-    return a
+    bits = n.bit_length() - 1
+    a, b = 1 << (bits - bits // 2), 1 << (bits // 2)
+    lead = x.shape[:-1]
+    return (_hadamard(a) @ x.reshape(lead + (a, b)) @ _hadamard(b)).reshape(lead + (n,))
 
 
 def sequency_to_natural(sequency, bits: int):
@@ -95,6 +96,14 @@ def _walsh_rows(rows: np.ndarray, length: int) -> np.ndarray:
         parity ^= overlap & 1
         overlap >>= 1
     return (1 - 2 * parity).astype(np.int8)
+
+
+@lru_cache(maxsize=32)
+def _hadamard(length: int) -> np.ndarray:
+    """H_length as a read-only float64 +/-1 matrix, built once per length."""
+    h = _walsh_rows(np.arange(length, dtype=np.int64), length).astype(np.float64)
+    h.setflags(write=False)
+    return h
 
 
 def _hadamard_masks(order: int, rows) -> np.ndarray:
@@ -151,6 +160,13 @@ class PatternSet:
         masks.setflags(write=False)
         return masks
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The selection as a read-only int64 index array, built on first read."""
+        rows = np.asarray(self.selection, dtype=np.int64)
+        rows.setflags(write=False)
+        return rows
+
     @property
     def count(self) -> int:
         return len(self.selection)
@@ -188,7 +204,7 @@ class PatternSet:
 
 def project(pattern_set: PatternSet, grid: np.ndarray) -> np.ndarray:
     """<P_i, grid> for every pattern i, for an order x order grid (one FWHT)."""
-    return fwht(grid.ravel())[list(pattern_set.selection)]
+    return fwht(grid.ravel())[pattern_set.rows]
 
 
 def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
@@ -197,15 +213,14 @@ def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
     The adjoint of `project`; for distinct rows project(synthesize(w)) = N*w.
     """
     full = np.zeros(pattern_set.pixels, dtype=np.float64)
-    full[list(pattern_set.selection)] = weights
+    full[pattern_set.rows] = weights
     n = pattern_set.order
     return fwht(full).reshape(n, n)
 
 
 def pattern_sums(pattern_set: PatternSet) -> np.ndarray:
     """S_i, the sum of the entries of each mask: N for row 0, 0 for every balanced row."""
-    selection = np.asarray(pattern_set.selection, dtype=np.int64)
-    return np.where(selection == 0, float(pattern_set.pixels), 0.0)
+    return np.where(pattern_set.rows == 0, float(pattern_set.pixels), 0.0)
 
 
 def walsh_hadamard_patterns(

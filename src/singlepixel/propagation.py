@@ -17,6 +17,7 @@ amplify measurement noise.  The sign of d is the whole rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,8 +54,13 @@ class PropagationSpec:
         return replace(self, distance=distance)
 
 
+@lru_cache(maxsize=8)
 def _transfer(n_y: int, n_x: int, pitch: float, spec: PropagationSpec) -> np.ndarray:
-    """Transfer function H on the unshifted FFT grid of an n_y x n_x field."""
+    """Transfer function H on the unshifted FFT grid of an n_y x n_x field.
+
+    Cached per geometry, so a propagate/adjoint pair builds H once; the
+    array is shared and therefore read-only.
+    """
     k = spec.wavenumber
     d = spec.distance
     fx = np.fft.fftfreq(n_x, d=pitch)
@@ -67,6 +73,7 @@ def _transfer(n_y: int, n_x: int, pitch: float, spec: PropagationSpec) -> np.nda
     if d >= 0:
         outside = ~inside
         transfer[outside] = np.exp(-d * (k * np.sqrt(rho_sq[outside] - 1.0)))
+    transfer.setflags(write=False)
     return transfer
 
 

@@ -25,41 +25,58 @@ def tv_subgradient(u: np.ndarray) -> np.ndarray:
     return g
 
 
-def _grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    gy = np.zeros_like(u)
-    gx = np.zeros_like(u)
-    gy[:-1, :] = u[1:, :] - u[:-1, :]
-    gx[:, :-1] = u[:, 1:] - u[:, :-1]
-    return gy, gx
-
-
-def _div(py: np.ndarray, px: np.ndarray) -> np.ndarray:
-    """Negative adjoint of _grad, so that <grad u, p> = -<u, div p>."""
-    d = np.zeros_like(py)
-    d[0, :] += py[0, :]
-    d[1:-1, :] += py[1:-1, :] - py[:-2, :]
-    d[-1, :] += -py[-2, :]
-    d[:, 0] += px[:, 0]
-    d[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
-    d[:, -1] += -px[:, -2]
-    return d
-
-
 def tv_prox(v: np.ndarray, alpha: float, iterations: int = 10) -> np.ndarray:
     """Approximate prox of alpha * TV: argmin_u 0.5*||u - v||^2 + alpha*TV(u).
 
     Dual projected-gradient iteration (Chambolle-style) with the anisotropic
     box constraint |p| <= 1 per component; step 0.25 satisfies the usual
     1/8 stability bound on the grad/div pair.
+
+    The dual fields live in bordered, flat row-major buffers: py is one zero
+    row followed by its n0 rows, px one zero followed by its n0*n1 entries.
+    The forward difference is zero on the far edge, so the dual there (the
+    last row of py, the last column of px) never leaves zero; in px it is
+    also the leading border of the next row.  The divergence is then two
+    subtractions of shifted slices, py[n1:] - py[:-n1] and px[1:] - px[:-1],
+    into a preallocated u, and each iteration updates and clips the duals in
+    place.  The result is a new array, also for alpha <= 0.
     """
     if alpha <= 0:
         return v.copy()
-    tau = 0.25
-    py = np.zeros_like(v)
-    px = np.zeros_like(v)
+    n0, n1 = v.shape
+    size = n0 * n1
+    step = 0.25 / alpha
+    py = np.zeros(size + n1, dtype=v.dtype)
+    px = np.zeros(size + 1, dtype=v.dtype)
+    py_in, px_in = py[n1:size], px[1:size]
+    gy = np.empty(size - n1, dtype=v.dtype)
+    gx = np.empty(size - 1, dtype=v.dtype)
+    div_x = np.empty(size, dtype=v.dtype)
+    u = np.empty_like(v, order="C")
+    flat = u.reshape(-1)
+
+    def primal():
+        # u = v + alpha * div(p), div(p) = dy(py) + dx(px)
+        np.subtract(py[n1:], py[:-n1], out=flat)
+        np.subtract(px[1:], px[:-1], out=div_x)
+        np.add(flat, div_x, out=flat)
+        np.multiply(flat, alpha, out=flat)
+        np.add(u, v, out=u)
+
     for _ in range(iterations):
-        u = v + alpha * _div(py, px)
-        gy, gx = _grad(u)
-        py = np.clip(py + (tau / alpha) * gy, -1.0, 1.0)
-        px = np.clip(px + (tau / alpha) * gx, -1.0, 1.0)
-    return v + alpha * _div(py, px)
+        primal()
+        # p = clip(p + step * grad(u), -1, 1) inside each border
+        np.subtract(flat[n1:], flat[:-n1], out=gy)
+        gy *= step
+        py_in += gy
+        np.maximum(py_in, -1.0, out=py_in)
+        np.minimum(py_in, 1.0, out=py_in)
+        np.subtract(flat[1:], flat[:-1], out=gx)
+        gx *= step
+        px_in += gx
+        np.maximum(px_in, -1.0, out=px_in)
+        np.minimum(px_in, 1.0, out=px_in)
+        # a difference across a row boundary is no gradient: the last column stays zero
+        px[n1::n1] = 0.0
+    primal()
+    return u

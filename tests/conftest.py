@@ -116,3 +116,40 @@ def star_mask(n: int, pitch: float = 1.0, points: int = 5, outer: float = 0.42,
             x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
         inside ^= crosses & (px < x_cross)
     return IntensityImage(values=inside.astype(np.float64), pitch=pitch)
+
+
+def reference_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences with a zero last row/column (the former `tvreg._grad`)."""
+    gy = np.zeros_like(u)
+    gx = np.zeros_like(u)
+    gy[:-1, :] = u[1:, :] - u[:-1, :]
+    gx[:, :-1] = u[:, 1:] - u[:, :-1]
+    return gy, gx
+
+
+def reference_div(py: np.ndarray, px: np.ndarray) -> np.ndarray:
+    """Negative adjoint of reference_grad, so that <grad u, p> = -<u, div p>."""
+    d = np.zeros_like(py)
+    d[0, :] += py[0, :]
+    d[1:-1, :] += py[1:-1, :] - py[:-2, :]
+    d[-1, :] += -py[-2, :]
+    d[:, 0] += px[:, 0]
+    d[:, 1:-1] += px[:, 1:-1] - px[:, :-2]
+    d[:, -1] += -px[:, -2]
+    return d
+
+
+def reference_tv_prox(v: np.ndarray, alpha: float, iterations: int = 10) -> np.ndarray:
+    """The TV prox with full-size dual fields and fresh arrays per step
+    (the former `tvreg.tv_prox`, kept as the oracle of the in-place one)."""
+    if alpha <= 0:
+        return v.copy()
+    tau = 0.25
+    py = np.zeros_like(v)
+    px = np.zeros_like(v)
+    for _ in range(iterations):
+        u = v + alpha * reference_div(py, px)
+        gy, gx = reference_grad(u)
+        py = np.clip(py + (tau / alpha) * gy, -1.0, 1.0)
+        px = np.clip(px + (tau / alpha) * gx, -1.0, 1.0)
+    return v + alpha * reference_div(py, px)

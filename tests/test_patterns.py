@@ -1,7 +1,12 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +50,67 @@ class TestFwht:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ParameterError):
             fwht(np.zeros(6))
+
+    @pytest.mark.parametrize("bits", range(13))
+    def test_matches_scipy_hadamard(self, bits, rng):
+        # integer-valued input keeps every partial sum exact, so any
+        # summation order gives the same bits
+        n = 1 << bits
+        x = rng.integers(-1000, 1000, size=n).astype(np.float64)
+        h = scipy.linalg.hadamard(n, dtype=np.int8)
+        expected = np.concatenate([h[i:i + 512].astype(np.float64) @ x for i in range(0, n, 512)])
+        assert np.array_equal(fwht(x), expected)
+
+    @pytest.mark.parametrize("bits", [13, 14])
+    def test_large_lengths_match_hadamard_rows(self, bits, rng):
+        # H of order 2^14 is 268 MB even as int8, so check sampled rows
+        n = 1 << bits
+        x = rng.integers(-1000, 1000, size=n).astype(np.float64)
+        y = fwht(x)
+        for r in [0, 1, n // 2, n - 1, *rng.integers(0, n, size=16)]:
+            assert y[r] == hadamard_row(int(r), n) @ x
+
+    def test_transforms_the_last_axis_of_any_leading_shape(self, rng):
+        n = 32
+        x = rng.standard_normal((3, 2, n))
+        y = fwht(x)
+        assert y.shape == (3, 2, n)
+        expected = x @ scipy.linalg.hadamard(n).T
+        assert np.allclose(y, expected, rtol=1e-13, atol=1e-12)
+
+    def test_int8_masks_transform_exactly(self):
+        pset = walsh_hadamard_patterns(8, 64, ordering="natural")
+        masks = pset.logical_masks.reshape(64, 64)
+        y = fwht(masks)
+        assert y.dtype == np.float64
+        assert np.array_equal(y, 64.0 * np.eye(64))
+
+    def test_input_is_not_mutated(self, rng):
+        for x in (rng.standard_normal((4, 256)), rng.integers(-1, 2, size=128).astype(np.int8)):
+            kept = x.copy()
+            fwht(x)
+            assert np.array_equal(x, kept)
+
+    def test_same_bytes_with_one_blas_thread(self):
+        """The transform runs through BLAS; its bytes must not depend on the thread count."""
+        script = (
+            "import hashlib, numpy as np\n"
+            "from singlepixel.patterns import fwht\n"
+            "rng = np.random.default_rng(5)\n"
+            "h = hashlib.sha256()\n"
+            "for shape in [(128 * 128,), (64 * 64,), (16, 128 * 128)]:\n"
+            "    h.update(fwht(rng.standard_normal(shape)).tobytes())\n"
+            "print(h.hexdigest())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+        digests = [
+            subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, check=True, timeout=60).stdout
+            for env in (base, dict(base, OPENBLAS_NUM_THREADS="1"))
+        ]
+        assert digests[0] == digests[1] and len(digests[0].strip()) == 64
 
 
 class TestOrderings:
@@ -313,6 +379,25 @@ class TestIndexDescriptor:
         # CS-TV Lipschitz constant m^2 * N exact
         assert np.allclose(project(pset, synthesize(pset, weights)), pset.pixels * weights,
                            rtol=1e-12, atol=1e-9 * pset.pixels)
+
+    @given(order=st.sampled_from([2, 4, 8, 16, 32, 64, 128]), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_adjoint_pair_is_exact_on_integer_data(self, order, seed):
+        # integer-valued grids and weights keep every sum exact
+        rng = np.random.default_rng(seed)
+        n_pixels = order * order
+        count = int(rng.integers(1, n_pixels + 1))
+        pset = PatternSet(order, tuple(rng.permutation(n_pixels)[:count]), "natural")
+        grid = rng.integers(-8, 9, size=(order, order)).astype(np.float64)
+        weights = rng.integers(-8, 9, size=count).astype(np.float64)
+        assert project(pset, grid) @ weights == np.sum(grid * synthesize(pset, weights))
+
+    def test_rows_is_a_cached_read_only_index(self):
+        pset = PatternSet(4, (0, 5, 3), "natural")
+        assert pset.rows.dtype == np.int64
+        assert pset.rows.tolist() == [0, 5, 3]
+        assert pset.rows is pset.rows
+        assert not pset.rows.flags.writeable
 
     def test_operators_never_build_the_masks(self):
         pset = walsh_hadamard_patterns(16, 64)

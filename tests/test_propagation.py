@@ -3,7 +3,7 @@ import pytest
 
 from singlepixel.errors import ParameterError
 from singlepixel.field import ComplexField, intensity
-from singlepixel.propagation import PropagationSpec, propagate, transfer_gradient
+from singlepixel.propagation import PropagationSpec, _transfer, propagate, transfer_gradient
 from singlepixel.scenes import SceneSpec, build_scene
 
 from conftest import band_limited_field, random_field, total_power
@@ -121,6 +121,22 @@ class TestTransferGradient:
         x = random_field(rng, n=16)
         y = random_field(rng, n=16)
         # inner products by direct summation
+        lhs = np.sum(np.conj(propagate(x, s).values) * y.values)
+        rhs = np.sum(np.conj(x.values) * transfer_gradient(y, s).values)
+        assert abs(lhs - rhs) / abs(lhs) < 1e-10
+
+    @pytest.mark.parametrize("distance", [0.5e-3, -0.4e-3])
+    def test_adjoint_identity_on_a_cached_transfer(self, rng, distance):
+        s = spec(distance)
+        x = random_field(rng, n=32, pitch=1.3e-4)
+        y = random_field(rng, n=32, pitch=1.3e-4)
+        first = propagate(x, s).values
+        transfer = _transfer(32, 32, 1.3e-4, s)
+        assert _transfer(32, 32, 1.3e-4, spec(distance)) is transfer
+        assert not transfer.flags.writeable
+        # the cached H gives the same bits as a first build, and the pair stays adjoint
+        assert np.array_equal(propagate(x, s).values, first)
+        assert np.array_equal(transfer, _transfer.__wrapped__(32, 32, 1.3e-4, s))
         lhs = np.sum(np.conj(propagate(x, s).values) * y.values)
         rhs = np.sum(np.conj(x.values) * transfer_gradient(y, s).values)
         assert abs(lhs - rhs) / abs(lhs) < 1e-10
