@@ -2,8 +2,7 @@
 metric evaluation, and pattern-file generation.
 
 Exit codes: 0 success, 2 usage error, 3 input-format/consistency error,
-4 numerical failure.  Benchmark cells run in parallel; SPI_THREADS caps the
-worker count.  All file writes are atomic (temp file + rename).
+4 numerical failure.  All file writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -246,24 +244,21 @@ def _metric_rows(image: IntensityImage, reference_path, snr_mask_path, pitch: fl
     return rows
 
 
-def _benchmark_cell(args):
-    (spec, diffracted, obj, reference, order, cr, method, noise_sigma, repeat,
-     iterations, base_seed) = args
-    count = max(1, int(round(cr * order * order)))
-    pattern_set = walsh_hadamard_patterns(order, count, modulation_depth=spec.modulation_depth)
-    cell_seed = int(
-        np.random.SeedSequence((base_seed, int(round(cr * 1e6)), METHODS.index(method),
-                                int(noise_sigma * 1e9) & 0xFFFFFF, repeat)).generate_state(1)[0]
-    )
-    meas = measure(diffracted, pattern_set, noise_sigma=noise_sigma, seed=cell_seed)
+def _cell_seed(base_seed: int, cr: float, method: str, noise_sigma: float, repeat: int) -> int:
+    """Noise and generator seed of one benchmark run, the same in every process."""
+    key = (base_seed, int(round(cr * 1e6)), METHODS.index(method),
+           int(noise_sigma * 1e9) & 0xFFFFFF, repeat)
+    return int(np.random.SeedSequence(key).generate_state(1)[0])
+
+
+def _benchmark_cell(spec, diffracted, pattern_set, method, noise_sigma, seed, iterations,
+                    reference, snr_mask):
+    """(SSIM, SNR) of one noisy measurement and reconstruction of the grid."""
+    meas = measure(diffracted, pattern_set, noise_sigma=noise_sigma, seed=seed)
     # --iterations counts generator iterations only; CS-TV keeps its default
-    settings = Settings(spec.wavelength, spec.distance, iterations=iterations, seed=cell_seed)
-    result = RECONSTRUCTORS[method](meas, pattern_set, spec.fov / order, settings)
-    if method == "untrained":
-        reference = obj  # the generator images the object plane, not the detector plane
-    ssim_val = ssim(result.image, reference, DEFAULT_SSIM)
-    snr_val = snr(result.image, obj.values >= 0.5).value
-    return ssim_val, snr_val
+    settings = Settings(spec.wavelength, spec.distance, iterations=iterations, seed=seed)
+    result = RECONSTRUCTORS[method](meas, pattern_set, spec.fov / pattern_set.order, settings)
+    return ssim(result.image, reference, DEFAULT_SSIM), snr(result.image, snr_mask).value
 
 
 def run_benchmark(
@@ -281,48 +276,47 @@ def run_benchmark(
     for cr in cr_list:
         if not 0 < cr <= 1:
             raise SinglePixelError(f"compression ratio {cr} outside (0, 1]")
+    for noise_sigma in noise_levels:
+        if not 0 <= noise_sigma < np.inf:  # the cell seed needs a finite sigma
+            raise SinglePixelError(f"noise sigma {noise_sigma} is not finite and >= 0")
     for method in methods:
         _check_method(method)
     _check_iterations(iterations)
     obj, diffracted = diffract_scene(spec)
     order = spec.grid
-    reference = full_sample_reference(diffracted, order)
-
-    cells = [
-        (cr, method, noise_sigma)
-        for cr in cr_list
-        for method in methods
-        for noise_sigma in noise_levels
-    ]
-    jobs = []
-    for cr, method, noise_sigma in cells:
-        for repeat in range(repeats):
-            jobs.append(
-                (spec, diffracted, obj, reference, order, cr, method,
-                 noise_sigma, repeat, iterations, spec.seed)
-            )
-    max_workers = int(os.environ.get("SPI_THREADS", "0")) or (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(jobs)))
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(_benchmark_cell, jobs))
-    else:
-        outcomes = [_benchmark_cell(job) for job in jobs]
+    detector_reference = full_sample_reference(diffracted, order)
+    snr_mask = obj.values >= 0.5
 
     rows = ["cr,method,noise_sigma,repeats,ssim_mean,ssim_std,snr_mean,snr_std"]
-    idx = 0
-    for cr, method, noise_sigma in cells:
-        vals = outcomes[idx : idx + repeats]
-        idx += repeats
-        ssims = np.array([v[0] for v in vals])
-        snrs = np.array([v[1] for v in vals])
-        rows.append(
-            f"{cr!r},{method},{noise_sigma!r},{repeats},"
-            f"{float(ssims.mean())!r},{float(ssims.std())!r},"
-            f"{float(snrs.mean())!r},{float(snrs.std())!r}"
-        )
+    for cr in cr_list:
+        count = max(1, int(round(cr * order * order)))
+        pattern_set = walsh_hadamard_patterns(order, count, modulation_depth=spec.modulation_depth)
+        for method in methods:
+            # the generator images the object plane, not the detector plane
+            reference = obj if method == "untrained" else detector_reference
+            for noise_sigma in noise_levels:
+                outcomes = [
+                    _benchmark_cell(spec, diffracted, pattern_set, method, noise_sigma,
+                                    _cell_seed(spec.seed, cr, method, noise_sigma, repeat),
+                                    iterations, reference, snr_mask)
+                    for repeat in range(repeats)
+                ]
+                ssims, snrs = (np.array(values) for values in zip(*outcomes))
+                rows.append(
+                    f"{cr!r},{method},{noise_sigma!r},{repeats},"
+                    f"{float(ssims.mean())!r},{float(ssims.std())!r},"
+                    f"{float(snrs.mean())!r},{float(snrs.std())!r}"
+                )
     _write_csv(out_path, rows)
     return rows
+
+
+def _float_list(text: str) -> list:
+    """argparse type of a comma-separated list of numbers."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -355,9 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("benchmark", help="CR/method/noise grid -> summary CSV")
     ben.add_argument("--scene", required=True)
-    ben.add_argument("--cr", required=True, help="comma-separated compression ratios")
+    ben.add_argument("--cr", type=_float_list, required=True,
+                     help="comma-separated compression ratios")
     ben.add_argument("--methods", default="hspi,untrained")
-    ben.add_argument("--noise-sigma", default="0")
+    ben.add_argument("--noise-sigma", type=_float_list, default="0")
     ben.add_argument("--repeats", type=int, default=1)
     ben.add_argument("--iterations", type=int, default=300)
     ben.add_argument("--out-dir", required=True)
@@ -411,9 +406,9 @@ def main(argv=None) -> int:
             os.makedirs(args.out_dir, exist_ok=True)
             run_benchmark(
                 spec,
-                [float(x) for x in args.cr.split(",")],
+                args.cr,
                 args.methods.split(","),
-                [float(x) for x in args.noise_sigma.split(",")],
+                args.noise_sigma,
                 args.repeats,
                 os.path.join(args.out_dir, "benchmark.csv"),
                 iterations=args.iterations,

@@ -40,9 +40,16 @@ class SsimParams:
 DEFAULT_SSIM = SsimParams()
 
 
-def _window_means(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _window_means(x: np.ndarray, w: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """w-weighted mean of every fully valid window of x.
+
+    `windows` holds one flattened window per row; the five means of `ssim`
+    share it.  At 128 px it is 13.5 MB, and five fresh copies of that size
+    made a command's peak RSS swing by about 9 MB with the heap's layout.
+    """
     view = np.lib.stride_tricks.sliding_window_view(x, w.shape)
-    return np.tensordot(view, w, axes=([2, 3], [0, 1]))
+    np.copyto(windows.reshape(view.shape), view)
+    return np.dot(windows, w.reshape(-1, 1)).reshape(view.shape[:2])
 
 
 def ssim(a: IntensityImage, b: IntensityImage, params: SsimParams = DEFAULT_SSIM) -> float:
@@ -53,11 +60,13 @@ def ssim(a: IntensityImage, b: IntensityImage, params: SsimParams = DEFAULT_SSIM
         raise ParameterError("image smaller than the SSIM window")
     w = params.window()
     xa, xb = a.values, b.values
-    mu_a = _window_means(xa, w)
-    mu_b = _window_means(xb, w)
-    e_aa = _window_means(xa * xa, w)
-    e_bb = _window_means(xb * xb, w)
-    e_ab = _window_means(xa * xb, w)
+    rows, cols = (n - k + 1 for n, k in zip(xa.shape, w.shape))
+    windows = np.empty((rows * cols, w.size))
+    mu_a = _window_means(xa, w, windows)
+    mu_b = _window_means(xb, w, windows)
+    e_aa = _window_means(xa * xa, w, windows)
+    e_bb = _window_means(xb * xb, w, windows)
+    e_ab = _window_means(xa * xb, w, windows)
     var_a = e_aa - mu_a**2
     var_b = e_bb - mu_b**2
     cov = e_ab - mu_a * mu_b

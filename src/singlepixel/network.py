@@ -77,19 +77,6 @@ def flip_kernel(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
-def conv3x3(x: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Same-padded 3x3 cross-correlation, (C_in, H, W) -> (C_out, H, W), no bias."""
-    c, h, w = x.shape
-    buf = _Im2col(c, h, w)
-    buf.interior[...] = x
-    return (weight.reshape(len(weight), -1) @ buf.columns()).reshape(-1, h, w)
-
-
-def conv3x3_input_grad(g: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the input of `conv3x3(x, weight)` given dL/d(output)."""
-    return conv3x3(g, flip_kernel(weight))
-
-
 def bn_forward(z: np.ndarray, eps: float) -> np.ndarray:
     """Normalize each row of z (C, H*W) in place, so z becomes x-hat.
 

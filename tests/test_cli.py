@@ -221,19 +221,51 @@ def test_benchmark_grid(workspace):
             float(field)
 
 
-def test_benchmark_deterministic_under_thread_cap(workspace, monkeypatch):
-    tmp_path, scene, patterns = workspace
+def test_benchmark_identical_across_blas_threads(workspace):
+    """BLAS is the only parallelism of `benchmark`: one BLAS thread and the
+    default count write the same bytes.  The command reads no environment
+    variable, so an empty `SPI_THREADS` changes nothing."""
+    tmp_path, scene, _ = workspace
+    scene.write_text(SCENE.replace("grid = 16", "grid = 32"))
+    src = str(Path(singlepixel.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
     outs = []
-    for workers, name in (("1", "s"), ("4", "p")):
-        monkeypatch.setenv("SPI_THREADS", workers)
+    for name, env in (("one", dict(base, OPENBLAS_NUM_THREADS="1", SPI_THREADS="")),
+                      ("default", base)):
         out_dir = tmp_path / f"bench_{name}"
-        assert main([
-            "benchmark", "--scene", str(scene), "--cr", "0.25",
-            "--methods", "hspi,dgi", "--noise-sigma", "0.1", "--repeats", "2",
-            "--out-dir", str(out_dir),
-        ]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "singlepixel.cli", "benchmark", "--scene", str(scene),
+             "--cr", "0.25", "--methods", ",".join(cli.METHODS), "--noise-sigma", "0,0.1",
+             "--repeats", "2", "--iterations", "5", "--out-dir", str(out_dir)],
+            env=env, check=True, timeout=120,
+        )
         outs.append((out_dir / "benchmark.csv").read_bytes())
     assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 1 + len(cli.METHODS) * 2
+
+
+@pytest.mark.parametrize("flag", ["--cr", "--noise-sigma"])
+@pytest.mark.parametrize("value", ["abc", "", "0.25,x"], ids=["abc", "empty", "0.25,x"])
+def test_malformed_benchmark_list_is_a_usage_error(workspace, capsys, flag, value):
+    tmp_path, scene, _ = workspace
+    args = {"--cr": "0.25", "--noise-sigma": "0", flag: value}
+    with pytest.raises(SystemExit) as exc:
+        main(["benchmark", "--scene", str(scene), *(x for kv in args.items() for x in kv),
+              "--methods", "hspi", "--out-dir", str(tmp_path / "bench")])
+    assert exc.value.code == 2
+    assert f"argument {flag}: not a comma-separated list of numbers" in capsys.readouterr().err
+    assert not (tmp_path / "bench").exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+def test_benchmark_noise_sigma_out_of_range_exits_3(workspace, capsys, sigma):
+    tmp_path, scene, _ = workspace
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--scene", str(scene), "--cr", "0.25", "--methods", "hspi",
+                 "--noise-sigma", f"0,{sigma}", "--out-dir", str(out_dir)]) == 3
+    assert "is not finite and >= 0" in capsys.readouterr().err
+    assert not (out_dir / "benchmark.csv").exists()
 
 
 def test_benchmark_identical_across_hash_seeds(workspace):
@@ -353,7 +385,6 @@ def test_dispatch_reaches_the_cli_module_attributes(workspace, monkeypatch):
                      "--patterns", str(patterns), "--scene", str(scene), "--method", method,
                      "--iterations", "2", "--out-dir", str(tmp_path / f"rec_{method}")]) == 0
     assert calls == dict.fromkeys(RECONSTRUCTOR_NAMES, 1)
-    monkeypatch.setenv("SPI_THREADS", "1")
     assert main(["benchmark", "--scene", str(scene), "--cr", "0.25",
                  "--methods", ",".join(cli.METHODS), "--iterations", "2",
                  "--out-dir", str(tmp_path / "bench")]) == 0

@@ -46,6 +46,25 @@ class TestSsim:
         b = image(prng.random((16, 16)))
         assert abs(ssim(a, b)) <= 1.0
 
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 32), (64, 64), (128, 128)])
+    def test_matches_tensordot_window_means_bit_for_bit(self, rng, shape):
+        """The shared window buffer changes no bit of the score: each mean is
+        the same GEMV over the same rows as `np.tensordot` of the windows."""
+        a, b = rng.random(shape), rng.random(shape) ** 3
+        w = DEFAULT_SSIM.window()
+
+        def means(x):
+            view = np.lib.stride_tricks.sliding_window_view(x, w.shape)
+            return np.tensordot(view, w, axes=([2, 3], [0, 1]))
+
+        mu_a, mu_b = means(a), means(b)
+        cov = means(a * b) - mu_a * mu_b
+        var_a, var_b = means(a * a) - mu_a**2, means(b * b) - mu_b**2
+        c1, c2 = 0.01**2, 0.03**2
+        num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+        den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        assert ssim(image(a), image(b)) == float(np.mean(num / den))
+
     def test_window_normalized(self):
         params = SsimParams()
         assert params.window().sum() == pytest.approx(1.0, abs=1e-12)

@@ -7,12 +7,7 @@ from scipy.signal import correlate
 from singlepixel.errors import ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import measure
-from singlepixel.network import (
-    DEFAULT_PLAN,
-    GeneratorNet,
-    conv3x3,
-    conv3x3_input_grad,
-)
+from singlepixel.network import DEFAULT_PLAN, GeneratorNet, _Im2col
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.prior import AdamState, loss_and_gradient, prepare_prior_input
 from singlepixel.propagation import PropagationSpec
@@ -87,6 +82,21 @@ class TestNetworkGradients:
                 assert abs(an - fd) / max(abs(an), abs(fd)) < 1e-6
 
 
+def generator_conv(x, kernel):
+    """The convolution of `GeneratorNet.forward`: im2col columns and one GEMM."""
+    c, h, w = x.shape
+    im2col = _Im2col(c, h, w)
+    im2col.interior[...] = x
+    return (kernel.reshape(len(kernel), -1) @ im2col.columns()).reshape(-1, h, w)
+
+
+def generator_input_grad(g, kernel):
+    """The input gradient of `GeneratorNet.backward`, through a float64 net."""
+    c_out, h, w = g.shape
+    net = GeneratorNet(plan=(1, 1))
+    return net._input_grad(g.reshape(c_out, -1), kernel, h, w).reshape(-1, h, w)
+
+
 class TestConvolution:
     @settings(max_examples=40, deadline=None)
     @given(c_in=st.integers(1, 4), c_out=st.integers(1, 4), h=st.integers(1, 9),
@@ -99,7 +109,7 @@ class TestConvolution:
             sum(correlate(x[i], kernel[o, i], mode="same", method="direct") for i in range(c_in))
             for o in range(c_out)
         ])
-        out = conv3x3(x, kernel)
+        out = generator_conv(x, kernel)
         assert out.shape == (c_out, h, w)
         assert np.abs(out - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
@@ -107,14 +117,14 @@ class TestConvolution:
     @given(c_in=st.integers(1, 5), c_out=st.integers(1, 5), h=st.integers(1, 12),
            w=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_input_gradient_is_the_adjoint(self, c_in, c_out, h, w, seed):
-        # <conv(x), g> = <x, conv_input_grad(g)> for every x and g
+        # <conv(x), g> = <x, input_grad(g)> for every x and g
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((c_in, h, w))
         g = rng.standard_normal((c_out, h, w))
         kernel = rng.standard_normal((c_out, c_in, 3, 3))
-        lhs = float(np.vdot(conv3x3(x, kernel), g))
-        rhs = float(np.vdot(x, conv3x3_input_grad(g, kernel)))
-        scale = np.abs(conv3x3(x, kernel)).sum() * np.abs(g).max()
+        lhs = float(np.vdot(generator_conv(x, kernel), g))
+        rhs = float(np.vdot(x, generator_input_grad(g, kernel)))
+        scale = np.abs(generator_conv(x, kernel)).sum() * np.abs(g).max()
         assert abs(lhs - rhs) <= 1e-12 * scale
 
 
