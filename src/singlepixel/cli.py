@@ -86,6 +86,11 @@ def _check_iterations(iterations: int) -> None:
         raise SinglePixelError(f"iterations must be >= 1, got {iterations}")
 
 
+def _check_cr(cr: float) -> None:
+    if not 0 < cr <= 1:  # also rejects nan
+        raise SinglePixelError(f"compression ratio {cr} outside (0, 1]")
+
+
 def _atomic_write(path, writer) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -187,6 +192,8 @@ def run_reconstruct(
     _check_method(method)
     if iterations is not None:
         _check_iterations(iterations)
+    if cr is not None:
+        _check_cr(cr)
     os.makedirs(out_dir, exist_ok=True)
     meas = read_measurement_csv(meas_path)
     pattern_set = load_patterns(patterns_path, modulation_depth=scene.modulation_depth)
@@ -274,8 +281,7 @@ def run_benchmark(
     if repeats < 1:
         raise SinglePixelError("repeats must be >= 1")
     for cr in cr_list:
-        if not 0 < cr <= 1:
-            raise SinglePixelError(f"compression ratio {cr} outside (0, 1]")
+        _check_cr(cr)
     for noise_sigma in noise_levels:
         if not 0 <= noise_sigma < np.inf:  # the cell seed needs a finite sigma
             raise SinglePixelError(f"noise sigma {noise_sigma} is not finite and >= 0")
@@ -424,6 +430,7 @@ def main(argv=None) -> int:
         elif args.command == "patterns":
             count = args.count
             if count is None:
+                _check_cr(args.cr)
                 count = max(1, int(round(args.cr * args.order * args.order)))
             pattern_set = walsh_hadamard_patterns(args.order, count, ordering=args.ordering)
             _atomic_write(args.out, lambda p: save_patterns(p, pattern_set))

@@ -76,8 +76,8 @@ def measure(
     The noise RNG is split per pattern index from the seed, so readings are
     reproducible bit-for-bit and independent of evaluation order.
     """
-    if noise_sigma < 0:
-        raise ParameterError(f"noise sigma must be nonnegative, got {noise_sigma}")
+    if not 0 <= noise_sigma < np.inf:
+        raise ParameterError(f"noise sigma {noise_sigma} is not finite and >= 0")
     m = pattern_set.modulation_depth
     readings = m * project(pattern_set, block_pool(diffracted.values, pattern_set.order))
     if noise_sigma > 0:

@@ -29,6 +29,7 @@ _ORDERING_NAMES = {v: k for k, v in _ORDERING_CODES.items()}
 
 _PATTERN_MAGIC = b"SPIP"
 _PATTERN_VERSION = 1
+_CHECK_BLOCK_BYTES = 1 << 20  # payload bytes `load_patterns` checks at a time
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
@@ -289,9 +290,11 @@ def save_patterns(path, pattern_set: PatternSet) -> None:
 def load_patterns(path, modulation_depth: float = 0.9) -> PatternSet:
     """Read a SPIP pattern file and recover the Hadamard row selection.
 
-    Entry 2^k of row r of H_N is -1 exactly when bit k of r is set, so those
-    log2(N) entries of a stored mask name its row.  The mask is accepted
-    only if every byte equals that row, derived afresh.
+    Mask r1*n + r0 is outer(H_n[r1], H_n[r0]), so its row 0 is H_n[r0] and
+    its column 0 is H_n[r1]; entry 2^k of H_n[r] is -1 exactly when bit k of
+    r is set, which names r0 and r1.  The payload is checked in blocks of
+    about 1 MiB: first that every byte is +/-1, then that every mask equals
+    the row it names, derived afresh.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -313,22 +316,26 @@ def load_patterns(path, modulation_depth: float = 0.9) -> PatternSet:
             f"expected {count * n_pixels}"
         )
     body = np.frombuffer(data, dtype=np.int8, offset=head_size)
-    bad = np.flatnonzero(np.abs(body) != 1)
-    if bad.size:
-        raise FormatError(f"mask byte not +1/-1 at byte {head_size + int(bad[0])}")
+    for start in range(0, body.size, _CHECK_BLOCK_BYTES):
+        bad = np.flatnonzero(np.abs(body[start : start + _CHECK_BLOCK_BYTES]) != 1)
+        if bad.size:
+            raise FormatError(f"mask byte not +1/-1 at byte {head_size + start + int(bad[0])}")
     _check_order(order)
-    masks = body.reshape(count, n_pixels)
-    bits = np.arange(n_pixels.bit_length() - 1, dtype=np.int64)
-    selection = ((masks[:, 1 << bits] < 0) << bits).sum(axis=1, dtype=np.int64)
-    wrong = np.flatnonzero(
-        np.any(masks != _hadamard_masks(order, selection).reshape(count, n_pixels), axis=1)
-    )
-    if wrong.size:
-        k = int(wrong[0])
-        raise FormatError(
-            f"mask {k} (starting at byte {head_size + k * n_pixels}) "
-            "is not a Walsh-Hadamard row"
-        )
+    masks = body.reshape(count, order, order)
+    bits = np.arange(order.bit_length() - 1, dtype=np.int64)
+    r1 = ((masks[:, 1 << bits, 0] < 0) << bits).sum(axis=1, dtype=np.int64)
+    r0 = ((masks[:, 0, 1 << bits] < 0) << bits).sum(axis=1, dtype=np.int64)
+    selection = r1 * order + r0
+    step = max(1, _CHECK_BLOCK_BYTES // n_pixels)
+    for first in range(0, count, step):
+        derived = _hadamard_masks(order, selection[first : first + step])
+        wrong = np.flatnonzero(np.any(masks[first : first + step] != derived, axis=(1, 2)))
+        if wrong.size:
+            k = first + int(wrong[0])
+            raise FormatError(
+                f"mask {k} (starting at byte {head_size + k * n_pixels}) "
+                "is not a Walsh-Hadamard row"
+            )
 
     return PatternSet(
         order=order,

@@ -56,8 +56,8 @@ class SceneSpec:
             raise ParameterError("bitmap object needs bitmap_path")
         if not 0.0 < self.modulation_depth <= 1.0:
             raise ParameterError("modulation_depth must lie in (0, 1]")
-        if self.noise_sigma < 0:
-            raise ParameterError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ParameterError(f"noise sigma {self.noise_sigma} is not finite and >= 0")
 
     @property
     def pitch(self) -> float:

@@ -448,3 +448,37 @@ def test_non_positive_iterations_exit_3(workspace, capsys, iterations):
                      "--iterations", iterations, "--out-dir", str(bench_dir)]) == 3
         assert not (bench_dir / "benchmark.csv").exists()
         assert "iterations must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cr", ["nan", "inf", "0", "-0.5"])
+def test_cr_outside_unit_interval_exits_3(workspace, capsys, cr):
+    """`--cr` outside (0, 1] is rejected by `reconstruct` and `patterns`
+    before any rounding, and neither command writes an output file."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    out_dir = tmp_path / "rec"
+    assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                 "--patterns", str(patterns), "--scene", str(scene), "--method", "hspi",
+                 "--cr", cr, "--out-dir", str(out_dir)]) == 3
+    assert f"compression ratio {float(cr)} outside (0, 1]" in capsys.readouterr().err
+    assert not out_dir.exists()
+    out = tmp_path / "p.spip"
+    assert main(["patterns", "--order", "8", "--cr", cr, "--out", str(out)]) == 3
+    assert f"compression ratio {float(cr)} outside (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
+@pytest.mark.parametrize("where", ["flag", "scene"])
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_simulate_non_finite_noise_sigma_exits_3(workspace, capsys, where, sigma):
+    tmp_path, scene, patterns = workspace
+    args = ["simulate", "--scene", str(scene), "--patterns", str(patterns),
+            "--out-dir", str(tmp_path / "sim")]
+    if where == "flag":
+        args += ["--noise-sigma", sigma]
+    else:
+        scene.write_text(SCENE.replace("noise_sigma = 0.1", f"noise_sigma = {sigma}"))
+    assert main(args) == 3
+    assert f"noise sigma {float(sigma)} is not finite and >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "sim" / "measurement.csv").exists()

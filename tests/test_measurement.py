@@ -92,6 +92,12 @@ class TestMeasure:
         with pytest.raises(ParameterError):
             measure(image(np.zeros((4, 4))), pset, noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        pset = walsh_hadamard_patterns(4, 4)
+        with pytest.raises(ParameterError, match="is not finite and >= 0"):
+            measure(image(np.zeros((4, 4))), pset, noise_sigma=sigma)
+
 
 class TestPatternTotalIntensity:
     """The pattern sums S_i that DGI's background correction reads."""

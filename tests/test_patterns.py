@@ -2,6 +2,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -427,3 +428,41 @@ class TestIndexDescriptor:
         path.write_bytes(struct.pack("<4sHIIB", b"SPIP", 1, 65536, 0, 0))
         pset = load_patterns(path)
         assert (pset.order, pset.count) == (65536, 0)
+
+
+class TestBlockwiseFileChecks:
+    """A 128 px file of 256 masks is checked in 4 blocks of 64 masks; a fault
+    in the last block is reported as if the payload were checked at once."""
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("spip") / "p.spip"
+        save_patterns(path, walsh_hadamard_patterns(128, 256))
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("fault,message", [
+        ("bad byte", "mask byte not +1/-1 at byte 4194318"),
+        ("sign flip", "mask 255 (starting at byte 4177935) is not a Walsh-Hadamard row"),
+    ])
+    def test_fault_in_the_last_mask_reports_its_offset(self, tmp_path, blob, fault, message):
+        corrupt = bytearray(blob)
+        last = len(blob) - 1  # byte 4194318; mask 255 starts at 15 + 255 * 16384 = 4177935
+        corrupt[last] = 0x03 if fault == "bad byte" else -corrupt[last] & 0xFF
+        path = tmp_path / "corrupt.spip"
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError) as err:
+            load_patterns(path)
+        assert str(err.value) == message
+
+    def test_load_peaks_at_most_4_mib_above_the_file(self, tmp_path, blob):
+        path = tmp_path / "p.spip"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            pset = load_patterns(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pset.count == 256
+        assert peak - entry <= len(blob) + 4 * 2**20
