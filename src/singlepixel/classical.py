@@ -15,17 +15,17 @@ import numpy as np
 
 from .errors import NumericalError, ParameterError
 from .field import IntensityImage
-from .measurement import Measurement, check_compatible
-from .patterns import PatternSet, pattern_sums, project, synthesize
+from .measurement import Measurement, check_compatible, encode, encode_adjoint
+from .patterns import PatternSet, pattern_sums, synthesize
 from .tvreg import tv_anisotropic, tv_prox
 
 
 @dataclass(frozen=True)
 class ReconResult:
     image: IntensityImage
-    iterations_used: int
-    residual_history: tuple
     raw: np.ndarray
+    iterations_used: int = 0
+    residual_history: tuple = ()
 
 
 def _to_unit_image(raw: np.ndarray, pitch: float) -> IntensityImage:
@@ -60,12 +60,7 @@ def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 
     """
     check_compatible(meas, pattern_set)
     raw = synthesize(pattern_set, meas.readings) / pattern_set.pixels
-    return ReconResult(
-        image=_clip_unit_image(raw, pitch),
-        iterations_used=0,
-        residual_history=(),
-        raw=raw,
-    )
+    return ReconResult(image=_clip_unit_image(raw, pitch), raw=raw)
 
 
 def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 1.0) -> ReconResult:
@@ -101,12 +96,7 @@ def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 1
         normalized = readings - correction
     weights = (normalized - normalized.mean()) / m_count
     raw = synthesize(pattern_set, weights)
-    return ReconResult(
-        image=_to_unit_image(raw, pitch),
-        iterations_used=0,
-        residual_history=(),
-        raw=raw,
-    )
+    return ReconResult(image=_to_unit_image(raw, pitch), raw=raw)
 
 
 def cstv_reconstruct(
@@ -118,7 +108,7 @@ def cstv_reconstruct(
 ) -> ReconResult:
     """argmin_O 0.5*||I - A O||^2 + tv_weight * TV(O), O >= 0.
 
-    A is the modulation-scaled pattern-integration operator.  Solved with
+    A is `encode`, the modulation-scaled pattern integration.  Solved with
     proximal gradient + FISTA acceleration in its monotone variant (a trial
     iterate that raises the objective is rejected, so the recorded objective
     never increases); the TV proximal map uses 10 inner dual iterations.
@@ -131,16 +121,15 @@ def cstv_reconstruct(
         raise ParameterError("max_iters must be >= 1")
     if tv_weight is None:
         tv_weight = 1e-3 * float(np.abs(meas.readings).max())
-    if tv_weight < 0:
-        raise ParameterError("tv_weight must be nonnegative")
+    if not 0 <= tv_weight < np.inf:
+        raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
 
     n = pattern_set.order
     depth = pattern_set.modulation_depth
-    readings = meas.readings
     step = 1.0 / (depth * depth * pattern_set.pixels)
 
     def residual(x: np.ndarray) -> np.ndarray:
-        return depth * project(pattern_set, x) - readings
+        return encode(x, pattern_set) - meas.readings
 
     def objective(x: np.ndarray) -> float:
         r = residual(x)
@@ -153,7 +142,7 @@ def cstv_reconstruct(
     f_init = max(f_x, 1e-300)
     history = []
     for _ in range(max_iters):
-        grad = depth * synthesize(pattern_set, residual(y))
+        grad = encode_adjoint(residual(y), pattern_set, (n, n))
         z = tv_prox(y - step * grad, tv_weight * step, iterations=10)
         np.maximum(z, 0.0, out=z)
         f_z = objective(z)

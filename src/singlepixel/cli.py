@@ -11,16 +11,18 @@ import argparse
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .classical import cstv_reconstruct, dgi_reconstruct, hspi_reconstruct
 from .errors import ConsistencyError, NumericalError, SinglePixelError
-from .field import ComplexField, IntensityImage, intensity, normalize
+from .field import IntensityImage, normalize
 from .measurement import (
     Measurement,
     block_pool,
+    diffract,
     measure,
     read_measurement_csv,
     write_measurement_csv,
@@ -34,7 +36,7 @@ from .patterns import (
 )
 from .pgm import read_pgm, write_pgm
 from .prior import DEFAULT_ITERATIONS, DEFAULT_TV_WEIGHT, reconstruct_untrained
-from .propagation import PropagationSpec, propagate
+from .propagation import PropagationSpec
 from .scenes import SceneSpec, build_scene, load_scene, parse_length
 
 
@@ -116,10 +118,7 @@ def _write_csv(path, lines) -> None:
 def diffract_scene(spec: SceneSpec):
     """Object mask and its propagated intensity at the recording plane."""
     obj = build_scene(spec)
-    fld = ComplexField(values=np.sqrt(obj.values).astype(np.complex128), pitch=spec.pitch)
-    prop = PropagationSpec(wavelength=spec.wavelength, distance=spec.distance)
-    diffracted = intensity(propagate(fld, prop))
-    return obj, diffracted
+    return obj, diffract(obj, PropagationSpec(wavelength=spec.wavelength, distance=spec.distance))
 
 
 def full_sample_reference(diffracted: IntensityImage, order: int) -> IntensityImage:
@@ -164,14 +163,7 @@ def _truncate(meas: Measurement, pattern_set: PatternSet, cr: float | None):
             f"cr={cr} needs {count} patterns; have {pattern_set.count} patterns "
             f"and {meas.count} readings"
         )
-    truncated = Measurement(
-        readings=meas.readings[:count],
-        pattern_ref=meas.pattern_ref,
-        noise_sigma=meas.noise_sigma,
-        seed=meas.seed,
-        differential=meas.differential,
-    )
-    return truncated, pattern_set.subset(count)
+    return replace(meas, readings=meas.readings[:count]), pattern_set.subset(count)
 
 
 def run_reconstruct(

@@ -35,6 +35,7 @@ class NumericalError(SinglePixelError, RuntimeError):
     """An iterative computation produced non-finite values or diverged."""
 
     def __init__(self, message: str, stage: str | None = None, iteration: int | None = None):
+        self.message = message  # undecorated, so a caller can add the iteration
         if stage is not None:
             message = f"{message} (stage: {stage})"
         if iteration is not None:

@@ -1,15 +1,18 @@
 """Single-pixel forward model: diffract, encode, integrate, add noise.
 
-A differential reading subtracts the bucket signals of the two complementary
-binary half-masks of one +/-1 pattern.  Because the pumped (blocked) regions
-for the positive half are exactly the -1 cells and vice versa, the two-mask
-algebra collapses to
+`diffract` carries an object-plane intensity O to the modulator as the
+diffraction image O_d = |propagate(sqrt(O))|^2, and `diffract_vjp` adds its
+reverse mode.  A differential reading subtracts the bucket signals of the
+two complementary binary half-masks of one +/-1 pattern.  Because the pumped
+(blocked) regions for the positive half are exactly the -1 cells and vice
+versa, the two-mask algebra collapses to
 
     I_i = m * <P_i, O_d>  +  (eta_i_plus - eta_i_minus)
 
-which is how the readings are computed here: one fast Walsh-Hadamard
-transform of the (block-pooled) diffraction image yields every <P_i, O_d> at
-once.  eta are independent zero-mean Gaussian draws per half-measurement.
+which is how the readings are computed here (`encode`, with its adjoint
+`encode_adjoint`): one fast Walsh-Hadamard transform of the (block-pooled)
+diffraction image yields every <P_i, O_d> at once.  eta are independent
+zero-mean Gaussian draws per half-measurement.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, FormatError, ParameterError, read_text
-from .field import IntensityImage
-from .patterns import PatternSet, project
+from .field import ComplexField, IntensityImage, intensity
+from .patterns import PatternSet, project, synthesize
+from .propagation import PropagationSpec, propagate, transfer_gradient
 
 
 @dataclass(frozen=True)
@@ -31,7 +35,6 @@ class Measurement:
     pattern_ref: str
     noise_sigma: float
     seed: int
-    differential: bool = True
 
     def __post_init__(self):
         r = np.asarray(self.readings, dtype=np.float64)
@@ -47,6 +50,31 @@ class Measurement:
         return self.readings.shape[0]
 
 
+def diffract_vjp(values: np.ndarray, pitch: float, prop: PropagationSpec):
+    """Diffraction image O_d of an object-plane intensity O, and the
+    pullback that maps g = dL/dO_d to dL/dO.
+
+    Through the complex stages the pullback carries c = dL/d(conj E): the
+    intensity stage gives c_d = g * E_d, the propagation maps it through its
+    adjoint (`transfer_gradient`), and the zero-phase amplitude sqrt(O) lands
+    on the real gradient Re(c_0) / sqrt(O).  That needs O > 0; the floor only
+    guards float underflow.
+    """
+    amp = np.sqrt(values)
+    field_d = propagate(ComplexField(values=amp.astype(np.complex128), pitch=pitch), prop)
+
+    def pullback(g: np.ndarray) -> np.ndarray:
+        cotangent_0 = transfer_gradient(field_d.with_values(g * field_d.values), prop)
+        return cotangent_0.values.real / np.maximum(amp, 1e-200)
+
+    return intensity(field_d).values, pullback
+
+
+def diffract(obj: IntensityImage, prop: PropagationSpec) -> IntensityImage:
+    """Intensity that an object-plane intensity casts on the recording plane."""
+    return obj.with_values(diffract_vjp(obj.values, obj.pitch, prop)[0])
+
+
 def block_pool(values: np.ndarray, order: int) -> np.ndarray:
     """Sum image pixels over the integer blocks covered by each pattern cell."""
     h, w = values.shape
@@ -56,6 +84,32 @@ def block_pool(values: np.ndarray, order: int) -> np.ndarray:
     if b == 1:
         return values
     return values.reshape(order, b, order, b).sum(axis=(1, 3))
+
+
+def upsample_mask(mask: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Replicate pattern cells into integer blocks of image pixels (the
+    adjoint of `block_pool`)."""
+    mh, mw = mask.shape
+    if height % mh or width % mw or height // mh != width // mw:
+        raise DimensionError(
+            f"mask {mh}x{mw} does not tile image {height}x{width} by an integer factor"
+        )
+    b = height // mh
+    if b == 1:
+        return mask
+    return np.repeat(np.repeat(mask, b, axis=0), b, axis=1)
+
+
+def encode(values: np.ndarray, pattern_set: PatternSet) -> np.ndarray:
+    """Noiseless readings m * <P_i, block_pool(values)> of an image grid."""
+    pooled = block_pool(values, pattern_set.order)
+    return pattern_set.modulation_depth * project(pattern_set, pooled)
+
+
+def encode_adjoint(weights: np.ndarray, pattern_set: PatternSet, shape) -> np.ndarray:
+    """Adjoint of `encode` on a grid of `shape`: m * sum_i w_i P_i, each
+    pattern cell replicated over its block of pixels."""
+    return upsample_mask(pattern_set.modulation_depth * synthesize(pattern_set, weights), *shape)
 
 
 def check_compatible(meas: Measurement, pattern_set: PatternSet) -> None:
@@ -78,8 +132,7 @@ def measure(
     """
     if not 0 <= noise_sigma < np.inf:
         raise ParameterError(f"noise sigma {noise_sigma} is not finite and >= 0")
-    m = pattern_set.modulation_depth
-    readings = m * project(pattern_set, block_pool(diffracted.values, pattern_set.order))
+    readings = encode(diffracted.values, pattern_set)
     if noise_sigma > 0:
         children = np.random.SeedSequence(seed).spawn(pattern_set.count)
         noise = np.empty(pattern_set.count)
@@ -99,7 +152,7 @@ def write_measurement_csv(path, meas: Measurement) -> None:
     """CSV with a leading comment recording the acquisition metadata."""
     lines = [
         f"# noise_sigma={meas.noise_sigma!r} seed={meas.seed} "
-        f"differential={str(meas.differential).lower()} pattern_ref={meas.pattern_ref}",
+        f"differential=true pattern_ref={meas.pattern_ref}",
         "index,reading",
     ]
     lines.extend(f"{i},{float(v)!r}" for i, v in enumerate(meas.readings))
@@ -110,7 +163,6 @@ def write_measurement_csv(path, meas: Measurement) -> None:
 def read_measurement_csv(path) -> Measurement:
     noise_sigma = 0.0
     seed = 0
-    differential = True
     pattern_ref = ""
     readings = []
     lines = read_text(path).splitlines()
@@ -126,12 +178,12 @@ def read_measurement_csv(path) -> Measurement:
                         noise_sigma = float(val)
                     elif key == "seed":
                         seed = int(val)
+                    elif key == "differential" and val != "true":  # readings are differential only
+                        raise ValueError(val)
+                    elif key == "pattern_ref":
+                        pattern_ref = val
                 except ValueError:
                     raise FormatError(f"bad {key} {val!r} in the header of {path}") from None
-                if key == "differential":
-                    differential = val == "true"
-                elif key == "pattern_ref":
-                    pattern_ref = val
         elif ln.strip():
             body.append(ln)
     if not body or body[0].strip() != "index,reading":
@@ -152,5 +204,4 @@ def read_measurement_csv(path) -> Measurement:
         pattern_ref=pattern_ref,
         noise_sigma=noise_sigma,
         seed=seed,
-        differential=differential,
     )

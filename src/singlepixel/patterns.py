@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 
 NATURAL = "natural"
 SEQUENCY = "sequency"
@@ -195,12 +195,7 @@ class PatternSet:
             raise ParameterError(f"subset size {count} outside [1, {self.count}]")
         if count == self.count:
             return self
-        return PatternSet(
-            order=self.order,
-            selection=self.selection[:count],
-            ordering=self.ordering,
-            modulation_depth=self.modulation_depth,
-        )
+        return replace(self, selection=self.selection[:count])
 
 
 def project(pattern_set: PatternSet, grid: np.ndarray) -> np.ndarray:
@@ -253,19 +248,6 @@ def walsh_hadamard_patterns(
         ordering=ordering,
         modulation_depth=modulation_depth,
     )
-
-
-def upsample_mask(mask: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Replicate pattern cells into integer blocks of image pixels."""
-    mh, mw = mask.shape
-    if height % mh or width % mw or height // mh != width // mw:
-        raise DimensionError(
-            f"mask {mh}x{mw} does not tile image {height}x{width} by an integer factor"
-        )
-    b = height // mh
-    if b == 1:
-        return mask
-    return np.repeat(np.repeat(mask, b, axis=0), b, axis=1)
 
 
 def save_patterns(path, pattern_set: PatternSet) -> None:

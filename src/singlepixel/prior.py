@@ -1,17 +1,14 @@
 """Untrained-generator reconstruction against the physics forward model.
 
 The generator output O_0 is treated as an object-plane intensity; the loss
-chains it through sqrt (zero-phase amplitude), angular-spectrum propagation,
-|.|^2, and the differential pattern integration, and compares with the
-measured readings:
+chains it through the forward model of `measurement` (zero-phase diffraction
+to the modulator, then the differential pattern integration) and compares
+with the measured readings:
 
     L(theta) = || I - Ihat(theta) ||^2 + tv_weight * TV(O_0)
 
-The gradient is exact reverse mode.  For the complex stages the cotangent
-carried backward is c = dL/d(conj E); the intensity stage gives c_d = g * E_d,
-the linear propagation stage maps it through the operator adjoint
-(transfer_gradient), and the zero-phase amplitude stage lands back on the
-real gradient Re(c_0)/sqrt(O_0).
+The gradient is exact reverse mode: `encode_adjoint`, then the pullback of
+`diffract_vjp`, then the net's backward pass.
 """
 
 from __future__ import annotations
@@ -21,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import ReconResult, dgi_reconstruct
-from .errors import DimensionError, NumericalError, ParameterError
-from .field import ComplexField, IntensityImage
-from .measurement import Measurement, block_pool, check_compatible
+from .errors import NumericalError, ParameterError
+from .field import IntensityImage
+from .measurement import Measurement, check_compatible, diffract_vjp, encode, encode_adjoint
 from .network import GeneratorNet
-from .patterns import PatternSet, project, synthesize, upsample_mask
-from .propagation import PropagationSpec, propagate, transfer_gradient
+from .patterns import PatternSet
+from .propagation import PropagationSpec
 from .tvreg import tv_anisotropic, tv_subgradient
 
 DEFAULT_TV_WEIGHT = 1e-10
@@ -83,40 +80,22 @@ def loss_and_gradient(
 ):
     """Physics-chain loss and its exact gradient w.r.t. every net parameter."""
     check_compatible(meas, pattern_set)
-    if tv_weight < 0:
-        raise ParameterError("tv_weight must be nonnegative")
-    height, width = input_image.height, input_image.width
-    if height % pattern_set.order or width % pattern_set.order:
-        raise DimensionError("input grid must be an integer replication of the pattern order")
+    if not 0 <= tv_weight < np.inf:
+        raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
 
     output, cache = net.forward(input_image.values, want_cache=True)
     if not np.all(np.isfinite(output)):
         raise NumericalError("non-finite generator output", stage="generate")
 
-    amp = np.sqrt(output)
-    field_0 = ComplexField(values=amp.astype(np.complex128), pitch=input_image.pitch)
-    field_d = propagate(field_0, prop)
-    diffracted = field_d.values.real**2 + field_d.values.imag**2
-
-    depth = pattern_set.modulation_depth
-    predicted = depth * project(pattern_set, block_pool(diffracted, pattern_set.order))
-    residual = predicted - meas.readings
+    diffracted, pullback = diffract_vjp(output, input_image.pitch, prop)
+    residual = encode(diffracted, pattern_set) - meas.readings
     data_loss = float(residual @ residual)
     loss = data_loss + tv_weight * tv_anisotropic(output)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss", stage="loss")
 
-    # Reverse pass.  Pattern integration is linear: its adjoint scatters the
-    # residual back through the FWHT and replicates over pooled blocks.
-    g_pooled = depth * synthesize(pattern_set, 2.0 * residual)
-    g_diffracted = upsample_mask(g_pooled, height, width)
-
-    cotangent_d = ComplexField(values=g_diffracted * field_d.values, pitch=input_image.pitch)
-    cotangent_0 = transfer_gradient(cotangent_d, prop)
-
-    # d|E|^2 through E = sqrt(O): dL/dO = Re(c_0)/sqrt(O).  The sigmoid keeps
-    # O strictly positive; the floor only guards float underflow.
-    g_output = cotangent_0.values.real / np.maximum(amp, 1e-200)
+    # The sigmoid keeps O strictly positive, so the pullback through sqrt(O) holds.
+    g_output = pullback(encode_adjoint(2.0 * residual, pattern_set, output.shape))
     if tv_weight > 0:
         g_output = g_output + tv_weight * tv_subgradient(output)
 
@@ -156,6 +135,8 @@ def reconstruct_untrained(
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
+    if not 0 <= tv_weight < np.inf:
+        raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
     input_image = prepare_prior_input(meas, pattern_set, pitch)
     if net is None:
         net = GeneratorNet(seed=seed, dtype=np.float32)
@@ -165,7 +146,7 @@ def reconstruct_untrained(
         try:
             loss, grads = loss_and_gradient(net, input_image, meas, pattern_set, prop, tv_weight)
         except NumericalError as err:
-            raise NumericalError(str(err), stage=err.stage, iteration=it) from err
+            raise NumericalError(err.message, stage=err.stage, iteration=it) from err
         adam.update(net.params, grads)
         history.append(loss)
     final = generate(net, input_image)

@@ -11,7 +11,7 @@ import pytest
 
 from singlepixel.errors import ParameterError
 from singlepixel.field import ComplexField, IntensityImage
-from singlepixel.patterns import upsample_mask
+from singlepixel.measurement import upsample_mask
 
 
 @pytest.fixture

@@ -7,10 +7,10 @@ from singlepixel.classical import (
     hspi_reconstruct,
 )
 from singlepixel.errors import ParameterError
-from singlepixel.field import ComplexField, IntensityImage, intensity
-from singlepixel.measurement import Measurement, measure
+from singlepixel.field import IntensityImage
+from singlepixel.measurement import Measurement, diffract, measure
 from singlepixel.patterns import walsh_hadamard_patterns
-from singlepixel.propagation import PropagationSpec, propagate
+from singlepixel.propagation import PropagationSpec
 
 
 def image(values, pitch=1e-4):
@@ -121,8 +121,7 @@ class TestDgi:
         pset = walsh_hadamard_patterns(n, n * n)
         obj = image(rng.random((n, n)), pitch=2e-4)
         prop = PropagationSpec(wavelength=833.3e-6, distance=0.4e-3)
-        fld = ComplexField(values=np.sqrt(obj.values).astype(complex), pitch=obj.pitch)
-        diffracted = intensity(propagate(fld, prop))
+        diffracted = diffract(obj, prop)
         meas = measure(diffracted, pset)
         result = dgi_reconstruct(meas, pset)
         oracle = dgi_oracle(pset, meas.readings)

@@ -482,3 +482,35 @@ def test_simulate_non_finite_noise_sigma_exits_3(workspace, capsys, where, sigma
     assert main(args) == 3
     assert f"noise sigma {float(sigma)} is not finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "sim" / "measurement.csv").exists()
+
+
+@pytest.mark.parametrize("method", ["cstv", "untrained"])
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_non_finite_tv_weight_exits_3(workspace, capsys, monkeypatch, method, weight):
+    """A non-finite `--tv-weight` is a parameter error, raised before the
+    solver iterates and, for the generator, before a net is built."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+
+    def no_net(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr(singlepixel.prior, "GeneratorNet", no_net)
+    out_dir = tmp_path / "rec"
+    assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                 "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                 "--iterations", "3", "--tv-weight", weight, "--out-dir", str(out_dir)]) == 3
+    assert f"error: tv_weight {float(weight)} is not finite and >= 0" in capsys.readouterr().err
+    assert not list(out_dir.glob("recon_*.pgm"))
+
+
+@pytest.mark.parametrize("key", ["fov", "wavelength", "distance", "slit_height"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_non_finite_scene_length_names_the_key(workspace, capsys, key, value):
+    tmp_path, scene, patterns = workspace
+    lines = [ln for ln in SCENE.splitlines() if not ln.startswith(f"{key} =")]
+    scene.write_text("\n".join(lines) + f"\n{key} = {value}mm\n")
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    assert f"error: invalid scene: {key} {float(value)} outside (" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()

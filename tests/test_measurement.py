@@ -3,8 +3,17 @@ import pytest
 
 from singlepixel.errors import ConsistencyError, FormatError, ParameterError
 from singlepixel.field import IntensityImage
-from singlepixel.measurement import measure, read_measurement_csv, write_measurement_csv
+from singlepixel.measurement import (
+    diffract,
+    diffract_vjp,
+    encode,
+    encode_adjoint,
+    measure,
+    read_measurement_csv,
+    write_measurement_csv,
+)
 from singlepixel.patterns import pattern_sums, walsh_hadamard_patterns
+from singlepixel.propagation import PropagationSpec
 
 from conftest import apply_mask, positive_negative_split
 
@@ -99,6 +108,36 @@ class TestMeasure:
             measure(image(np.zeros((4, 4))), pset, noise_sigma=sigma)
 
 
+class TestDiffraction:
+    @pytest.mark.parametrize("distance", [0.5e-3, -0.4e-3])
+    def test_pullback_matches_central_difference(self, rng, distance):
+        """<pullback(encode_adjoint(w)), v> is the directional derivative of
+        <w, encode(diffract(O))> along v, forward and back-propagating, with
+        the 16 px image pooled onto an order-8 pattern grid."""
+        pitch = 10.5e-3 / 64
+        pset = walsh_hadamard_patterns(8, 40, modulation_depth=0.8)
+        prop = PropagationSpec(wavelength=833.3e-6, distance=distance)
+        obj = 0.2 + rng.random((16, 16))
+        weights = rng.standard_normal(pset.count)
+        direction = rng.standard_normal((16, 16))
+
+        def functional(values):
+            return encode(diffract_vjp(values, pitch, prop)[0], pset) @ weights
+
+        _, pullback = diffract_vjp(obj, pitch, prop)
+        analytic = np.sum(pullback(encode_adjoint(weights, pset, obj.shape)) * direction)
+        step = 1e-6
+        fd = (functional(obj + step * direction) - functional(obj - step * direction)) / (2 * step)
+        assert analytic == pytest.approx(fd, rel=1e-6)
+
+    def test_diffract_is_the_forward_pass_of_diffract_vjp(self, rng):
+        obj = image(rng.random((16, 16)), pitch=2e-4)
+        prop = PropagationSpec(wavelength=833.3e-6, distance=0.4e-3)
+        out = diffract(obj, prop)
+        assert out.pitch == obj.pitch
+        assert np.array_equal(out.values, diffract_vjp(obj.values, obj.pitch, prop)[0])
+
+
 class TestPatternTotalIntensity:
     """The pattern sums S_i that DGI's background correction reads."""
 
@@ -128,6 +167,7 @@ class TestMeasurementCsv:
         assert loaded.noise_sigma == meas.noise_sigma
         assert loaded.seed == meas.seed
         assert loaded.pattern_ref == meas.pattern_ref
+        assert " differential=true " in path.read_text()
 
     def test_write_is_deterministic(self, tmp_path, rng):
         pset = walsh_hadamard_patterns(4, 16)
@@ -148,6 +188,7 @@ class TestMeasurementCsv:
         ("index,reading\n0,abc\n", "row 0"),
         ("# noise_sigma=abc seed=0\nindex,reading\n0,1.0\n", "noise_sigma"),
         ("# noise_sigma=0.1 seed=1.5\nindex,reading\n0,1.0\n", "seed"),
+        ("# differential=false\nindex,reading\n0,1.0\n", "bad differential 'false'"),
     ])
     def test_non_numeric_field_rejected(self, tmp_path, text, match):
         path = tmp_path / "bad.csv"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from singlepixel.classical import cstv_reconstruct, dgi_reconstruct, hspi_reconstruct
 from singlepixel.errors import DimensionError, FormatError, ParameterError
 from singlepixel.field import IntensityImage
-from singlepixel.measurement import measure
+from singlepixel.measurement import encode, encode_adjoint, measure
 from singlepixel.network import GeneratorNet
 from singlepixel.patterns import (
     PatternSet,
@@ -367,15 +367,21 @@ class TestIndexDescriptor:
                 with pytest.raises(FormatError):
                     load_patterns(path)
 
-    @given(pset=pattern_sets(), seed=st.integers(0, 2**32 - 1))
+    @given(pset=pattern_sets(), seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2]))
     @settings(max_examples=40, deadline=None)
-    def test_synthesize_is_the_adjoint_of_project(self, pset, seed):
+    def test_synthesize_is_the_adjoint_of_project(self, pset, seed, block):
         rng = np.random.default_rng(seed)
         grid = rng.standard_normal((pset.order, pset.order))
         weights = rng.standard_normal(pset.count)
         lhs = project(pset, grid) @ weights
         rhs = np.sum(grid * synthesize(pset, weights))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9 * pset.pixels)
+        # the same pair scaled by the modulation depth, on an image of
+        # `block` x `block` pixels per pattern cell
+        image = rng.standard_normal((block * pset.order, block * pset.order))
+        back = encode_adjoint(weights, pset, image.shape)
+        scale = np.linalg.norm(image) * np.linalg.norm(back)
+        assert abs(encode(image, pset) @ weights - np.sum(image * back)) <= 1e-12 * scale
         # distinct rows are orthogonal with squared norm N, which makes the
         # CS-TV Lipschitz constant m^2 * N exact
         assert np.allclose(project(pset, synthesize(pset, weights)), pset.pixels * weights,

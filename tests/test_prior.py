@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import singlepixel.prior as prior
 from singlepixel.cli import diffract_scene
-from singlepixel.errors import ParameterError
-from singlepixel.field import ComplexField, IntensityImage, intensity, normalize
-from singlepixel.measurement import measure
+from singlepixel.errors import NumericalError, ParameterError
+from singlepixel.field import IntensityImage, normalize
+from singlepixel.measurement import diffract, measure
 from singlepixel.metrics import ssim
 from singlepixel.network import GeneratorNet
 from singlepixel.patterns import walsh_hadamard_patterns
@@ -16,7 +17,7 @@ from singlepixel.prior import (
     prepare_prior_input,
     reconstruct_untrained,
 )
-from singlepixel.propagation import PropagationSpec, propagate
+from singlepixel.propagation import PropagationSpec
 from singlepixel.scenes import SceneSpec
 from singlepixel.tvreg import tv_anisotropic
 
@@ -28,9 +29,7 @@ def instance(rng, n=16, distance=0.5e-3, count=None, sigma=0.0, depth=0.9):
     pset = walsh_hadamard_patterns(n, count or n * n, modulation_depth=depth)
     obj = IntensityImage(values=(rng.random((n, n)) > 0.6).astype(float), pitch=pitch)
     prop = PropagationSpec(wavelength=WAVELENGTH, distance=distance)
-    fld = ComplexField(values=np.sqrt(obj.values).astype(complex), pitch=pitch)
-    diffracted = intensity(propagate(fld, prop))
-    meas = measure(diffracted, pset, noise_sigma=sigma, seed=0)
+    meas = measure(diffract(obj, prop), pset, noise_sigma=sigma, seed=0)
     return obj, pset, prop, meas, pitch
 
 
@@ -69,8 +68,7 @@ class TestLossAndGradient:
         net = GeneratorNet(plan=(1, 4, 4, 1), seed=0)
         inp = IntensityImage(values=rng.random((16, 16)), pitch=pitch)
         output = generate(net, inp)
-        amp = ComplexField(values=np.sqrt(output.values).astype(complex), pitch=pitch)
-        meas = measure(intensity(propagate(amp, prop)), pset)
+        meas = measure(diffract(output, prop), pset)
         tv_weight = 1e-6
         loss, _ = loss_and_gradient(net, inp, meas, pset, prop, tv_weight)
         assert loss == pytest.approx(tv_weight * tv_anisotropic(output.values), rel=1e-6)
@@ -182,6 +180,18 @@ class TestReconstructUntrained:
         obj, pset, prop, meas, pitch = instance(rng)
         with pytest.raises(ParameterError):
             reconstruct_untrained(meas, pset, prop, iterations=0, pitch=pitch)
+
+    def test_numerical_error_names_stage_and_iteration_once(self, rng, monkeypatch):
+        obj, pset, prop, meas, pitch = instance(rng)
+
+        def failing_step(*args):
+            raise NumericalError("x", stage="loss")
+
+        monkeypatch.setattr(prior, "loss_and_gradient", failing_step)
+        with pytest.raises(NumericalError) as info:
+            reconstruct_untrained(meas, pset, prop, iterations=3, pitch=pitch)
+        assert str(info.value) == "x (stage: loss) (iteration 0)"
+        assert (info.value.message, info.value.stage, info.value.iteration) == ("x", "loss", 0)
 
 
 class TestRefocusSweep:
