@@ -135,12 +135,12 @@ def full_sample_reference(diffracted: IntensityImage, order: int) -> IntensityIm
 
 def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
     """Object -> field -> propagate -> intensity -> measure; writes files."""
-    os.makedirs(out_dir, exist_ok=True)
     obj, diffracted = diffract_scene(spec)
     meas = measure(diffracted, pattern_set, noise_sigma=spec.noise_sigma, seed=spec.seed)
 
     peak = float(diffracted.values.max())
     scaled = diffracted.with_values(diffracted.values / peak) if peak > 0 else diffracted
+    os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(out_dir, "object.pgm"), lambda p: write_pgm(p, obj, {"scale": "1"})
     )
@@ -186,7 +186,6 @@ def run_reconstruct(
         _check_iterations(iterations)
     if cr is not None:
         _check_cr(cr)
-    os.makedirs(out_dir, exist_ok=True)
     meas = read_measurement_csv(meas_path)
     pattern_set = load_patterns(patterns_path, modulation_depth=scene.modulation_depth)
     if meas.pattern_ref and meas.pattern_ref != pattern_set.identifier:
@@ -207,6 +206,7 @@ def run_reconstruct(
         settings = settings._replace(iterations=iterations, cstv_iterations=iterations)
     result = RECONSTRUCTORS[method](meas, pattern_set, pitch, settings)
 
+    os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(out_dir, f"recon_{method}.pgm"),
         lambda p: write_pgm(p, result.image, {"method": method}),
@@ -305,6 +305,7 @@ def run_benchmark(
                     f"{float(ssims.mean())!r},{float(ssims.std())!r},"
                     f"{float(snrs.mean())!r},{float(snrs.std())!r}"
                 )
+    os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     _write_csv(out_path, rows)
     return rows
 
@@ -401,7 +402,6 @@ def main(argv=None) -> int:
             )
         elif args.command == "benchmark":
             spec = load_scene(args.scene)
-            os.makedirs(args.out_dir, exist_ok=True)
             run_benchmark(
                 spec,
                 args.cr,

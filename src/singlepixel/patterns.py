@@ -1,10 +1,11 @@
 """Walsh-Hadamard differential pattern sets and the photomodulator model.
 
 A pattern is named by its row r of the Sylvester Hadamard matrix of order
-N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]).  Masks
-are derived on demand; `project` and `synthesize` apply the pattern operator
-and its adjoint through the Walsh-Hadamard transform, computed as two matrix
-products with H_a and H_b (N = a*b) in O(N*sqrt(N)).
+N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]), so
+<P_r, X> = (H_n X H_n)[r1, r0].  Masks are derived on demand; `project` and
+`synthesize` apply the pattern operator and its adjoint through the k1 and
+k0 distinct factor rows of the selection, two matrix products in
+O(n^2 * (k1 + k0)) rather than a full transform in O(n^3).
 
 Physically a +1 logical state is the unpumped (transparent) modulator region;
 pumped regions attenuate the probe intensity by the modulation depth m.
@@ -19,7 +20,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, SinglePixelError
 
 NATURAL = "natural"
 SEQUENCY = "sequency"
@@ -38,7 +39,9 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     Computes y[r] = sum_c H[r, c] * x[c] with H[r, c] = (-1)**popcount(r & c).
     Operates on the last axis, which must have power-of-two length, and
     returns a new float64 array.  The transform is its own inverse up to a
-    factor 1/len.
+    factor 1/len.  The tests hold the pattern operator to it: `project`
+    reads the coefficients fwht(grid.ravel())[rows] without forming the ones
+    no pattern selects.
 
     H_N is the Kronecker product H_a (x) H_b for N = a*b with a = b or
     a = 2b, so the last axis is reshaped to X of shape (a, b) and
@@ -99,6 +102,15 @@ def _walsh_rows(rows: np.ndarray, length: int) -> np.ndarray:
     return (1 - 2 * parity).astype(np.int8)
 
 
+def _first_repeat(selection) -> tuple | None:
+    """(j, k) for the first position k whose row already sits at j < k, else None."""
+    first = {}
+    for k, row in enumerate(selection):
+        if first.setdefault(row, k) != k:
+            return first[row], k
+    return None
+
+
 @lru_cache(maxsize=32)
 def _hadamard(length: int) -> np.ndarray:
     """H_length as a read-only float64 +/-1 matrix, built once per length."""
@@ -152,6 +164,9 @@ class PatternSet:
             raise ParameterError("modulation depth must lie in (0, 1]")
         if self.ordering not in _ORDERING_CODES:
             raise ParameterError(f"unknown ordering {self.ordering!r}")
+        if (repeat := _first_repeat(selection)) is not None:
+            j, k = repeat
+            raise ParameterError(f"selection repeats row {selection[k]} (positions {j} and {k})")
         object.__setattr__(self, "selection", selection)
 
     @cached_property
@@ -167,6 +182,22 @@ class PatternSet:
         rows = np.asarray(self.selection, dtype=np.int64)
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def factors(self) -> tuple:
+        """(A, Bt, cells), read-only, built on first read: A = H_n[R1] (k1 x n)
+        and Bt = H_n[R0]^T (n x k0) over the distinct factor rows R1, R0 of the
+        selection, as float64 in the layout `project` reads, and cells[k] =
+        i1*k0 + i0 where mask k is outer(A[i1], Bt[:, i0])."""
+        r1, r0 = np.divmod(self.rows, self.order)
+        rows1, i1 = np.unique(r1, return_inverse=True)
+        rows0, i0 = np.unique(r0, return_inverse=True)
+        a = _walsh_rows(rows1, self.order).astype(np.float64)
+        bt = np.ascontiguousarray(_walsh_rows(rows0, self.order).T, dtype=np.float64)
+        cells = i1 * rows0.size + i0
+        for part in (a, bt, cells):
+            part.setflags(write=False)
+        return a, bt, cells
 
     @property
     def count(self) -> int:
@@ -199,19 +230,20 @@ class PatternSet:
 
 
 def project(pattern_set: PatternSet, grid: np.ndarray) -> np.ndarray:
-    """<P_i, grid> for every pattern i, for an order x order grid (one FWHT)."""
-    return fwht(grid.ravel())[pattern_set.rows]
+    """<P_i, grid> for every pattern i, for an order x order grid: A grid B^T
+    at each mask's cell (see `PatternSet.factors`)."""
+    a, bt, cells = pattern_set.factors
+    return (a @ grid @ bt).ravel()[cells]
 
 
 def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] * P_i as an order x order grid (one FWHT).
-
-    The adjoint of `project`; for distinct rows project(synthesize(w)) = N*w.
-    """
-    full = np.zeros(pattern_set.pixels, dtype=np.float64)
-    full[pattern_set.rows] = weights
-    n = pattern_set.order
-    return fwht(full).reshape(n, n)
+    """sum_i weights[i] * P_i as an order x order grid: A^T W B, W holding each
+    weight at its mask's cell.  The adjoint of `project`; the rows are
+    distinct, so project(synthesize(w)) = N*w."""
+    a, bt, cells = pattern_set.factors
+    grid = np.zeros((a.shape[0], bt.shape[1]))
+    grid.ravel()[cells] = weights  # a view: grid is contiguous
+    return a.T @ (grid @ bt.T)
 
 
 def pattern_sums(pattern_set: PatternSet) -> np.ndarray:
@@ -275,8 +307,9 @@ def load_patterns(path, modulation_depth: float = 0.9) -> PatternSet:
     Mask r1*n + r0 is outer(H_n[r1], H_n[r0]), so its row 0 is H_n[r0] and
     its column 0 is H_n[r1]; entry 2^k of H_n[r] is -1 exactly when bit k of
     r is set, which names r0 and r1.  The payload is checked in blocks of
-    about 1 MiB: first that every byte is +/-1, then that every mask equals
-    the row it names, derived afresh.
+    about 1 MiB against the masks of the rows it names, derived afresh, which
+    also rejects every byte that is not +/-1.  Only when a check fails is the
+    payload scanned for such a byte, so that one is reported first.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -298,30 +331,37 @@ def load_patterns(path, modulation_depth: float = 0.9) -> PatternSet:
             f"expected {count * n_pixels}"
         )
     body = np.frombuffer(data, dtype=np.int8, offset=head_size)
-    for start in range(0, body.size, _CHECK_BLOCK_BYTES):
-        bad = np.flatnonzero(np.abs(body[start : start + _CHECK_BLOCK_BYTES]) != 1)
-        if bad.size:
-            raise FormatError(f"mask byte not +1/-1 at byte {head_size + start + int(bad[0])}")
-    _check_order(order)
-    masks = body.reshape(count, order, order)
-    bits = np.arange(order.bit_length() - 1, dtype=np.int64)
-    r1 = ((masks[:, 1 << bits, 0] < 0) << bits).sum(axis=1, dtype=np.int64)
-    r0 = ((masks[:, 0, 1 << bits] < 0) << bits).sum(axis=1, dtype=np.int64)
-    selection = r1 * order + r0
-    step = max(1, _CHECK_BLOCK_BYTES // n_pixels)
-    for first in range(0, count, step):
-        derived = _hadamard_masks(order, selection[first : first + step])
-        wrong = np.flatnonzero(np.any(masks[first : first + step] != derived, axis=(1, 2)))
-        if wrong.size:
-            k = first + int(wrong[0])
-            raise FormatError(
-                f"mask {k} (starting at byte {head_size + k * n_pixels}) "
-                "is not a Walsh-Hadamard row"
-            )
+    try:
+        _check_order(order)
+        masks = body.reshape(count, order, order)
+        bits = np.arange(order.bit_length() - 1, dtype=np.int64)
+        r1 = ((masks[:, 1 << bits, 0] < 0) << bits).sum(axis=1, dtype=np.int64)
+        r0 = ((masks[:, 0, 1 << bits] < 0) << bits).sum(axis=1, dtype=np.int64)
+        selection = r1 * order + r0
+        step = max(1, _CHECK_BLOCK_BYTES // n_pixels)
+        for first in range(0, count, step):
+            derived = _hadamard_masks(order, selection[first : first + step])
+            wrong = np.flatnonzero(np.any(masks[first : first + step] != derived, axis=(1, 2)))
+            if wrong.size:
+                k = first + int(wrong[0])
+                raise FormatError(
+                    f"mask {k} (starting at byte {head_size + k * n_pixels}) "
+                    "is not a Walsh-Hadamard row"
+                )
+    except SinglePixelError:  # a byte that is not +/-1 is reported first
+        for start in range(0, body.size, _CHECK_BLOCK_BYTES):
+            bad = np.flatnonzero(np.abs(body[start : start + _CHECK_BLOCK_BYTES]) != 1)
+            if bad.size:
+                raise FormatError(f"mask byte not +1/-1 at byte {head_size + start + int(bad[0])}")
+        raise
+    selection = tuple(selection.tolist())
+    if (repeat := _first_repeat(selection)) is not None:
+        j, k = repeat
+        raise FormatError(f"mask {k} (starting at byte {head_size + k * n_pixels}) repeats mask {j}")
 
     return PatternSet(
         order=order,
-        selection=tuple(selection.tolist()),
+        selection=selection,
         ordering=_ORDERING_NAMES[ordering_code],
         modulation_depth=modulation_depth,
     )

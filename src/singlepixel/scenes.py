@@ -45,11 +45,13 @@ class SceneSpec:
     def __post_init__(self):
         if self.grid < 2 or self.grid & (self.grid - 1):
             raise ParameterError(f"grid must be a power of two >= 2, got {self.grid}")
-        bounds = {"fov": 0.0, "wavelength": 0.0, "distance": -math.inf, "slit_height": 0.0}
+        bounds = {"fov": 0.0, "wavelength": 0.0, "distance": -math.inf, "slit_height": 0.0,
+                  "slit_widths": 0.0, "slit_separations": 0.0}
         for key, low in bounds.items():
-            value = getattr(self, key)
-            if value is not None and not low < value < math.inf:  # also rejects nan
-                raise ParameterError(f"{key} {value} outside ({low}, inf)")
+            values = getattr(self, key)
+            for value in values if isinstance(values, tuple) else (values,):
+                if value is not None and not low < value < math.inf:  # also rejects nan
+                    raise ParameterError(f"{key} {value} outside ({low}, inf)")
         if self.object_kind not in (THREE_SLIT, BITMAP):
             raise ParameterError(f"unknown object kind {self.object_kind!r}")
         if self.object_kind == THREE_SLIT:

@@ -32,25 +32,27 @@ def tv_prox(v: np.ndarray, alpha: float, iterations: int = 10) -> np.ndarray:
     box constraint |p| <= 1 per component; step 0.25 satisfies the usual
     1/8 stability bound on the grad/div pair.
 
-    The dual fields live in bordered, flat row-major buffers: py is one zero
-    row followed by its n0 rows, px one zero followed by its n0*n1 entries.
-    The forward difference is zero on the far edge, so the dual there (the
-    last row of py, the last column of px) never leaves zero; in px it is
-    also the leading border of the next row.  The divergence is then two
-    subtractions of shifted slices, py[n1:] - py[:-n1] and px[1:] - px[:-1],
-    into a preallocated u, and each iteration updates and clips the duals in
-    place.  The result is a new array, also for alpha <= 0.
+    The duals live in one bordered, flat row-major buffer: a zero row, py's
+    n0 rows, a zero, px's n0*n1 entries.  The forward difference is zero on
+    the far edge, so the dual there (py's last row, px's last column) never
+    leaves zero; in px it is also the leading border of the next row.  The
+    divergence is then py[n1:] - py[:-n1] plus px[1:] - px[:-1], into a
+    preallocated u.  Past the leading zero row the two duals are one
+    slice, so each iteration writes both differences into one gradient
+    buffer and scales, adds and clips both duals with one call each (the
+    zeros between them stay zero).  The result is a new array, also for
+    alpha <= 0.
     """
     if alpha <= 0:
         return v.copy()
     n0, n1 = v.shape
     size = n0 * n1
     step = 0.25 / alpha
-    py = np.zeros(size + n1, dtype=v.dtype)
-    px = np.zeros(size + 1, dtype=v.dtype)
-    py_in, px_in = py[n1:size], px[1:size]
-    gy = np.empty(size - n1, dtype=v.dtype)
-    gx = np.empty(size - 1, dtype=v.dtype)
+    duals = np.zeros(2 * size + n1 + 1, dtype=v.dtype)
+    py, px = duals[: size + n1], duals[size + n1 :]
+    inner = duals[n1 : 2 * size + n1]  # py[n1:] followed by px[:size]
+    grad = np.zeros(2 * size, dtype=v.dtype)  # the matching slice of (dy u, 0, dx u)
+    gy, gx = grad[: size - n1], grad[size + 1 :]
     div_x = np.empty(size, dtype=v.dtype)
     u = np.empty_like(v, order="C")
     flat = u.reshape(-1)
@@ -67,15 +69,10 @@ def tv_prox(v: np.ndarray, alpha: float, iterations: int = 10) -> np.ndarray:
         primal()
         # p = clip(p + step * grad(u), -1, 1) inside each border
         np.subtract(flat[n1:], flat[:-n1], out=gy)
-        gy *= step
-        py_in += gy
-        np.maximum(py_in, -1.0, out=py_in)
-        np.minimum(py_in, 1.0, out=py_in)
         np.subtract(flat[1:], flat[:-1], out=gx)
-        gx *= step
-        px_in += gx
-        np.maximum(px_in, -1.0, out=px_in)
-        np.minimum(px_in, 1.0, out=px_in)
+        grad *= step
+        inner += grad
+        np.clip(inner, -1.0, 1.0, out=inner)
         # a difference across a row boundary is no gradient: the last column stays zero
         px[n1::n1] = 0.0
     primal()

@@ -265,7 +265,7 @@ def test_benchmark_noise_sigma_out_of_range_exits_3(workspace, capsys, sigma):
     assert main(["benchmark", "--scene", str(scene), "--cr", "0.25", "--methods", "hspi",
                  "--noise-sigma", f"0,{sigma}", "--out-dir", str(out_dir)]) == 3
     assert "is not finite and >= 0" in capsys.readouterr().err
-    assert not (out_dir / "benchmark.csv").exists()
+    assert not out_dir.exists()  # made only before the first write
 
 
 def test_benchmark_identical_across_hash_seeds(workspace):
@@ -501,7 +501,7 @@ def test_non_finite_tv_weight_exits_3(workspace, capsys, monkeypatch, method, we
                  "--patterns", str(patterns), "--scene", str(scene), "--method", method,
                  "--iterations", "3", "--tv-weight", weight, "--out-dir", str(out_dir)]) == 3
     assert f"error: tv_weight {float(weight)} is not finite and >= 0" in capsys.readouterr().err
-    assert not list(out_dir.glob("recon_*.pgm"))
+    assert not out_dir.exists()  # made only before the first write
 
 
 @pytest.mark.parametrize("key", ["fov", "wavelength", "distance", "slit_height"])
@@ -513,4 +513,40 @@ def test_simulate_non_finite_scene_length_names_the_key(workspace, capsys, key, 
     assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
                  "--out-dir", str(tmp_path / "sim")]) == 3
     assert f"error: invalid scene: {key} {float(value)} outside (" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("key", ["slit_widths", "slit_separations"])
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_simulate_bad_slit_value_names_the_key(workspace, capsys, key, value):
+    tmp_path, scene, patterns = workspace
+    first = {"slit_widths": "2mm", "slit_separations": "0.7mm"}[key]
+    scene.write_text(SCENE.replace(f"{key} = {first}", f"{key} = {value}mm"))
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    expected = f"error: invalid scene: {key} {float(value) * 1e-3} outside (0.0, inf)"
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_pattern_file_with_a_repeated_mask_exits_3(workspace, capsys):
+    tmp_path, scene, _ = workspace
+    blob = bytearray((tmp_path / "patterns.spip").read_bytes())
+    blob[15 + 2 * 256 : 15 + 3 * 256] = blob[15 + 256 : 15 + 2 * 256]  # mask 2 := mask 1
+    repeated = tmp_path / "repeated.spip"
+    repeated.write_bytes(bytes(blob))
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(repeated),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    assert "error: mask 2 (starting at byte 527) repeats mask 1" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_failed_simulate_makes_no_output_directory(workspace, capsys):
+    """`simulate` makes its output directory only before its first write."""
+    tmp_path, scene, patterns = workspace
+    scene.write_text(SCENE.replace("object = three_slit",
+                                   f"object = bitmap\nbitmap_path = {tmp_path / 'missing.pgm'}"))
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    assert "missing.pgm" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()

@@ -429,11 +429,60 @@ class TestIndexDescriptor:
         with pytest.raises(ParameterError):
             PatternSet(4, (16,), "natural")
 
+    def test_rejects_a_repeated_row(self):
+        # a repeated row would make synthesize keep one of its weights only
+        with pytest.raises(ParameterError, match=r"^selection repeats row 5 \(positions 0 and 1\)$"):
+            PatternSet(4, (5, 5), "natural")
+        with pytest.raises(ParameterError, match=r"repeats row 3 \(positions 1 and 3\)"):
+            PatternSet(4, (0, 3, 9, 3, 9), "natural")
+
     def test_empty_file_of_huge_order_loads(self, tmp_path):
         path = tmp_path / "empty.spip"
         path.write_bytes(struct.pack("<4sHIIB", b"SPIP", 1, 65536, 0, 0))
         pset = load_patterns(path)
         assert (pset.order, pset.count) == (65536, 0)
+
+
+class TestFactoredOperator:
+    """`project` and `synthesize` run through the distinct factor rows of the
+    selection; the full Walsh-Hadamard transform is their reference."""
+
+    @given(order=st.sampled_from([2, 4, 8, 16, 32, 64, 128]),
+           kind=st.sampled_from(["natural", "sequency", "random"]),
+           fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_full_transform(self, order, kind, fraction, seed):
+        rng = np.random.default_rng(seed)
+        n_pixels = order * order
+        count = max(1, int(fraction * n_pixels))
+        if kind == "random":
+            pset = PatternSet(order, tuple(rng.permutation(n_pixels)[:count]), "natural")
+        else:
+            pset = walsh_hadamard_patterns(order, count, ordering=kind)
+        # each coefficient is a +/-1 sum, so the l2 norm of its input is its typical size
+        grid = rng.standard_normal((order, order))
+        expected = fwht(grid.ravel())[pset.rows]
+        assert np.max(np.abs(project(pset, grid) - expected)) <= 1e-12 * np.linalg.norm(grid)
+        weights = rng.standard_normal(count)
+        full = np.zeros(n_pixels)
+        full[pset.rows] = weights
+        expected = fwht(full).reshape(order, order)
+        assert np.max(np.abs(synthesize(pset, weights) - expected)) <= 1e-12 * np.linalg.norm(weights)
+
+    def test_factors_are_cached_read_only_rows(self):
+        pset = walsh_hadamard_patterns(128, 256)
+        a, bt, cells = pset.factors
+        assert pset.factors is pset.factors
+        assert not any(part.flags.writeable for part in pset.factors)
+        # the 256 lowest-sequency masks at 128 px use 22 of the 128 rows per axis
+        assert a.shape == (22, 128) and bt.shape == (128, 22)
+        assert a.flags.c_contiguous and bt.flags.c_contiguous
+        i1, i0 = np.divmod(cells, 22)
+        r1, r0 = np.divmod(pset.rows, 128)
+        for k in range(0, 256, 15):
+            assert np.array_equal(a[i1[k]], hadamard_row(int(r1[k]), 128))
+            assert np.array_equal(bt[:, i0[k]], hadamard_row(int(r0[k]), 128))
+            assert np.array_equal(np.outer(a[i1[k]], bt[:, i0[k]]), pset.logical_masks[k])
 
 
 class TestBlockwiseFileChecks:
@@ -459,6 +508,26 @@ class TestBlockwiseFileChecks:
         with pytest.raises(FormatError) as err:
             load_patterns(path)
         assert str(err.value) == message
+
+    def test_bad_byte_in_a_later_block_is_reported_before_a_wrong_row(self, tmp_path, blob):
+        # the ±1 scan runs only once a mask fails its comparison, and then
+        # over the whole payload
+        corrupt = bytearray(blob)
+        corrupt[16] = -corrupt[16] & 0xFF  # mask 0 is no longer a Walsh-Hadamard row
+        corrupt[len(blob) - 1] = 0x03
+        path = tmp_path / "corrupt.spip"
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(FormatError) as err:
+            load_patterns(path)
+        assert str(err.value) == "mask byte not +1/-1 at byte 4194318"
+
+    def test_repeated_mask_names_both_masks(self, tmp_path):
+        masks = [hadamard_row(r, 16) for r in (0, 3, 3, 9)]
+        path = tmp_path / "repeat.spip"
+        path.write_bytes(struct.pack("<4sHIIB", b"SPIP", 1, 4, 4, 0) + np.stack(masks).tobytes())
+        with pytest.raises(FormatError) as err:
+            load_patterns(path)
+        assert str(err.value) == "mask 2 (starting at byte 47) repeats mask 1"
 
     def test_load_peaks_at_most_4_mib_above_the_file(self, tmp_path, blob):
         path = tmp_path / "p.spip"
