@@ -115,6 +115,10 @@ def cstv_reconstruct(
     The step is 1/L with the exact Lipschitz constant L = m^2 * N of the
     data term: A^T A = m^2 * H P_sel H, and H H = N * I, so A^T A / (m^2 N)
     is an orthogonal projection.
+
+    A is linear, so A y is the same combination of A x_next, A z and A x as
+    y is of x_next, z and x: each iteration runs one `encode` (of the trial
+    z, which the objective needs) and one `encode_adjoint`.
     """
     check_compatible(meas, pattern_set)
     if max_iters < 1:
@@ -128,33 +132,34 @@ def cstv_reconstruct(
     depth = pattern_set.modulation_depth
     step = 1.0 / (depth * depth * pattern_set.pixels)
 
-    def residual(x: np.ndarray) -> np.ndarray:
-        return encode(x, pattern_set) - meas.readings
-
-    def objective(x: np.ndarray) -> float:
-        r = residual(x)
+    def objective(x: np.ndarray, ax: np.ndarray) -> float:
+        r = ax - meas.readings
         return 0.5 * float(r @ r) + tv_weight * tv_anisotropic(x)
 
     x = np.zeros((n, n))
-    y = x
+    ax = encode(x, pattern_set)
+    y, ay = x, ax
     t = 1.0
-    f_x = objective(x)
+    f_x = objective(x, ax)
     f_init = max(f_x, 1e-300)
     history = []
     for _ in range(max_iters):
-        grad = encode_adjoint(residual(y), pattern_set, (n, n))
+        grad = encode_adjoint(ay - meas.readings, pattern_set, (n, n))
         z = tv_prox(y - step * grad, tv_weight * step, iterations=10)
         np.maximum(z, 0.0, out=z)
-        f_z = objective(z)
+        az = encode(z, pattern_set)
+        f_z = objective(z, az)
         if not np.isfinite(f_z) or f_z > 1e3 * f_init:
             raise NumericalError("CS-TV diverged; step-size failure", stage="fista")
         if f_z <= f_x:
-            x_next, f_x = z, f_z
+            x_next, ax_next, f_x = z, az, f_z
         else:
-            x_next = x
+            x_next, ax_next = x, ax
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = x_next + (t / t_next) * (z - x_next) + ((t - 1.0) / t_next) * (x_next - x)
-        x, t = x_next, t_next
+        c1, c2 = t / t_next, (t - 1.0) / t_next
+        y = x_next + c1 * (z - x_next) + c2 * (x_next - x)
+        ay = ax_next + c1 * (az - ax_next) + c2 * (ax_next - ax)
+        x, ax, t = x_next, ax_next, t_next
         history.append(f_x)
 
     peak = float(x.max())

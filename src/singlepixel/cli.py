@@ -93,6 +93,18 @@ def _check_cr(cr: float) -> None:
         raise SinglePixelError(f"compression ratio {cr} outside (0, 1]")
 
 
+def _check_out_dir(path) -> None:
+    """Fail before the work if `path` cannot become a writable directory: its
+    nearest existing ancestor must be one.  It is made only before the first write."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(f"cannot make output directory {path}: {probe} is not a directory")
+    if not os.access(probe, os.W_OK | os.X_OK):
+        raise PermissionError(f"cannot write to output directory {path}: {probe} is not writable")
+
+
 def _atomic_write(path, writer) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
@@ -135,6 +147,7 @@ def full_sample_reference(diffracted: IntensityImage, order: int) -> IntensityIm
 
 def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
     """Object -> field -> propagate -> intensity -> measure; writes files."""
+    _check_out_dir(out_dir)
     obj, diffracted = diffract_scene(spec)
     meas = measure(diffracted, pattern_set, noise_sigma=spec.noise_sigma, seed=spec.seed)
 
@@ -186,6 +199,7 @@ def run_reconstruct(
         _check_iterations(iterations)
     if cr is not None:
         _check_cr(cr)
+    _check_out_dir(out_dir)
     meas = read_measurement_csv(meas_path)
     pattern_set = load_patterns(patterns_path, modulation_depth=scene.modulation_depth)
     if meas.pattern_ref and meas.pattern_ref != pattern_set.identifier:
@@ -280,6 +294,7 @@ def run_benchmark(
     for method in methods:
         _check_method(method)
     _check_iterations(iterations)
+    _check_out_dir(os.path.dirname(os.path.abspath(out_path)))
     obj, diffracted = diffract_scene(spec)
     order = spec.grid
     detector_reference = full_sample_reference(diffracted, order)

@@ -10,9 +10,9 @@ versa, the two-mask algebra collapses to
     I_i = m * <P_i, O_d>  +  (eta_i_plus - eta_i_minus)
 
 which is how the readings are computed here (`encode`, with its adjoint
-`encode_adjoint`): two matrix products of the (block-pooled) diffraction
-image with the patterns' factor rows yield every <P_i, O_d> at once.  eta
-are independent zero-mean Gaussian draws per half-measurement.
+`encode_adjoint`): one fast Walsh-Hadamard transform of the (block-pooled)
+diffraction image yields every <P_i, O_d> at once.  eta are independent
+zero-mean Gaussian draws per half-measurement.
 """
 
 from __future__ import annotations

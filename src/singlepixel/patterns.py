@@ -1,11 +1,10 @@
 """Walsh-Hadamard differential pattern sets and the photomodulator model.
 
 A pattern is named by its row r of the Sylvester Hadamard matrix of order
-N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]), so
-<P_r, X> = (H_n X H_n)[r1, r0].  Masks are derived on demand; `project` and
-`synthesize` apply the pattern operator and its adjoint through the k1 and
-k0 distinct factor rows of the selection, two matrix products in
-O(n^2 * (k1 + k0)) rather than a full transform in O(n^3).
+N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]).  Masks
+are derived on demand; `project` and `synthesize` apply the pattern operator
+and its adjoint through the Walsh-Hadamard transform, computed as two matrix
+products with H_a and H_b (N = a*b) in O(N*sqrt(N)).
 
 Physically a +1 logical state is the unpumped (transparent) modulator region;
 pumped regions attenuate the probe intensity by the modulation depth m.
@@ -39,9 +38,7 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     Computes y[r] = sum_c H[r, c] * x[c] with H[r, c] = (-1)**popcount(r & c).
     Operates on the last axis, which must have power-of-two length, and
     returns a new float64 array.  The transform is its own inverse up to a
-    factor 1/len.  The tests hold the pattern operator to it: `project`
-    reads the coefficients fwht(grid.ravel())[rows] without forming the ones
-    no pattern selects.
+    factor 1/len.
 
     H_N is the Kronecker product H_a (x) H_b for N = a*b with a = b or
     a = 2b, so the last axis is reshaped to X of shape (a, b) and
@@ -183,22 +180,6 @@ class PatternSet:
         rows.setflags(write=False)
         return rows
 
-    @cached_property
-    def factors(self) -> tuple:
-        """(A, Bt, cells), read-only, built on first read: A = H_n[R1] (k1 x n)
-        and Bt = H_n[R0]^T (n x k0) over the distinct factor rows R1, R0 of the
-        selection, as float64 in the layout `project` reads, and cells[k] =
-        i1*k0 + i0 where mask k is outer(A[i1], Bt[:, i0])."""
-        r1, r0 = np.divmod(self.rows, self.order)
-        rows1, i1 = np.unique(r1, return_inverse=True)
-        rows0, i0 = np.unique(r0, return_inverse=True)
-        a = _walsh_rows(rows1, self.order).astype(np.float64)
-        bt = np.ascontiguousarray(_walsh_rows(rows0, self.order).T, dtype=np.float64)
-        cells = i1 * rows0.size + i0
-        for part in (a, bt, cells):
-            part.setflags(write=False)
-        return a, bt, cells
-
     @property
     def count(self) -> int:
         return len(self.selection)
@@ -230,20 +211,19 @@ class PatternSet:
 
 
 def project(pattern_set: PatternSet, grid: np.ndarray) -> np.ndarray:
-    """<P_i, grid> for every pattern i, for an order x order grid: A grid B^T
-    at each mask's cell (see `PatternSet.factors`)."""
-    a, bt, cells = pattern_set.factors
-    return (a @ grid @ bt).ravel()[cells]
+    """<P_i, grid> for every pattern i, for an order x order grid (one FWHT)."""
+    return fwht(grid.ravel())[pattern_set.rows]
 
 
 def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] * P_i as an order x order grid: A^T W B, W holding each
-    weight at its mask's cell.  The adjoint of `project`; the rows are
-    distinct, so project(synthesize(w)) = N*w."""
-    a, bt, cells = pattern_set.factors
-    grid = np.zeros((a.shape[0], bt.shape[1]))
-    grid.ravel()[cells] = weights  # a view: grid is contiguous
-    return a.T @ (grid @ bt.T)
+    """sum_i weights[i] * P_i as an order x order grid (one FWHT).
+
+    The adjoint of `project`; for distinct rows project(synthesize(w)) = N*w.
+    """
+    full = np.zeros(pattern_set.pixels, dtype=np.float64)
+    full[pattern_set.rows] = weights
+    n = pattern_set.order
+    return fwht(full).reshape(n, n)
 
 
 def pattern_sums(pattern_set: PatternSet) -> np.ndarray:

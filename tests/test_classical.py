@@ -8,9 +8,11 @@ from singlepixel.classical import (
 )
 from singlepixel.errors import ParameterError
 from singlepixel.field import IntensityImage
-from singlepixel.measurement import Measurement, diffract, measure
+import singlepixel.classical
+from singlepixel.measurement import Measurement, diffract, encode, encode_adjoint, measure
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.propagation import PropagationSpec
+from singlepixel.tvreg import tv_anisotropic, tv_prox
 
 
 def image(values, pitch=1e-4):
@@ -53,6 +55,30 @@ def dgi_oracle(pset, readings):
     for i in range(m_count):
         out += (masks[i] - mean_pattern) * (normalized[i] - mean_signal)
     return out / m_count
+
+
+def fista_oracle(meas, pset, tv_weight, iterations):
+    """Monotone FISTA for CS-TV (Beck & Teboulle 2009) that encodes every
+    point it needs afresh: (x, loss history)."""
+    n = pset.order
+    step = 1.0 / (pset.modulation_depth**2 * pset.pixels)
+
+    def objective(u):
+        r = encode(u, pset) - meas.readings
+        return 0.5 * float(r @ r) + tv_weight * tv_anisotropic(u)
+
+    x = y = np.zeros((n, n))
+    t, f_x, history = 1.0, objective(x), []
+    for _ in range(iterations):
+        grad = encode_adjoint(encode(y, pset) - meas.readings, pset, (n, n))
+        z = np.maximum(tv_prox(y - step * grad, tv_weight * step), 0.0)
+        f_z = objective(z)
+        x_next, f_x = (z, f_z) if f_z <= f_x else (x, f_x)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = x_next + (t / t_next) * (z - x_next) + ((t - 1.0) / t_next) * (x_next - x)
+        x, t = x_next, t_next
+        history.append(f_x)
+    return x, history
 
 
 class TestHspi:
@@ -186,6 +212,20 @@ class TestCstv:
             cstv_reconstruct(meas, pset, tv_weight=0.05, max_iters=150).raw - values
         )
         assert cstv_err < hspi_err
+
+    def test_matches_fista_that_encodes_every_point(self, rng, monkeypatch):
+        # A y is formed from A x and A z, so one encode per iteration does
+        calls = []
+        monkeypatch.setattr(singlepixel.classical, "encode",
+                            lambda *args: calls.append(1) or encode(*args))
+        pset = walsh_hadamard_patterns(16, 64)
+        meas = readings_like(pset, rng.standard_normal(64) * 5)
+        result = cstv_reconstruct(meas, pset, tv_weight=5.0, max_iters=40)
+        assert len(calls) == 1 + 40
+        x, history = fista_oracle(meas, pset, 5.0, 40)
+        assert 0 in np.diff(history)  # some trial steps were rejected
+        assert np.allclose(result.residual_history, history, rtol=1e-12, atol=0)
+        assert np.abs(result.raw - x).max() <= 1e-12 * np.abs(x).max()
 
     def test_objective_monotone_and_output_nonnegative(self, rng):
         n = 8

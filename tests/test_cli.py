@@ -550,3 +550,26 @@ def test_failed_simulate_makes_no_output_directory(workspace, capsys):
                  "--out-dir", str(tmp_path / "sim")]) == 3
     assert "missing.pgm" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "benchmark"])
+def test_out_dir_under_a_file_exits_3_before_the_work(workspace, capsys, monkeypatch, command):
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    (tmp_path / "file.txt").write_text("")
+    out_dir = tmp_path / "file.txt" / "out"
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "diffract_scene", no_work)
+    monkeypatch.setattr(cli, "read_measurement_csv", no_work)
+    argv = {
+        "simulate": ["--patterns", str(patterns)],
+        "reconstruct": ["--measurement", str(sim_dir / "measurement.csv"),
+                        "--patterns", str(patterns), "--method", "cstv"],
+        "benchmark": ["--cr", "0.25", "--methods", "hspi"],
+    }[command]
+    assert main([command, "--scene", str(scene), *argv, "--out-dir", str(out_dir)]) == 3
+    expected = f"error: cannot make output directory {out_dir}: {tmp_path / 'file.txt'} is not a directory"
+    assert expected in capsys.readouterr().err

@@ -443,48 +443,6 @@ class TestIndexDescriptor:
         assert (pset.order, pset.count) == (65536, 0)
 
 
-class TestFactoredOperator:
-    """`project` and `synthesize` run through the distinct factor rows of the
-    selection; the full Walsh-Hadamard transform is their reference."""
-
-    @given(order=st.sampled_from([2, 4, 8, 16, 32, 64, 128]),
-           kind=st.sampled_from(["natural", "sequency", "random"]),
-           fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_the_full_transform(self, order, kind, fraction, seed):
-        rng = np.random.default_rng(seed)
-        n_pixels = order * order
-        count = max(1, int(fraction * n_pixels))
-        if kind == "random":
-            pset = PatternSet(order, tuple(rng.permutation(n_pixels)[:count]), "natural")
-        else:
-            pset = walsh_hadamard_patterns(order, count, ordering=kind)
-        # each coefficient is a +/-1 sum, so the l2 norm of its input is its typical size
-        grid = rng.standard_normal((order, order))
-        expected = fwht(grid.ravel())[pset.rows]
-        assert np.max(np.abs(project(pset, grid) - expected)) <= 1e-12 * np.linalg.norm(grid)
-        weights = rng.standard_normal(count)
-        full = np.zeros(n_pixels)
-        full[pset.rows] = weights
-        expected = fwht(full).reshape(order, order)
-        assert np.max(np.abs(synthesize(pset, weights) - expected)) <= 1e-12 * np.linalg.norm(weights)
-
-    def test_factors_are_cached_read_only_rows(self):
-        pset = walsh_hadamard_patterns(128, 256)
-        a, bt, cells = pset.factors
-        assert pset.factors is pset.factors
-        assert not any(part.flags.writeable for part in pset.factors)
-        # the 256 lowest-sequency masks at 128 px use 22 of the 128 rows per axis
-        assert a.shape == (22, 128) and bt.shape == (128, 22)
-        assert a.flags.c_contiguous and bt.flags.c_contiguous
-        i1, i0 = np.divmod(cells, 22)
-        r1, r0 = np.divmod(pset.rows, 128)
-        for k in range(0, 256, 15):
-            assert np.array_equal(a[i1[k]], hadamard_row(int(r1[k]), 128))
-            assert np.array_equal(bt[:, i0[k]], hadamard_row(int(r0[k]), 128))
-            assert np.array_equal(np.outer(a[i1[k]], bt[:, i0[k]]), pset.logical_masks[k])
-
-
 class TestBlockwiseFileChecks:
     """A 128 px file of 256 masks is checked in 4 blocks of 64 masks; a fault
     in the last block is reported as if the payload were checked at once."""
