@@ -20,15 +20,7 @@ from .errors import (
 )
 from .field import ComplexField, IntensityImage, intensity, normalize
 from .measurement import Measurement, measure, read_measurement_csv, write_measurement_csv
-from .metrics import (
-    SnrValue,
-    SsimParams,
-    count_resolved_slits,
-    dip_contrast,
-    line_profile,
-    snr,
-    ssim,
-)
+from .metrics import count_resolved_slits, dip_contrast, line_profile, snr, ssim
 from .network import GeneratorNet
 from .patterns import (
     PatternSet,

@@ -19,6 +19,8 @@ from .measurement import Measurement, check_compatible, encode, encode_adjoint
 from .patterns import PatternSet, pattern_sums, synthesize
 from .tvreg import tv_anisotropic, tv_prox
 
+DEFAULT_CSTV_ITERATIONS = 200
+
 
 @dataclass(frozen=True)
 class ReconResult:
@@ -103,7 +105,7 @@ def cstv_reconstruct(
     meas: Measurement,
     pattern_set: PatternSet,
     tv_weight: float | None = None,
-    max_iters: int = 200,
+    max_iters: int = DEFAULT_CSTV_ITERATIONS,
     pitch: float = 1.0,
 ) -> ReconResult:
     """argmin_O 0.5*||I - A O||^2 + tv_weight * TV(O), O >= 0.
@@ -111,10 +113,10 @@ def cstv_reconstruct(
     A is `encode`, the modulation-scaled pattern integration.  Solved with
     proximal gradient + FISTA acceleration in its monotone variant (a trial
     iterate that raises the objective is rejected, so the recorded objective
-    never increases); the TV proximal map uses 10 inner dual iterations.
-    The step is 1/L with the exact Lipschitz constant L = m^2 * N of the
-    data term: A^T A = m^2 * H P_sel H, and H H = N * I, so A^T A / (m^2 N)
-    is an orthogonal projection.
+    never increases); the TV proximal map is `tv_prox` at its default count
+    of inner dual iterations.  The step is 1/L with the exact Lipschitz
+    constant L = m^2 * N of the data term: A^T A = m^2 * H P_sel H, and
+    H H = N * I, so A^T A / (m^2 N) is an orthogonal projection.
 
     A is linear, so A y is the same combination of A x_next, A z and A x as
     y is of x_next, z and x: each iteration runs one `encode` (of the trial
@@ -145,7 +147,7 @@ def cstv_reconstruct(
     history = []
     for _ in range(max_iters):
         grad = encode_adjoint(ay - meas.readings, pattern_set, (n, n))
-        z = tv_prox(y - step * grad, tv_weight * step, iterations=10)
+        z = tv_prox(y - step * grad, tv_weight * step)
         np.maximum(z, 0.0, out=z)
         az = encode(z, pattern_set)
         f_z = objective(z, az)
@@ -162,10 +164,8 @@ def cstv_reconstruct(
         x, ax, t = x_next, ax_next, t_next
         history.append(f_x)
 
-    peak = float(x.max())
-    image_values = x / peak if peak > 0 else np.zeros_like(x)
     return ReconResult(
-        image=IntensityImage(values=image_values, pitch=pitch),
+        image=_clip_unit_image(x, pitch),
         iterations_used=max_iters,
         residual_history=tuple(history),
         raw=x,

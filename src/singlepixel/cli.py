@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classical import cstv_reconstruct, dgi_reconstruct, hspi_reconstruct
+from .classical import DEFAULT_CSTV_ITERATIONS, cstv_reconstruct, dgi_reconstruct, hspi_reconstruct
 from .errors import ConsistencyError, NumericalError, SinglePixelError
 from .field import IntensityImage, normalize
 from .measurement import (
@@ -27,7 +27,7 @@ from .measurement import (
     read_measurement_csv,
     write_measurement_csv,
 )
-from .metrics import DEFAULT_SSIM, snr, ssim
+from .metrics import snr, ssim
 from .patterns import (
     PatternSet,
     load_patterns,
@@ -35,7 +35,7 @@ from .patterns import (
     walsh_hadamard_patterns,
 )
 from .pgm import read_pgm, write_pgm
-from .prior import DEFAULT_ITERATIONS, DEFAULT_TV_WEIGHT, reconstruct_untrained
+from .prior import DEFAULT_ITERATIONS, reconstruct_untrained
 from .propagation import PropagationSpec
 from .scenes import SceneSpec, build_scene, load_scene, parse_length
 
@@ -51,17 +51,9 @@ class Settings(NamedTuple):
     wavelength: float
     distance: float
     iterations: int = DEFAULT_ITERATIONS
-    cstv_iterations: int = 200
+    cstv_iterations: int = DEFAULT_CSTV_ITERATIONS
     seed: int = 0
     tv_weight: float | None = None
-
-
-def _untrained(meas, pattern_set, pitch, s: Settings):
-    prop = PropagationSpec(wavelength=s.wavelength, distance=s.distance)
-    return reconstruct_untrained(
-        meas, pattern_set, prop, iterations=s.iterations, seed=s.seed, pitch=pitch,
-        tv_weight=DEFAULT_TV_WEIGHT if s.tv_weight is None else s.tv_weight,
-    )
 
 
 # name -> reconstructor(meas, pattern_set, pitch, settings).  Each entry looks
@@ -73,7 +65,10 @@ RECONSTRUCTORS = {
     "cstv": lambda meas, pset, pitch, s: cstv_reconstruct(
         meas, pset, tv_weight=s.tv_weight, max_iters=s.cstv_iterations, pitch=pitch
     ),
-    "untrained": _untrained,
+    "untrained": lambda meas, pset, pitch, s: reconstruct_untrained(
+        meas, pset, PropagationSpec(wavelength=s.wavelength, distance=s.distance),
+        iterations=s.iterations, seed=s.seed, pitch=pitch, tv_weight=s.tv_weight,
+    ),
 }
 METHODS = tuple(RECONSTRUCTORS)
 
@@ -249,11 +244,10 @@ def _metric_rows(image: IntensityImage, reference_path, snr_mask_path, pitch: fl
         if float(image.values.max()) == float(image.values.min()):
             rows.append("ssim,degenerate")
         else:
-            rows.append(f"ssim,{ssim(image, reference, DEFAULT_SSIM)!r}")
+            rows.append(f"ssim,{ssim(image, reference)!r}")
     if snr_mask_path is not None:
         mask_img, _ = read_pgm(snr_mask_path, pitch=pitch)
-        value = snr(image, mask_img.values >= 0.5)
-        rows.append("snr," + ("inf" if value.infinite else repr(value.value)))
+        rows.append(f"snr,{snr(image, mask_img.values >= 0.5)!r}")
     return rows
 
 
@@ -271,7 +265,7 @@ def _benchmark_cell(spec, diffracted, pattern_set, method, noise_sigma, seed, it
     # --iterations counts generator iterations only; CS-TV keeps its default
     settings = Settings(spec.wavelength, spec.distance, iterations=iterations, seed=seed)
     result = RECONSTRUCTORS[method](meas, pattern_set, spec.fov / pattern_set.order, settings)
-    return ssim(result.image, reference, DEFAULT_SSIM), snr(result.image, snr_mask).value
+    return ssim(result.image, reference), snr(result.image, snr_mask)
 
 
 def run_benchmark(
@@ -281,7 +275,7 @@ def run_benchmark(
     noise_levels,
     repeats: int,
     out_path,
-    iterations: int = 300,
+    iterations: int = DEFAULT_ITERATIONS,
 ):
     """Grid of (cr x method x noise x repeat) runs; per-cell SSIM/SNR stats."""
     if repeats < 1:
@@ -368,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--methods", default="hspi,untrained")
     ben.add_argument("--noise-sigma", type=_float_list, default="0")
     ben.add_argument("--repeats", type=int, default=1)
-    ben.add_argument("--iterations", type=int, default=300)
+    ben.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
     ben.add_argument("--out-dir", required=True)
 
     met = sub.add_parser("metrics", help="SSIM/SNR between image files")
@@ -392,11 +386,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "simulate":
-            spec = load_scene(args.scene)
-            if args.noise_sigma is not None:
-                spec = SceneSpec(**{**spec.__dict__, "noise_sigma": args.noise_sigma})
-            if args.seed is not None:
-                spec = SceneSpec(**{**spec.__dict__, "seed": args.seed})
+            overrides = {"noise_sigma": args.noise_sigma, "seed": args.seed}
+            spec = replace(load_scene(args.scene),
+                           **{k: v for k, v in overrides.items() if v is not None})
             pattern_set = load_patterns(args.patterns, modulation_depth=spec.modulation_depth)
             run_simulate(spec, pattern_set, args.out_dir)
         elif args.command == "reconstruct":

@@ -1,55 +1,35 @@
 """Quantitative evaluation: SSIM, signal-to-noise ratio, line profiles, and
-slit resolvability."""
+slit resolvability.
+
+SSIM takes the published defaults of Wang et al. (IEEE TIP 13, 600, 2004) as
+constants: an 11 x 11 Gaussian window of sigma 1.5 (SSIM_WINDOW, SSIM_SIGMA),
+stabilizers K1 = 0.01 and K2 = 0.03, and a unit dynamic range.  The window is
+separable, outer(k, k) with k the normalized 1-D Gaussian, so `ssim` forms
+each windowed mean of an image X as L @ X @ R, two small matrix products:
+L, (rows - SSIM_WINDOW + 1, rows), holds k shifted by one column per row, and
+R is the same band for the columns, transposed.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ParameterError
 from .field import IntensityImage
 
-
-@dataclass(frozen=True)
-class SsimParams:
-    """Reference-implementation defaults: 11x11 Gaussian window (sigma 1.5),
-    stabilizers K1 = 0.01, K2 = 0.03, unit dynamic range.
-
-    The window is separable: `window()` is outer(k, k) with k the normalized
-    1-D Gaussian `kernel()`.  So `ssim` forms each windowed mean of an image
-    X as L @ X @ R, two small matrix products: L, (rows - size + 1, rows),
-    holds k shifted by one column per row, and R is the same band for the
-    columns, transposed.
-    """
-
-    window_size: int = 11
-    sigma: float = 1.5
-    k1: float = 0.01
-    k2: float = 0.03
-    dynamic_range: float = 1.0
-
-    def __post_init__(self):
-        if self.window_size < 1 or self.window_size % 2 == 0:
-            raise ParameterError("SSIM window size must be odd and positive")
-        if self.k1 <= 0 or self.k2 <= 0:
-            raise ParameterError("SSIM stabilizers must be positive")
-
-    def kernel(self) -> np.ndarray:
-        """The 1-D Gaussian of the window, normalized to sum 1."""
-        half = self.window_size // 2
-        x = np.arange(-half, half + 1, dtype=np.float64)
-        g = np.exp(-(x**2) / (2.0 * self.sigma**2))
-        return g / g.sum()
-
-    def window(self) -> np.ndarray:
-        """The 2-D window, outer(kernel, kernel)."""
-        k = self.kernel()
-        return np.outer(k, k)
+SSIM_WINDOW = 11
+SSIM_SIGMA = 1.5
+SSIM_K1 = 0.01
+SSIM_K2 = 0.03
+SSIM_DYNAMIC_RANGE = 1.0
 
 
-DEFAULT_SSIM = SsimParams()
+def _kernel() -> np.ndarray:
+    """The 1-D Gaussian of the SSIM window, normalized to sum 1."""
+    half = SSIM_WINDOW // 2
+    x = np.arange(-half, half + 1, dtype=np.float64)
+    g = np.exp(-(x**2) / (2.0 * SSIM_SIGMA**2))
+    return g / g.sum()
 
 
 def _band(k: np.ndarray, n: int) -> np.ndarray:
@@ -61,13 +41,13 @@ def _band(k: np.ndarray, n: int) -> np.ndarray:
     return band
 
 
-def ssim(a: IntensityImage, b: IntensityImage, params: SsimParams = DEFAULT_SSIM) -> float:
+def ssim(a: IntensityImage, b: IntensityImage) -> float:
     """Mean local structural similarity over all fully valid windows."""
     if a.values.shape != b.values.shape:
         raise DimensionError(f"image shapes differ: {a.values.shape} vs {b.values.shape}")
-    if min(a.values.shape) < params.window_size:
+    if min(a.values.shape) < SSIM_WINDOW:
         raise ParameterError("image smaller than the SSIM window")
-    k = params.kernel()
+    k = _kernel()
     xa, xb = a.values, b.values
     left, right = _band(k, xa.shape[0]), _band(k, xa.shape[1]).T
     mu_a, mu_b, e_aa, e_bb, e_ab = (
@@ -76,22 +56,17 @@ def ssim(a: IntensityImage, b: IntensityImage, params: SsimParams = DEFAULT_SSIM
     var_a = e_aa - mu_a**2
     var_b = e_bb - mu_b**2
     cov = e_ab - mu_a * mu_b
-    c1 = (params.k1 * params.dynamic_range) ** 2
-    c2 = (params.k2 * params.dynamic_range) ** 2
+    c1 = (SSIM_K1 * SSIM_DYNAMIC_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_DYNAMIC_RANGE) ** 2
     num = (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
     den = (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))
 
 
-class SnrValue(NamedTuple):
-    value: float
-    infinite: bool
-
-
-def snr(image: IntensityImage, signal_mask: np.ndarray) -> SnrValue:
+def snr(image: IntensityImage, signal_mask: np.ndarray) -> float:
     """Mean intensity in the signal region over the standard deviation of the
-    complement (noise) region.  A perfectly constant noise region returns an
-    infinite-SNR sentinel with the flag set rather than raising."""
+    complement (noise) region.  A perfectly constant noise region gives inf
+    rather than raising."""
     mask = np.asarray(signal_mask)
     if mask.shape != image.values.shape:
         raise DimensionError("signal mask shape must match the image")
@@ -105,8 +80,8 @@ def snr(image: IntensityImage, signal_mask: np.ndarray) -> SnrValue:
     mu = float(image.values[sig].mean())
     sd = float(image.values[~sig].std())
     if sd == 0.0:
-        return SnrValue(float("inf"), True)
-    return SnrValue(mu / sd, False)
+        return float("inf")
+    return mu / sd
 
 
 def line_profile(image: IntensityImage, axis: str = "cols", region=None) -> np.ndarray:

@@ -5,7 +5,8 @@ blocks followed by a 1-channel 3x3 conv head squashed by a sigmoid, so the
 output is an image in (0, 1) on the same grid as the input.  Batch
 normalization always uses the statistics of the current pass: the generator
 is fitted to one measurement set, as in deep image prior, and has no separate
-inference mode.
+inference mode.  The LeakyReLU slope LEAK and the batch-norm stabilizer
+BN_EPS are constants of the method.
 
 The backward pass is exact reverse-mode differentiation of the forward
 pass, including the dependence of the batch statistics on the input;
@@ -46,6 +47,10 @@ import numpy as np
 from .errors import DimensionError, ParameterError
 
 DEFAULT_PLAN = (1, 16, 32, 32, 16, 1)
+# Python floats, not numpy scalars: a float64 scalar would promote the
+# float32 layers to float64.
+LEAK = 0.2  # in (0, 1]: max(y, LEAK*y) and the sign rule of backward need it
+BN_EPS = 1e-3
 
 
 class _Im2col:
@@ -77,7 +82,7 @@ def flip_kernel(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
-def bn_forward(z: np.ndarray, eps: float) -> np.ndarray:
+def bn_forward(z: np.ndarray) -> np.ndarray:
     """Normalize each row of z (C, H*W) in place, so z becomes x-hat.
 
     Returns the per-row inverse standard deviation.
@@ -85,7 +90,7 @@ def bn_forward(z: np.ndarray, eps: float) -> np.ndarray:
     n = z.shape[1]
     z -= z.mean(axis=1)[:, None]
     var = np.einsum("ij,ij->i", z, z) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     z *= inv_std[:, None]
     return inv_std
 
@@ -126,19 +131,14 @@ class GeneratorNet:
     reuses, so a cache is valid until the next forward pass.
     """
 
-    def __init__(self, plan=DEFAULT_PLAN, seed: int = 0, leak: float = 0.2,
-                 bn_eps: float = 1e-3, dtype=np.float64):
+    def __init__(self, plan=DEFAULT_PLAN, seed: int = 0, dtype=np.float64):
         if len(plan) < 2 or plan[0] != 1 or plan[-1] != 1:
             raise DimensionError("channel plan must start and end with 1 channel")
-        if not 0 < leak <= 1:  # max(y, leak*y) and the sign rule of backward need it
-            raise ParameterError(f"LeakyReLU slope must lie in (0, 1], got {leak}")
         self.dtype = np.dtype(dtype)
         if self.dtype not in (np.float32, np.float64):
             raise ParameterError(f"generator dtype must be float32 or float64, got {self.dtype}")
         self.plan = tuple(int(c) for c in plan)
         self.seed = int(seed)
-        self.leak = float(leak)
-        self.bn_eps = float(bn_eps)
         self.n_blocks = len(plan) - 2  # conv+BN+LeakyReLU blocks before the head
         self.params: list[np.ndarray] = []
         self._scratch: dict = {}
@@ -202,14 +202,14 @@ class GeneratorNet:
             im2col, z = bufs[layer]
             act = bufs[layer + 1][0].interior
             np.matmul(weight.reshape(len(weight), -1), im2col.columns(), out=z)
-            inv_stds.append(bn_forward(z, self.bn_eps))
+            inv_stds.append(bn_forward(z))
             # scale and shift in a contiguous temporary: in-place passes over
             # the strided interior of `act` run row by row and cost more than
             # the allocation they would save
             y = z * gamma[:, None]
             y += beta[:, None]
             y = y.reshape(act.shape)
-            np.maximum(y, self.leak * y, out=act)
+            np.maximum(y, LEAK * y, out=act)
         weight, bias = self._head_params()
         z = _float64(weight.reshape(1, -1) @ bufs[self.n_blocks][0].columns())
         z += bias[:, None]
@@ -246,8 +246,8 @@ class GeneratorNet:
             # LeakyReLU slope: 1 where the activation is positive, else the leak.
             # Arithmetic on the mask, not a masked or branching select, because
             # the sign pattern is random and branches mispredict.
-            slope = np.multiply(act > 0, 1.0 - self.leak, dtype=self.dtype)
-            slope += self.leak
+            slope = np.multiply(act > 0, 1.0 - LEAK, dtype=self.dtype)
+            slope += LEAK
             g *= slope.reshape(g.shape)
             g_gamma, g_beta = bn_backward(g, xhat, gamma, inv_stds[layer])
             g_w = _float64(g @ im2col.cols.T).reshape(weight.shape)

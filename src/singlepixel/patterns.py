@@ -31,6 +31,8 @@ _PATTERN_MAGIC = b"SPIP"
 _PATTERN_VERSION = 1
 _CHECK_BLOCK_BYTES = 1 << 20  # payload bytes `load_patterns` checks at a time
 
+DEFAULT_MODULATION_DEPTH = 0.9
+
 
 def fwht(vec: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform in natural (Sylvester) order.
@@ -147,7 +149,7 @@ class PatternSet:
     order: int
     selection: tuple
     ordering: str
-    modulation_depth: float = 0.9
+    modulation_depth: float = DEFAULT_MODULATION_DEPTH
 
     def __post_init__(self):
         n = self.order
@@ -187,10 +189,6 @@ class PatternSet:
     @property
     def pixels(self) -> int:
         return self.order * self.order
-
-    @property
-    def compression_ratio(self) -> float:
-        return self.count / self.pixels
 
     @property
     def identifier(self) -> str:
@@ -235,7 +233,7 @@ def walsh_hadamard_patterns(
     order_n: int,
     count_m: int,
     ordering: str = SEQUENCY,
-    modulation_depth: float = 0.9,
+    modulation_depth: float = DEFAULT_MODULATION_DEPTH,
 ) -> PatternSet:
     """First `count_m` Walsh-Hadamard masks of order n in the chosen ordering.
 
@@ -281,7 +279,7 @@ def save_patterns(path, pattern_set: PatternSet) -> None:
         fh.write(pattern_set.logical_masks.tobytes())
 
 
-def load_patterns(path, modulation_depth: float = 0.9) -> PatternSet:
+def load_patterns(path, modulation_depth: float = DEFAULT_MODULATION_DEPTH) -> PatternSet:
     """Read a SPIP pattern file and recover the Hadamard row selection.
 
     Mask r1*n + r0 is outer(H_n[r1], H_n[r0]), so its row 0 is H_n[r0] and

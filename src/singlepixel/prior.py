@@ -9,6 +9,10 @@ with the measured readings:
 
 The gradient is exact reverse mode: `encode_adjoint`, then the pullback of
 `diffract_vjp`, then the net's backward pass.
+
+The fit is a fixed method, as in deep image prior: DEFAULT_ITERATIONS Adam
+updates with the BASE_LR, DECAY_RATE, DECAY_STEPS, BETA1, BETA2 and ADAM_EPS
+constants below, and a TV weight of DEFAULT_TV_WEIGHT unless one is given.
 """
 
 from __future__ import annotations
@@ -29,20 +33,24 @@ from .tvreg import tv_anisotropic, tv_subgradient
 DEFAULT_TV_WEIGHT = 1e-10
 DEFAULT_ITERATIONS = 300
 
+# Adam (Kingma & Ba) with a stepped exponential learning-rate decay: the rate
+# is BASE_LR * DECAY_RATE ** (t // DECAY_STEPS) after t completed updates.
+BASE_LR = 0.05
+DECAY_RATE = 0.9
+DECAY_STEPS = 100
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
-    """Adam accumulators plus the stepped exponential learning-rate decay."""
+    """Adam accumulators and the count of completed updates; the
+    hyperparameters are the module constants above."""
 
     m: list
     v: list
     step: int = 0
-    base_lr: float = 0.05
-    decay_rate: float = 0.9
-    decay_steps: int = 100
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def for_params(cls, params) -> "AdamState":
@@ -51,18 +59,18 @@ class AdamState:
     def learning_rate(self, step: int | None = None) -> float:
         """Effective rate for the given completed-update count (default: now)."""
         t = self.step if step is None else step
-        return self.base_lr * self.decay_rate ** (t // self.decay_steps)
+        return BASE_LR * DECAY_RATE ** (t // DECAY_STEPS)
 
     def update(self, params, grads) -> None:
         lr = self.learning_rate()
         self.step += 1
         k = self.step
-        c1 = 1.0 - self.beta1**k
-        c2 = 1.0 - self.beta2**k
+        c1 = 1.0 - BETA1**k
+        c2 = 1.0 - BETA2**k
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            p -= lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + self.eps)
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * (g * g)
+            p -= lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + ADAM_EPS)
 
 
 def generate(net: GeneratorNet, image: IntensityImage) -> IntensityImage:
@@ -118,14 +126,15 @@ def reconstruct_untrained(
     seed: int = 0,
     *,
     pitch: float = 1.0,
-    tv_weight: float = DEFAULT_TV_WEIGHT,
+    tv_weight: float | None = None,
     net: GeneratorNet | None = None,
 ) -> ReconResult:
     """Adam-optimize a freshly seeded generator against the measurements.
 
     The fixed network input is the DGI estimate of the diffracted image; the
     returned image is the generator output after the final update, and
-    residual_history records the loss seen at every iteration.
+    residual_history records the loss seen at every iteration.  A
+    `tv_weight` of None is DEFAULT_TV_WEIGHT.
 
     Without `net`, the generator is a float32 net of the default channel
     plan: its layers run in float32 while its parameters, the Adam state and
@@ -135,6 +144,8 @@ def reconstruct_untrained(
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
+    if tv_weight is None:
+        tv_weight = DEFAULT_TV_WEIGHT
     if not 0 <= tv_weight < np.inf:
         raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
     input_image = prepare_prior_input(meas, pattern_set, pitch)
@@ -167,7 +178,7 @@ def backprop_refocus_sweep(
     seed: int = 0,
     *,
     pitch: float = 1.0,
-    tv_weight: float = DEFAULT_TV_WEIGHT,
+    tv_weight: float | None = None,
 ) -> list[ReconResult]:
     """One untrained reconstruction per modeled distance, sharing the seed
     and pattern set, for focal-sweep analysis."""

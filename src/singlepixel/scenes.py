@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import FormatError, ParameterError, read_text
 from .field import IntensityImage
+from .patterns import DEFAULT_MODULATION_DEPTH
 
 THREE_SLIT = "three_slit"
 BITMAP = "bitmap"
@@ -38,7 +39,7 @@ class SceneSpec:
     slit_separations: tuple = ()
     slit_height: float | None = None
     bitmap_path: str | None = None
-    modulation_depth: float = 0.9
+    modulation_depth: float = DEFAULT_MODULATION_DEPTH
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -115,7 +116,7 @@ def parse_scene(text: str) -> SceneSpec:
             ),
             slit_height=(parse_length(entries.pop("slit_height")) if "slit_height" in entries else None),
             bitmap_path=pop("bitmap_path"),
-            modulation_depth=float(pop("modulation_depth", "0.9")),
+            modulation_depth=float(pop("modulation_depth", DEFAULT_MODULATION_DEPTH)),
             noise_sigma=float(pop("noise_sigma", "0")),
             seed=int(pop("seed", "0")),
         )

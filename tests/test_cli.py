@@ -198,6 +198,15 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert "snr," in out
 
 
+def test_metrics_prints_inf_for_a_constant_noise_region(tmp_path, capsys):
+    """The star is 0 off its own mask, so its noise region is constant."""
+    star = star_mask(16, 1e-4, outer=0.4, inner=0.2)
+    img_path = tmp_path / "a.pgm"
+    write_pgm(img_path, star)
+    assert main(["metrics", "--image", str(img_path), "--snr-mask", str(img_path)]) == 0
+    assert capsys.readouterr().out == "metric,value\nsnr,inf\n"
+
+
 def test_benchmark_grid(workspace):
     tmp_path, scene, patterns = workspace
     out_dir = tmp_path / "bench"
@@ -339,9 +348,9 @@ def test_benchmark_scores_untrained_against_the_object(tmp_path, monkeypatch):
     spec = parse_scene(SCENE.replace("grid = 16", "grid = 32"))
     images = []
 
-    def spy(image, reference, params):
+    def spy(image, reference):
         images.append(image)
-        return real_ssim(image, reference, params)
+        return real_ssim(image, reference)
 
     real_ssim = cli.ssim
     monkeypatch.setattr(cli, "ssim", spy)

@@ -7,7 +7,7 @@ from scipy.signal import correlate
 from singlepixel.errors import ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import measure
-from singlepixel.network import DEFAULT_PLAN, GeneratorNet, _Im2col
+from singlepixel.network import BN_EPS, DEFAULT_PLAN, LEAK, GeneratorNet, _Im2col
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.prior import AdamState, loss_and_gradient, prepare_prior_input
 from singlepixel.propagation import PropagationSpec
@@ -42,11 +42,6 @@ class TestForward:
     def test_different_seed_different_parameters(self):
         a, b = small_net(seed=5), small_net(seed=6)
         assert any(not np.array_equal(pa, pb) for pa, pb in zip(a.params, b.params))
-
-    @pytest.mark.parametrize("leak", [0.0, -0.2, 1.5, float("nan")])
-    def test_leak_outside_unit_interval_rejected(self, leak):
-        with pytest.raises(ParameterError):
-            GeneratorNet(plan=(1, 4, 1), leak=leak)
 
 
 class TestNetworkGradients:
@@ -158,7 +153,7 @@ def _reference_pass(net, image, g_output):
     BN blocks differentiate batch norm through the mean and the variance
     separately.  Returns (output, gradients in net.params order).
     """
-    eps, leak = net.bn_eps, net.leak
+    eps, leak = BN_EPS, LEAK
     act = image[None]
     saved = []
     for layer in range(net.n_blocks):

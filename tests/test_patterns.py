@@ -181,10 +181,6 @@ class TestWalshHadamardPatterns:
         flat = pset.logical_masks.reshape(64, 64).astype(np.int64)
         assert np.array_equal(flat @ flat.T, 64 * np.eye(64, dtype=np.int64))
 
-    def test_paper_scale_compression_ratio(self):
-        pset = walsh_hadamard_patterns(64, 128)
-        assert pset.compression_ratio == pytest.approx(0.03125)
-
     def test_rejects_non_power_of_two_order(self):
         with pytest.raises(ParameterError):
             walsh_hadamard_patterns(12, 4)
