@@ -64,6 +64,20 @@ def test_simulate_writes_expected_files(workspace):
     assert meas.seed == 5
 
 
+@pytest.mark.parametrize("flags, expected", [
+    (["--seed", "7"], (0.1, 7)),
+    (["--noise-sigma", "0.3"], (0.3, 5)),
+    (["--noise-sigma", "0.3", "--seed", "7"], (0.3, 7)),
+])
+def test_simulate_flags_override_the_scene(workspace, flags, expected):
+    tmp_path, scene, patterns = workspace
+    out_dir = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(out_dir), *flags]) == 0
+    meas = read_measurement_csv(out_dir / "measurement.csv")
+    assert (meas.noise_sigma, meas.seed) == expected
+
+
 def test_simulate_reruns_are_byte_identical(workspace):
     tmp_path, scene, patterns = workspace
     a = tmp_path / "run_a"
