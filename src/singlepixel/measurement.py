@@ -12,7 +12,8 @@ versa, the two-mask algebra collapses to
 which is how the readings are computed here (`encode`, with its adjoint
 `encode_adjoint`): one fast Walsh-Hadamard transform of the (block-pooled)
 diffraction image yields every <P_i, O_d> at once.  eta are independent
-zero-mean Gaussian draws per half-measurement.
+zero-mean Gaussian draws per half-measurement, all taken from one generator
+seeded with the measurement's seed.
 """
 
 from __future__ import annotations
@@ -127,19 +128,18 @@ def measure(
 ) -> Measurement:
     """Differential single-pixel readout of a diffraction image.
 
-    The noise RNG is split per pattern index from the seed, so readings are
-    reproducible bit-for-bit and independent of evaluation order.
+    The noise is one (count, 2) normal draw from a PCG64 generator seeded
+    with `seed`; row i holds the two half-measurement draws of pattern i.
+    So readings are reproducible bit-for-bit in every process, and the first
+    k readings of a set are the readings of its `subset(k)`.
     """
     if not 0 <= noise_sigma < np.inf:
         raise ParameterError(f"noise sigma {noise_sigma} is not finite and >= 0")
     readings = encode(diffracted.values, pattern_set)
     if noise_sigma > 0:
-        children = np.random.SeedSequence(seed).spawn(pattern_set.count)
-        noise = np.empty(pattern_set.count)
-        for i, child in enumerate(children):
-            eta = np.random.Generator(np.random.PCG64(child)).normal(0.0, noise_sigma, 2)
-            noise[i] = eta[0] - eta[1]
-        readings = readings + noise
+        rng = np.random.Generator(np.random.PCG64(seed))
+        eta = rng.normal(0.0, noise_sigma, (pattern_set.count, 2))
+        readings = readings + (eta[:, 0] - eta[:, 1])
     return Measurement(
         readings=readings,
         pattern_ref=pattern_set.identifier,

@@ -96,6 +96,15 @@ class TestMeasure:
         b = measure(img, pset, noise_sigma=0.5, seed=99)
         assert np.array_equal(a.readings, b.readings)
 
+    @pytest.mark.parametrize("k", [1, 5, 16])
+    def test_noise_is_prefix_stable(self, rng, k):
+        """The first k readings of a set are the readings of its first k patterns."""
+        pset = walsh_hadamard_patterns(8, 16)
+        img = image(rng.random((8, 8)))
+        full = measure(img, pset, noise_sigma=0.5, seed=21).readings
+        prefix = measure(img, pset.subset(k), noise_sigma=0.5, seed=21).readings
+        assert np.array_equal(prefix, full[:k])
+
     def test_negative_sigma_rejected(self):
         pset = walsh_hadamard_patterns(4, 4)
         with pytest.raises(ParameterError):
