@@ -18,9 +18,9 @@ from .errors import (
     ParameterError,
     SinglePixelError,
 )
-from .field import ComplexField, IntensityImage, intensity, normalize
+from .field import IntensityImage, normalize
 from .measurement import Measurement, measure, read_measurement_csv, write_measurement_csv
-from .metrics import count_resolved_slits, dip_contrast, line_profile, snr, ssim
+from .metrics import dip_contrast, line_profile, snr, ssim
 from .network import GeneratorNet
 from .patterns import (
     PatternSet,
@@ -30,13 +30,7 @@ from .patterns import (
     walsh_hadamard_patterns,
 )
 from .pgm import read_pgm, write_pgm
-from .prior import (
-    AdamState,
-    backprop_refocus_sweep,
-    generate,
-    loss_and_gradient,
-    reconstruct_untrained,
-)
+from .prior import AdamState, loss_and_gradient, reconstruct_untrained
 from .propagation import PropagationSpec, propagate, transfer_gradient
 from .scenes import SceneSpec, build_scene, load_scene, parse_scene
 

@@ -1,8 +1,10 @@
-"""Complex-field and intensity-image grid types with their elementary algebra.
+"""The intensity-image grid type and its normalization.
 
-Both types are immutable value objects on a uniform square-pixel grid.  Grid
-sides must be powers of two so the FFT-based propagator never needs implicit
-padding, and all arithmetic is double precision.
+An `IntensityImage` is an immutable value object on a uniform square-pixel
+grid: it guards every image that comes from a file or a scene.  Grid sides
+must be powers of two so the FFT-based propagator never needs implicit
+padding, and all arithmetic is double precision.  Complex fields inside the
+physics chain are plain complex128 arrays (see `propagation`).
 """
 
 from __future__ import annotations
@@ -26,45 +28,16 @@ def _check_grid(width: int, height: int, pitch: float) -> None:
 
 
 @dataclass(frozen=True)
-class ComplexField:
-    """Sampled 2D complex scalar wave amplitude.
+class IntensityImage:
+    """Nonnegative real intensity on a power-of-two grid of square pixels.
 
     Attributes
     ----------
-    values : ndarray, shape (height, width), complex128
-        Relative complex amplitude per pixel.
+    values : ndarray, shape (height, width), float64
+        Intensity per pixel, finite and nonnegative.
     pitch : float
         Meters per pixel (same in x and y).
     """
-
-    values: np.ndarray
-    pitch: float
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.ndim != 2:
-            raise DimensionError(f"field values must be 2D, got ndim={v.ndim}")
-        _check_grid(v.shape[1], v.shape[0], self.pitch)
-        if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-            raise InvalidFieldError("field contains NaN or Inf values")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def with_values(self, values: np.ndarray) -> "ComplexField":
-        return ComplexField(values=values, pitch=self.pitch)
-
-
-@dataclass(frozen=True)
-class IntensityImage:
-    """Nonnegative real intensity on the same grid conventions as ComplexField."""
 
     values: np.ndarray
     pitch: float
@@ -91,12 +64,6 @@ class IntensityImage:
 
     def with_values(self, values: np.ndarray) -> "IntensityImage":
         return IntensityImage(values=values, pitch=self.pitch)
-
-
-def intensity(fld: ComplexField) -> IntensityImage:
-    """Squared modulus |E|^2 of a field, grid metadata preserved."""
-    v = fld.values
-    return IntensityImage(values=(v.real * v.real + v.imag * v.imag), pitch=fld.pitch)
 
 
 def normalize(image: IntensityImage) -> IntensityImage:

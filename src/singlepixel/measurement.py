@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimensionError, FormatError, ParameterError, read_text
-from .field import ComplexField, IntensityImage, intensity
+from .field import IntensityImage
 from .patterns import PatternSet, project, synthesize
 from .propagation import PropagationSpec, propagate, transfer_gradient
 
@@ -62,13 +62,12 @@ def diffract_vjp(values: np.ndarray, pitch: float, prop: PropagationSpec):
     guards float underflow.
     """
     amp = np.sqrt(values)
-    field_d = propagate(ComplexField(values=amp.astype(np.complex128), pitch=pitch), prop)
+    field_d = propagate(amp.astype(np.complex128), pitch, prop)
 
     def pullback(g: np.ndarray) -> np.ndarray:
-        cotangent_0 = transfer_gradient(field_d.with_values(g * field_d.values), prop)
-        return cotangent_0.values.real / np.maximum(amp, 1e-200)
+        return transfer_gradient(g * field_d, pitch, prop).real / np.maximum(amp, 1e-200)
 
-    return intensity(field_d).values, pullback
+    return field_d.real * field_d.real + field_d.imag * field_d.imag, pullback
 
 
 def diffract(obj: IntensityImage, prop: PropagationSpec) -> IntensityImage:

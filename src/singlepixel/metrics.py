@@ -1,5 +1,5 @@
-"""Quantitative evaluation: SSIM, signal-to-noise ratio, line profiles, and
-slit resolvability.
+"""Quantitative evaluation: SSIM and signal-to-noise ratio for the CLI, and
+line profiles with dip contrast for the slit-resolution analysis.
 
 SSIM takes the published defaults of Wang et al. (IEEE TIP 13, 600, 2004) as
 constants: an 11 x 11 Gaussian window of sigma 1.5 (SSIM_WINDOW, SSIM_SIGMA),
@@ -109,61 +109,13 @@ def line_profile(image: IntensityImage, axis: str = "cols", region=None) -> np.n
     return p / peak
 
 
-def _plateau_peaks(p: np.ndarray):
-    """Indices (plateau centers) of local maxima of a 1D profile."""
-    # Compress runs of equal values, keeping the center index of each run.
-    reps = []
-    start = 0
-    for i in range(1, len(p) + 1):
-        if i == len(p) or p[i] != p[start]:
-            reps.append(((start + i - 1) // 2, p[start]))
-            start = i
-    peaks = []
-    for j, (idx, val) in enumerate(reps):
-        left_ok = j == 0 or reps[j - 1][1] < val
-        right_ok = j == len(reps) - 1 or reps[j + 1][1] < val
-        if left_ok and right_ok:
-            peaks.append(idx)
-    return peaks
-
-
-def count_resolved_slits(
-    profile: np.ndarray, dip_threshold: float = 0.2, min_height: float = 0.2
-) -> int:
-    """Local maxima separated by dips of relative depth >= dip_threshold.
-
-    Maxima below min_height (the profile is normalized to peak 1) are treated
-    as background ripple and ignored; remaining adjacent maxima whose
-    connecting valley is too shallow (depth relative to the smaller of the
-    two peaks) are merged, keeping the taller one, until every remaining pair
-    is separated by a qualifying dip.
-    """
-    p = np.asarray(profile, dtype=np.float64)
-    if p.size == 0:
-        return 0
-    peaks = [i for i in _plateau_peaks(p) if p[i] >= min_height]
-    if not peaks:
-        return 1 if p.size else 0
-    while len(peaks) > 1:
-        depths = []
-        for a, b in zip(peaks[:-1], peaks[1:]):
-            valley = p[a : b + 1].min()
-            ref = min(p[a], p[b])
-            depths.append((ref - valley) / ref if ref > 0 else 0.0)
-        weakest = int(np.argmin(depths))
-        if depths[weakest] >= dip_threshold:
-            break
-        a, b = peaks[weakest], peaks[weakest + 1]
-        peaks.pop(weakest if p[a] < p[b] else weakest + 1)
-    return len(peaks)
-
-
 def dip_contrast(profile: np.ndarray, peak_positions, valley_positions) -> float:
     """Mean relative dip depth at known valley positions between known peaks.
 
     For each valley the reference level is the smaller of the nearest peak
-    samples to its left and right; depths are clamped at 0.  Used for
-    focal-sweep sharpness ranking when the scene geometry is known.
+    samples to its left and right; depths are clamped at 0.  With the slit
+    and gap columns of `scenes.slit_feature_columns` it measures how well a
+    reconstruction resolves the gaps of a three-slit scene.
     """
     p = np.asarray(profile, dtype=np.float64)
     peaks = sorted(int(i) for i in peak_positions)

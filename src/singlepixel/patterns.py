@@ -56,20 +56,6 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     return (_hadamard(a) @ x.reshape(lead + (a, b)) @ _hadamard(b)).reshape(lead + (n,))
 
 
-def sequency_to_natural(sequency, bits: int):
-    """Natural (Sylvester) row index of the row with the given sign-change count.
-
-    The row of H_{2^bits} with exactly `sequency` sign changes sits at natural
-    index bit_reverse(gray(sequency)).  Works elementwise on integer arrays.
-    """
-    g = sequency ^ (sequency >> 1)
-    rev = 0
-    for _ in range(bits):
-        rev = (rev << 1) | (g & 1)
-        g >>= 1
-    return rev
-
-
 def _sequency_selection(order_n: int, count_m: int) -> list:
     """Natural row indices of the `count_m` lowest-sequency masks.
 
@@ -77,10 +63,12 @@ def _sequency_selection(order_n: int, count_m: int) -> list:
     mask walsh(r1) (x) walsh(r0), whose total 2D sign-change count is
     n * (seq(r1) + seq(r0)).  Enumerating 1D-sequency pairs (sy, sx) in
     ascending sum keeps the masks isotropically low-frequency; ties break by
-    max component then sx so the order is deterministic.
+    max component then sx so the order is deterministic.  Each count in
+    [0, n) is the sign-change count of exactly one row of H_n, so sorting
+    the rows by it gives the natural index of every sequency.
     """
-    bits = order_n.bit_length() - 1
-    natural = sequency_to_natural(np.arange(order_n), bits)
+    h = _hadamard(order_n)
+    natural = np.argsort(np.count_nonzero(h[:, 1:] != h[:, :-1], axis=1))
     sy, sx = np.divmod(np.arange(order_n * order_n), order_n)
     first = np.lexsort((sy, sx, np.maximum(sx, sy), sx + sy))[:count_m]
     return (natural[sy[first]] * order_n + natural[sx[first]]).tolist()
@@ -89,16 +77,6 @@ def _sequency_selection(order_n: int, count_m: int) -> list:
 def _check_order(n: int) -> None:
     if n < 2 or n & (n - 1):
         raise ParameterError(f"pattern order must be a power of two >= 2, got {n}")
-
-
-def _walsh_rows(rows: np.ndarray, length: int) -> np.ndarray:
-    """Rows of H_length as int8: entry c of row r is (-1)**popcount(r & c)."""
-    overlap = rows[:, None] & np.arange(length, dtype=np.int64)
-    parity = np.zeros_like(overlap)
-    for _ in range(length.bit_length() - 1):
-        parity ^= overlap & 1
-        overlap >>= 1
-    return (1 - 2 * parity).astype(np.int8)
 
 
 def _first_repeat(selection) -> tuple | None:
@@ -112,19 +90,23 @@ def _first_repeat(selection) -> tuple | None:
 
 @lru_cache(maxsize=32)
 def _hadamard(length: int) -> np.ndarray:
-    """H_length as a read-only float64 +/-1 matrix, built once per length."""
-    h = _walsh_rows(np.arange(length, dtype=np.int64), length).astype(np.float64)
+    """H_length as a read-only float64 +/-1 matrix, built once per length.
+
+    Sylvester doubling: H_1 = [1] and H_2k = [[H_k, H_k], [H_k, -H_k]], so
+    entry (r, c) is (-1)**popcount(r & c).
+    """
+    h = np.ones((1, 1))
+    while h.shape[0] < length:
+        h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
     return h
 
 
 def _hadamard_masks(order: int, rows) -> np.ndarray:
     """The (M, order, order) int8 masks of the given rows, in O(M*N) (nothing for M = 0)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        return np.empty((0, order, order), dtype=np.int8)
-    r1, r0 = np.divmod(rows, order)
-    return _walsh_rows(r1, order)[:, :, None] * _walsh_rows(r0, order)[:, None, :]
+    r1, r0 = np.divmod(np.asarray(rows, dtype=np.int64), order)
+    h = _hadamard(order).astype(np.int8)
+    return h[r1][:, :, None] * h[r0][:, None, :]
 
 
 @dataclass(frozen=True)

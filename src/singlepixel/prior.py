@@ -73,11 +73,6 @@ class AdamState:
             p -= lr * (self.m[i] / c1) / (np.sqrt(self.v[i] / c2) + ADAM_EPS)
 
 
-def generate(net: GeneratorNet, image: IntensityImage) -> IntensityImage:
-    """Deterministic forward pass of the generator on an input image."""
-    return IntensityImage(values=net.forward(image.values), pitch=image.pitch)
-
-
 def loss_and_gradient(
     net: GeneratorNet,
     input_image: IntensityImage,
@@ -113,11 +108,6 @@ def loss_and_gradient(
     return loss, grads
 
 
-def prepare_prior_input(meas: Measurement, pattern_set: PatternSet, pitch: float) -> IntensityImage:
-    """DGI estimate of the diffracted image, normalized to [0, 1]."""
-    return dgi_reconstruct(meas, pattern_set, pitch=pitch).image
-
-
 def reconstruct_untrained(
     meas: Measurement,
     pattern_set: PatternSet,
@@ -148,7 +138,7 @@ def reconstruct_untrained(
         tv_weight = DEFAULT_TV_WEIGHT
     if not 0 <= tv_weight < np.inf:
         raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
-    input_image = prepare_prior_input(meas, pattern_set, pitch)
+    input_image = dgi_reconstruct(meas, pattern_set, pitch=pitch).image
     if net is None:
         net = GeneratorNet(seed=seed, dtype=np.float32)
     adam = AdamState.for_params(net.params)
@@ -160,7 +150,7 @@ def reconstruct_untrained(
             raise NumericalError(err.message, stage=err.stage, iteration=it) from err
         adam.update(net.params, grads)
         history.append(loss)
-    final = generate(net, input_image)
+    final = IntensityImage(values=net.forward(input_image.values), pitch=input_image.pitch)
     return ReconResult(
         image=final,
         iterations_used=iterations,
@@ -168,32 +158,3 @@ def reconstruct_untrained(
         raw=final.values,
     )
 
-
-def backprop_refocus_sweep(
-    meas: Measurement,
-    pattern_set: PatternSet,
-    prop_base: PropagationSpec,
-    distances,
-    iterations: int = DEFAULT_ITERATIONS,
-    seed: int = 0,
-    *,
-    pitch: float = 1.0,
-    tv_weight: float | None = None,
-) -> list[ReconResult]:
-    """One untrained reconstruction per modeled distance, sharing the seed
-    and pattern set, for focal-sweep analysis."""
-    distances = list(distances)
-    if not distances:
-        raise ParameterError("distances must be non-empty")
-    return [
-        reconstruct_untrained(
-            meas,
-            pattern_set,
-            prop_base.with_distance(d),
-            iterations=iterations,
-            seed=seed,
-            pitch=pitch,
-            tv_weight=tv_weight,
-        )
-        for d in distances
-    ]

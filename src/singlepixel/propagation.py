@@ -1,9 +1,10 @@
 """Angular-spectrum propagation with explicit homogeneous/evanescent handling.
 
-The propagator is the spectral transfer method: FFT the field, multiply each
-plane-wave component by its distance-dependent transfer factor, inverse FFT.
-With normalized transverse frequencies u = lambda*fx, v = lambda*fy the
-transfer is
+A field is a complex128 array of shape (n_y, n_x); its pixel pitch is passed
+beside it.  The propagator is the spectral transfer method: FFT the field,
+multiply each plane-wave component by its distance-dependent transfer
+factor, inverse FFT.  With normalized transverse frequencies u = lambda*fx,
+v = lambda*fy the transfer is
 
     exp(+i*k*d*sqrt(1 - u^2 - v^2))   for u^2 + v^2 <= 1  (homogeneous)
     exp(-k*d*sqrt(u^2 + v^2 - 1))     for u^2 + v^2 >  1  (evanescent), d >= 0
@@ -16,13 +17,12 @@ amplify measurement noise.  The sign of d is the whole rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ParameterError
-from .field import ComplexField
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,6 @@ class PropagationSpec:
     def wavenumber(self) -> float:
         return 2.0 * np.pi / self.wavelength
 
-    def with_distance(self, distance: float) -> "PropagationSpec":
-        return replace(self, distance=distance)
-
 
 @lru_cache(maxsize=8)
 def _transfer(n_y: int, n_x: int, pitch: float, spec: PropagationSpec) -> np.ndarray:
@@ -77,15 +74,16 @@ def _transfer(n_y: int, n_x: int, pitch: float, spec: PropagationSpec) -> np.nda
     return transfer
 
 
-def propagate(field: ComplexField, spec: PropagationSpec) -> ComplexField:
-    """Propagate a field by spec.distance; d = 0 returns the input unchanged."""
+def propagate(field: np.ndarray, pitch: float, spec: PropagationSpec) -> np.ndarray:
+    """Propagate a complex field of the given pixel pitch by spec.distance;
+    d = 0 returns the input unchanged."""
     if spec.distance == 0.0:
         return field
-    transfer = _transfer(field.height, field.width, field.pitch, spec)
-    return field.with_values(np.fft.ifft2(np.fft.fft2(field.values) * transfer))
+    transfer = _transfer(*field.shape, pitch, spec)
+    return np.fft.ifft2(np.fft.fft2(field) * transfer)
 
 
-def transfer_gradient(upstream: ComplexField, spec: PropagationSpec) -> ComplexField:
+def transfer_gradient(upstream: np.ndarray, pitch: float, spec: PropagationSpec) -> np.ndarray:
     """Adjoint (conjugate transpose) of the propagate operator.
 
     Satisfies <propagate(x), y> = <x, transfer_gradient(y)> for every pair
@@ -94,5 +92,5 @@ def transfer_gradient(upstream: ComplexField, spec: PropagationSpec) -> ComplexF
     """
     if spec.distance == 0.0:
         return upstream
-    transfer = _transfer(upstream.height, upstream.width, upstream.pitch, spec)
-    return upstream.with_values(np.fft.ifft2(np.fft.fft2(upstream.values) * np.conj(transfer)))
+    transfer = _transfer(*upstream.shape, pitch, spec)
+    return np.fft.ifft2(np.fft.fft2(upstream) * np.conj(transfer))

@@ -20,13 +20,6 @@ from .patterns import DEFAULT_MODULATION_DEPTH
 THREE_SLIT = "three_slit"
 BITMAP = "bitmap"
 
-_LENGTH_KEYS = {
-    "fov",
-    "wavelength",
-    "distance",
-    "slit_height",
-}
-
 
 @dataclass(frozen=True)
 class SceneSpec:

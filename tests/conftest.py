@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from singlepixel.errors import ParameterError
-from singlepixel.field import ComplexField, IntensityImage
+from singlepixel.field import IntensityImage
 from singlepixel.measurement import upsample_mask
 
 
@@ -19,9 +19,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-def random_field(rng, n=16, pitch=1e-4):
-    values = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return ComplexField(values=values, pitch=pitch)
+def random_field(rng, n=16):
+    """Random complex128 field on an n x n grid."""
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def random_image(rng, n=16, pitch=1e-4):
@@ -34,13 +34,12 @@ def band_limited_field(rng, n, pitch, wavelength):
     f = np.fft.fftfreq(n, pitch)
     rho_sq = (wavelength**2) * (f[:, None] ** 2 + f[None, :] ** 2)
     spectrum[rho_sq > 1.0] = 0.0
-    return ComplexField(values=np.fft.ifft2(spectrum), pitch=pitch)
+    return np.fft.ifft2(spectrum)
 
 
-def total_power(fld: ComplexField) -> float:
+def total_power(fld: np.ndarray) -> float:
     """Sum of |E|^2 over the grid."""
-    v = fld.values
-    return float(np.sum(v.real * v.real + v.imag * v.imag))
+    return float(np.sum(fld.real * fld.real + fld.imag * fld.imag))
 
 
 def hadamard_row(index: int, length: int) -> np.ndarray:

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from singlepixel.errors import DegenerateInputError, InvalidFieldError, ParameterError
-from singlepixel.field import ComplexField, IntensityImage, intensity, normalize
+from singlepixel.field import IntensityImage, normalize
+from singlepixel.measurement import diffract, diffract_vjp
+from singlepixel.propagation import PropagationSpec, propagate
+
+WAVELENGTH = 833.3e-6
 
 
 def image(values, pitch=1e-4):
@@ -29,7 +33,7 @@ class TestConstruction:
         values = np.zeros((4, 4))
         values[1, 1] = np.nan
         with pytest.raises(InvalidFieldError):
-            ComplexField(values=values.astype(complex), pitch=1e-4)
+            IntensityImage(values=values, pitch=1e-4)
 
     def test_rejects_negative_intensity(self):
         values = np.zeros((4, 4))
@@ -44,37 +48,43 @@ class TestConstruction:
 
 
 class TestIntensity:
+    """The intensity stage |E|^2 of the diffraction chain, `diffract_vjp`."""
+
     def test_uniform_field(self):
-        fld = ComplexField(values=np.ones((4, 4), complex), pitch=1e-4)
-        assert np.array_equal(intensity(fld).values, np.ones((4, 4)))
+        out, _ = diffract_vjp(np.ones((4, 4)), 1e-4, PropagationSpec(WAVELENGTH, 0.7e-3))
+        assert np.allclose(out, 1.0, atol=1e-12)
 
     def test_modulus_squared(self):
-        values = np.zeros((4, 4), complex)
-        values[1, 3] = 1 + 1j
-        fld = ComplexField(values=values, pitch=1e-4)
-        assert intensity(fld).values[1, 3] == pytest.approx(2.0, rel=1e-15)
+        values = np.zeros((4, 4))
+        values[1, 3] = 2.0
+        out, _ = diffract_vjp(values, 1e-4, PropagationSpec(WAVELENGTH, 0.0))
+        assert out[1, 3] == pytest.approx(2.0, rel=1e-15)
 
     def test_preserves_grid_metadata(self, rng):
-        fld = ComplexField(values=rng.standard_normal((8, 8)) + 0j, pitch=3.25e-5)
-        assert intensity(fld).pitch == fld.pitch
+        img = IntensityImage(values=rng.random((8, 8)), pitch=3.25e-5)
+        assert diffract(img, PropagationSpec(WAVELENGTH, 0.4e-3)).pitch == img.pitch
 
     @given(
         amp=arrays(float, (8, 8), elements=st.floats(0, 10)),
-        phase=arrays(float, (8, 8), elements=st.floats(-10, 10)),
+        distance=st.floats(-1e-3, 1e-3),
     )
     @settings(max_examples=25, deadline=None)
-    def test_square_of_amplitude_for_any_phase(self, amp, phase):
-        out = intensity(ComplexField(values=amp * np.exp(1j * phase), pitch=1e-4))
-        assert np.allclose(out.values, amp**2, rtol=1e-12, atol=1e-12)
+    def test_square_of_amplitude_for_any_phase(self, amp, distance):
+        # propagation gives the field a phase; the intensity is its |E|^2
+        spec = PropagationSpec(WAVELENGTH, distance)
+        out, _ = diffract_vjp(amp**2, 1e-4, spec)
+        expected = np.abs(propagate(amp.astype(complex), 1e-4, spec)) ** 2
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
 
     @given(alpha=st.floats(-10, 10))
     @settings(max_examples=25, deadline=None)
     def test_global_phase_invariance(self, alpha):
         rng = np.random.default_rng(7)
-        base = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        a = ComplexField(values=base, pitch=1e-4)
-        b = ComplexField(values=np.exp(1j * alpha) * base, pitch=1e-4)
-        assert np.allclose(intensity(a).values, intensity(b).values, rtol=1e-12, atol=1e-12)
+        values = rng.random((8, 8))
+        spec = PropagationSpec(WAVELENGTH, 0.5e-3)
+        out, _ = diffract_vjp(values, 1e-4, spec)
+        shifted = propagate(np.exp(1j * alpha) * np.sqrt(values), 1e-4, spec)
+        assert np.allclose(out, np.abs(shifted) ** 2, rtol=1e-12, atol=1e-12)
 
 
 class TestNormalize:

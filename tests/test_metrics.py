@@ -12,7 +12,6 @@ from singlepixel.metrics import (
     SSIM_SIGMA,
     SSIM_WINDOW,
     _kernel,
-    count_resolved_slits,
     dip_contrast,
     line_profile,
     snr,
@@ -148,7 +147,7 @@ class TestLineProfile:
         for lo in (2, 7, 12):
             values[:, lo : lo + 3] = 1.0
         profile = line_profile(image(values))
-        assert count_resolved_slits(profile) == 3
+        assert dip_contrast(profile, [3, 8, 13], [6, 11]) == 1.0
 
     def test_transposed_image_swapped_axis(self, rng):
         values = rng.random((8, 8))
@@ -165,40 +164,6 @@ class TestLineProfile:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             line_profile(image(np.zeros((8, 8))))
-
-
-class TestCountResolvedSlits:
-    def test_flat_profile_counts_one(self):
-        assert count_resolved_slits(np.ones(32)) == 1
-
-    def test_ideal_three_slit_profile(self):
-        profile = np.zeros(32)
-        profile[4:8] = 1.0
-        profile[14:18] = 1.0
-        profile[24:28] = 1.0
-        assert count_resolved_slits(profile) == 3
-
-    def test_shallow_dips_merge(self):
-        x = np.linspace(0, 3 * np.pi, 64)
-        profile = 0.9 + 0.05 * np.sin(x)  # dips ~10% of peak
-        profile /= profile.max()
-        assert count_resolved_slits(profile, dip_threshold=0.2) == 1
-
-    def test_background_ripple_ignored(self):
-        profile = np.full(40, 0.01)
-        profile[5] = 0.05  # deep relative dip but far below min_height
-        profile[20:24] = 1.0
-        assert count_resolved_slits(profile) == 1
-
-    @given(scale=st.floats(0.1, 10.0))
-    @settings(max_examples=20, deadline=None)
-    def test_scale_invariance_after_normalization(self, scale):
-        profile = np.zeros(32)
-        profile[4:8] = 0.9
-        profile[14:18] = 1.0
-        profile[26] = 0.7
-        scaled = scale * profile
-        assert count_resolved_slits(scaled / scaled.max()) == count_resolved_slits(profile)
 
 
 class TestDipContrast:

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import correlate
 
+from singlepixel.classical import dgi_reconstruct
 from singlepixel.errors import ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import measure
 from singlepixel.network import BN_EPS, DEFAULT_PLAN, LEAK, GeneratorNet, _Im2col
 from singlepixel.patterns import walsh_hadamard_patterns
-from singlepixel.prior import AdamState, loss_and_gradient, prepare_prior_input
+from singlepixel.prior import AdamState, loss_and_gradient
 from singlepixel.propagation import PropagationSpec
 
 
@@ -247,7 +248,7 @@ class TestFloat32Layers:
         n, pitch = 16, 1e-4
         pset = walsh_hadamard_patterns(n, 64, modulation_depth=0.9)
         meas = measure(IntensityImage(values=(rng.random((n, n)) > 0.5) * 1.0, pitch=pitch), pset)
-        inp = prepare_prior_input(meas, pset, pitch)
+        inp = dgi_reconstruct(meas, pset, pitch=pitch).image
         prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3)
         net = GeneratorNet(seed=2, dtype=np.float32)
         adam = AdamState.for_params(net.params)

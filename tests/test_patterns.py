@@ -23,7 +23,6 @@ from singlepixel.patterns import (
     pattern_sums,
     project,
     save_patterns,
-    sequency_to_natural,
     synthesize,
     walsh_hadamard_patterns,
 )
@@ -117,22 +116,21 @@ class TestFwht:
 class TestOrderings:
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 256])
     def test_sequency_to_natural_by_sign_counting(self, n):
-        bits = n.bit_length() - 1
-        h = brute_force_hadamard(n)
-        for s in range(n):
-            nat = sequency_to_natural(s, bits)
-            assert row_sequency(h[nat]) == s
+        """The full sequency set is ordered by (sx + sy, max, sx, sy), with each
+        1-D sequency counted on the rows of H_n by brute force."""
+        seq = [row_sequency(hadamard_row(r, n)) for r in range(n)]
+        r1, r0 = np.divmod(walsh_hadamard_patterns(n, n * n).selection, n)
+        keys = [(seq[a] + seq[b], max(seq[a], seq[b]), seq[b], seq[a]) for a, b in zip(r1, r0)]
+        assert keys == sorted(set(keys))
 
     def test_sequency_selection_matches_sorted_tuples(self):
         """The sequency selection equals the sort of (sx + sy, max, sx, sy)
         tuples it replaced, so fingerprints and pattern files are unchanged."""
         for bits in range(1, 9):
             n = 1 << bits
+            natural = {row_sequency(hadamard_row(r, n)): r for r in range(n)}
             keys = sorted((sx + sy, max(sx, sy), sx, sy) for sy in range(n) for sx in range(n))
-            oracle = [
-                sequency_to_natural(sy, bits) * n + sequency_to_natural(sx, bits)
-                for _, _, sx, sy in keys
-            ]
+            oracle = [natural[sy] * n + natural[sx] for _, _, sx, sy in keys]
             for m in sorted({1, 2, 3, n, n * n // 4, n * n // 2 + 1, n * n - 1, n * n}):
                 selection = walsh_hadamard_patterns(n, m).selection
                 assert selection == tuple(oracle[:m])

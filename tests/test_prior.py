@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import singlepixel.prior as prior
+from singlepixel.classical import dgi_reconstruct
 from singlepixel.cli import diffract_scene
 from singlepixel.errors import NumericalError, ParameterError
 from singlepixel.field import IntensityImage, normalize
@@ -9,14 +10,7 @@ from singlepixel.measurement import diffract, measure
 from singlepixel.metrics import ssim
 from singlepixel.network import GeneratorNet
 from singlepixel.patterns import walsh_hadamard_patterns
-from singlepixel.prior import (
-    AdamState,
-    backprop_refocus_sweep,
-    generate,
-    loss_and_gradient,
-    prepare_prior_input,
-    reconstruct_untrained,
-)
+from singlepixel.prior import AdamState, loss_and_gradient, reconstruct_untrained
 from singlepixel.propagation import PropagationSpec
 from singlepixel.scenes import SceneSpec
 from singlepixel.tvreg import tv_anisotropic
@@ -67,7 +61,7 @@ class TestLossAndGradient:
         obj, pset, prop, _, pitch = instance(rng)
         net = GeneratorNet(plan=(1, 4, 4, 1), seed=0)
         inp = IntensityImage(values=rng.random((16, 16)), pitch=pitch)
-        output = generate(net, inp)
+        output = IntensityImage(values=net.forward(inp.values), pitch=pitch)
         meas = measure(diffract(output, prop), pset)
         tv_weight = 1e-6
         loss, _ = loss_and_gradient(net, inp, meas, pset, prop, tv_weight)
@@ -194,32 +188,9 @@ class TestReconstructUntrained:
         assert (info.value.message, info.value.stage, info.value.iteration) == ("x", "loss", 0)
 
 
-class TestRefocusSweep:
-    def test_single_distance_equals_direct_call(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng, n=16, count=64)
-        sweep = backprop_refocus_sweep(meas, pset, prop, [0.5e-3], iterations=5,
-                                       seed=0, pitch=pitch)
-        direct = reconstruct_untrained(meas, pset, prop.with_distance(0.5e-3),
-                                       iterations=5, seed=0, pitch=pitch)
-        assert np.array_equal(sweep[0].image.values, direct.image.values)
-        assert sweep[0].residual_history == direct.residual_history
-
-    def test_zero_distance_on_contact_scene(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng, n=16, distance=0.0, count=64)
-        sweep = backprop_refocus_sweep(meas, pset, prop, [0.0], iterations=5,
-                                       seed=0, pitch=pitch)
-        plain = reconstruct_untrained(meas, pset, prop, iterations=5, seed=0, pitch=pitch)
-        assert np.array_equal(sweep[0].image.values, plain.image.values)
-
-    def test_empty_distances_rejected(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng)
-        with pytest.raises(ParameterError):
-            backprop_refocus_sweep(meas, pset, prop, [], pitch=pitch)
-
-
 class TestPriorInput:
     def test_input_is_normalized_dgi_estimate(self, rng):
         obj, pset, prop, meas, pitch = instance(rng, n=16, count=128)
-        inp = prepare_prior_input(meas, pset, pitch)
+        inp = dgi_reconstruct(meas, pset, pitch=pitch).image
         assert inp.values.min() >= 0.0
         assert inp.values.max() == pytest.approx(1.0)
