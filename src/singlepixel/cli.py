@@ -88,6 +88,12 @@ def _check_cr(cr: float) -> None:
         raise SinglePixelError(f"compression ratio {cr} outside (0, 1]")
 
 
+def _pattern_count(cr: float, pixels: int) -> int:
+    """Patterns that compression ratio `cr` keeps of `pixels`: the nearest
+    whole number, and at least one."""
+    return max(1, int(round(cr * pixels)))
+
+
 def _check_out_dir(path) -> None:
     """Fail before the work if `path` cannot become a writable directory: its
     nearest existing ancestor must be one.  It is made only before the first write."""
@@ -165,8 +171,8 @@ def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
 def _truncate(meas: Measurement, pattern_set: PatternSet, cr: float | None):
     if cr is None:
         return meas, pattern_set
-    count = int(round(cr * pattern_set.pixels))
-    if not 1 <= count <= min(meas.count, pattern_set.count):
+    count = _pattern_count(cr, pattern_set.pixels)
+    if count > min(meas.count, pattern_set.count):
         raise ConsistencyError(
             f"cr={cr} needs {count} patterns; have {pattern_set.count} patterns "
             f"and {meas.count} readings"
@@ -268,6 +274,12 @@ def _benchmark_cell(spec, diffracted, pattern_set, method, noise_sigma, seed, it
     return ssim(result.image, reference), snr(result.image, snr_mask)
 
 
+def _spread(values: np.ndarray) -> float:
+    """Standard deviation of a cell's repeats; 0.0 when they are all equal,
+    an all-inf SNR included."""
+    return 0.0 if np.all(values == values[0]) else float(values.std())
+
+
 def run_benchmark(
     spec: SceneSpec,
     cr_list,
@@ -296,8 +308,8 @@ def run_benchmark(
 
     rows = ["cr,method,noise_sigma,repeats,ssim_mean,ssim_std,snr_mean,snr_std"]
     for cr in cr_list:
-        count = max(1, int(round(cr * order * order)))
-        pattern_set = walsh_hadamard_patterns(order, count, modulation_depth=spec.modulation_depth)
+        pattern_set = walsh_hadamard_patterns(order, _pattern_count(cr, order * order),
+                                              modulation_depth=spec.modulation_depth)
         for method in methods:
             # the generator images the object plane, not the detector plane
             reference = obj if method == "untrained" else detector_reference
@@ -311,8 +323,8 @@ def run_benchmark(
                 ssims, snrs = (np.array(values) for values in zip(*outcomes))
                 rows.append(
                     f"{cr!r},{method},{noise_sigma!r},{repeats},"
-                    f"{float(ssims.mean())!r},{float(ssims.std())!r},"
-                    f"{float(snrs.mean())!r},{float(snrs.std())!r}"
+                    f"{float(ssims.mean())!r},{_spread(ssims)!r},"
+                    f"{float(snrs.mean())!r},{_spread(snrs)!r}"
                 )
     os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
     _write_csv(out_path, rows)
@@ -430,7 +442,7 @@ def main(argv=None) -> int:
             count = args.count
             if count is None:
                 _check_cr(args.cr)
-                count = max(1, int(round(args.cr * args.order * args.order)))
+                count = _pattern_count(args.cr, args.order * args.order)
             pattern_set = walsh_hadamard_patterns(args.order, count, ordering=args.ordering)
             _atomic_write(args.out, lambda p: save_patterns(p, pattern_set))
     except NumericalError as err:

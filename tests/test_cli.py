@@ -159,6 +159,30 @@ def test_reconstruct_cr_subsets_measurement(workspace):
     assert code == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_tiny_cr_keeps_one_pattern_in_patterns_and_reconstruct(workspace):
+    tmp_path, scene, _ = workspace
+    patterns = tmp_path / "one.spip"
+    assert main(["patterns", "--order", "16", "--cr", "1e-4", "--out", str(patterns)]) == 0
+    assert load_patterns(patterns).count == 1
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(sim_dir)]) == 0
+    assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                 "--patterns", str(patterns), "--scene", str(scene), "--method", "hspi",
+                 "--cr", "1e-4", "--out-dir", str(tmp_path / "rec")]) == 0
+
+
+@pytest.mark.filterwarnings("error")
+def test_benchmark_of_an_all_inf_snr_writes_a_zero_spread(workspace):
+    # one pattern, the constant row 0, gives a constant image: its SNR is inf
+    tmp_path, scene, _ = workspace
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--scene", str(scene), "--cr", "1e-4", "--methods", "hspi",
+                 "--repeats", "2", "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "benchmark.csv").read_text().splitlines()[1].endswith(",inf,0.0")
+
+
 def test_mismatched_pattern_file_exits_3(workspace, tmp_path):
     _, scene, patterns = workspace
     sim_dir = tmp_path / "sim"
