@@ -51,6 +51,11 @@ class SceneSpec:
         if self.object_kind == THREE_SLIT:
             if len(self.slit_widths) != 3 or len(self.slit_separations) != 2:
                 raise ParameterError("three_slit needs 3 widths and 2 separations")
+            total = sum(self.slit_widths) + sum(self.slit_separations)
+            if total > self.fov:
+                raise ParameterError(f"slit geometry ({total:.4g} m) exceeds the field of view")
+            if self.slit_height is not None and self.slit_height > self.fov:
+                raise ParameterError("slit height exceeds the field of view")
         if self.object_kind == BITMAP and not self.bitmap_path:
             raise ParameterError("bitmap object needs bitmap_path")
         if not 0.0 < self.modulation_depth <= 1.0:
@@ -173,15 +178,7 @@ def _slit_and_gap_spans(spec: SceneSpec) -> list:
 
 
 def _build_three_slit(spec: SceneSpec) -> IntensityImage:
-    n = spec.grid
-    total = sum(spec.slit_widths) + sum(spec.slit_separations)
-    if total > spec.fov:
-        raise ParameterError(f"slit geometry ({total:.4g} m) exceeds the field of view")
-    height = spec.slit_height if spec.slit_height is not None else 0.6 * spec.fov
-    if height > spec.fov:
-        raise ParameterError("slit height exceeds the field of view")
-
-    mask = np.zeros((n, n))
+    mask = np.zeros((spec.grid, spec.grid))
     row_lo, row_hi = slit_row_bounds(spec)
     for col_lo, col_hi in _slit_column_edges(spec):
         mask[row_lo:row_hi, col_lo:col_hi] = 1.0

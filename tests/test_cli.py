@@ -183,6 +183,16 @@ def test_benchmark_of_an_all_inf_snr_writes_a_zero_spread(workspace):
     assert (out_dir / "benchmark.csv").read_text().splitlines()[1].endswith(",inf,0.0")
 
 
+def test_reconstruct_with_slits_taller_than_the_field_exits_3(workspace, capsys):
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    scene.write_text(SCENE + "slit_height = 11mm\n")
+    assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                 "--patterns", str(patterns), "--scene", str(scene), "--method", "hspi",
+                 "--out-dir", str(tmp_path / "rec")]) == 3
+    assert "error: invalid scene: slit height exceeds the field of view" in capsys.readouterr().err
+
+
 def test_mismatched_pattern_file_exits_3(workspace, tmp_path):
     _, scene, patterns = workspace
     sim_dir = tmp_path / "sim"

@@ -105,6 +105,14 @@ seed = 7
         with pytest.raises(FormatError, match="covers no pixel column"):
             parse_scene(text)
 
+    @pytest.mark.parametrize("line,message", [
+        ("slit_widths = 5mm, 5mm, 5mm", "exceeds the field of view"),
+        ("slit_height = 11mm", "slit height exceeds the field of view"),
+    ])
+    def test_slits_outside_the_field_rejected(self, line, message):
+        with pytest.raises(FormatError, match=message):
+            parse_scene(self.SCENE + line + "\n")
+
     def test_pitch_consistency(self):
         spec = parse_scene(self.SCENE)
         assert spec.pitch == pytest.approx(10.5e-3 / 128)
@@ -134,14 +142,13 @@ class TestBuildScene:
         assert cols.sum() == 3
 
     def test_geometry_exceeding_fov_rejected(self):
-        spec = SceneSpec(
-            grid=64, fov=2e-3, wavelength=833.3e-6, distance=0.0,
-            object_kind="three_slit",
-            slit_widths=(1e-3, 1e-3, 1e-3),
-            slit_separations=(1e-4, 1e-4),
-        )
-        with pytest.raises(ParameterError):
-            build_scene(spec)
+        with pytest.raises(ParameterError, match="exceeds the field of view"):
+            SceneSpec(
+                grid=64, fov=2e-3, wavelength=833.3e-6, distance=0.0,
+                object_kind="three_slit",
+                slit_widths=(1e-3, 1e-3, 1e-3),
+                slit_separations=(1e-4, 1e-4),
+            )
 
     def test_bitmap_threshold_pass_through(self, tmp_path):
         star = star_mask(64, 10.5e-3 / 64)
