@@ -258,9 +258,13 @@ def _metric_rows(image: IntensityImage, reference_path, snr_mask_path, pitch: fl
 
 
 def _cell_seed(base_seed: int, cr: float, method: str, noise_sigma: float, repeat: int) -> int:
-    """Noise and generator seed of one benchmark run, the same in every process."""
+    """Noise and generator seed of one benchmark run, the same in every process.
+
+    The noise level enters by its exact float64 bits, so distinct levels
+    never share a seed.
+    """
     key = (base_seed, int(round(cr * 1e6)), METHODS.index(method),
-           int(noise_sigma * 1e9) & 0xFFFFFF, repeat)
+           int(np.float64(noise_sigma).view(np.uint64)), repeat)
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 

@@ -278,6 +278,13 @@ def test_benchmark_grid(workspace):
             float(field)
 
 
+@pytest.mark.parametrize("sigmas", [(0.1, 0.116777216), (0.0, 0.016777216)])
+def test_cell_seed_tells_close_noise_levels_apart(sigmas):
+    # 2**24 * 1e-9 apart: a key of int(sigma * 1e9) & 0xFFFFFF made these collide
+    seeds = {cli._cell_seed(0, 0.25, "hspi", sigma, 0) for sigma in sigmas}
+    assert len(seeds) == 2
+
+
 def test_benchmark_identical_across_blas_threads(workspace):
     """BLAS is the only parallelism of `benchmark`: one BLAS thread and the
     default count write the same bytes.  The command reads no environment
