@@ -20,7 +20,7 @@ class DegenerateInputError(SinglePixelError, ValueError):
 
 
 class InvalidFieldError(SinglePixelError, ValueError):
-    """A field contains non-finite values."""
+    """An image contains non-finite values."""
 
 
 class ConsistencyError(SinglePixelError, ValueError):
