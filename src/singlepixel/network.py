@@ -22,19 +22,28 @@ float64: the parameters, the head's bias and sigmoid output, the incoming
 output gradient and every returned gradient.  A float32 net therefore has
 float64 master weights.
 
-Buffers.  Per grid size, each layer owns a zero-bordered (C_in, H+2, W+2)
-input buffer, its (C_in*9, H*W) im2col columns and, in BN blocks, the
-(C_out, H*W) GEMM output that batch norm turns into x-hat in place.  A
-block writes its activation straight into the interior of the next layer's
-bordered buffer, so the border is written once, when the buffer is made,
-and im2col is a single strided copy.  These per-layer arrays are what the
-backward pass reads: the columns for the weight gradient, x-hat for batch
-norm, and the activation, whose sign is that of the pre-activation because
-the leak is positive.  The backward pass shares its bordered buffer, its
-columns and its input-gradient output across layers by shape.  The input
-gradient of a convolution is the convolution of the upstream gradient with
-the flipped, channel-transposed kernel, so it reuses im2col; the first
-layer's input gradient is not formed, since the network input is fixed.
+Buffers.  Per grid size, every entry of the channel plan owns a
+zero-bordered (C, H+2, W+2) buffer, and each BN block a (C_out, H*W) GEMM
+output that batch norm turns into x-hat in place.  A block writes its
+activation straight into the interior of the next layer's bordered buffer,
+so the border is written once, when the buffer is made, and im2col is a
+single strided copy.  All layers share one column storage of
+9*max(plan)*H*W elements: every im2col matrix is a view of it and is
+consumed by the GEMM that follows, in both passes, so no column matrix
+outlives its layer.  The forward pass leaves x-hat for batch norm and the
+activations, whose sign is that of the pre-activation because the leak is
+positive.  Backward works top down: once a layer's LeakyReLU slope is read,
+its bordered buffer takes the upstream gradient g = dL/dz instead, and the
+one im2col of g serves both gradients.  The input gradient is the
+convolution of g with the flipped, channel-transposed kernel; the weight
+gradient follows from
+
+    dL/dW[o, c, 2-ky, 2-kx] = sum_p im2col(g)[o, ky, kx, p] * a[c, p],
+
+one (9*C_out, H*W) @ (H*W, C_in) GEMM against a contiguous copy of the
+layer input a.  The head's g has a 1-channel bordered buffer of its own.
+The first layer's input gradient is not formed, since the network input is
+fixed.
 
 No conv bias in BN blocks.  Batch norm subtracts the per-channel mean, which
 cancels a conv bias exactly, so only the head's convolution has a bias.
@@ -54,17 +63,19 @@ BN_EPS = 1e-3
 
 
 class _Im2col:
-    """Zero-bordered (C, H+2, W+2) input buffer and its 3x3 im2col columns.
+    """Zero-bordered (C, H+2, W+2) buffer and its 3x3 im2col columns.
 
-    Callers write the input into `interior`; the border is zeroed once, here.
-    `columns()` fills the (C*9, H*W) column buffer, ordered channel-major and
-    then by kernel row and column, with one strided copy.
+    Callers write into `interior`; the border is zeroed once, here.
+    `columns()` fills the (C*9, H*W) column matrix, ordered channel-major and
+    then by kernel row and column, with one strided copy.  The matrix is a
+    view of the first C*9*H*W elements of the flat `storage`, which sets the
+    dtype and may be shared with other buffers of the same grid.
     """
 
-    def __init__(self, c: int, h: int, w: int, dtype=np.float64):
-        self.padded = np.zeros((c, h + 2, w + 2), dtype=dtype)
+    def __init__(self, c: int, h: int, w: int, storage: np.ndarray):
+        self.padded = np.zeros((c, h + 2, w + 2), dtype=storage.dtype)
         self.interior = self.padded[:, 1:-1, 1:-1]
-        self.cols = np.empty((c * 9, h * w), dtype=dtype)
+        self.cols = storage[: c * 9 * h * w].reshape(c * 9, h * w)
         windows = np.lib.stride_tricks.sliding_window_view(self.padded, (3, 3), axis=(1, 2))
         self._windows = windows.transpose(0, 3, 4, 1, 2)
         self._cols5 = self.cols.reshape(c, 3, 3, h, w)
@@ -80,6 +91,27 @@ def flip_kernel(weight: np.ndarray) -> np.ndarray:
     Convolving with this kernel is the adjoint of convolving with `weight`.
     """
     return weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+
+
+def conv_backward(g: np.ndarray, src: _Im2col, dst: _Im2col, weight: np.ndarray,
+                  buf: np.ndarray, input_grad: bool = True):
+    """Gradients of z = conv(a; weight), a in `src.interior`, given g = dL/dz.
+
+    g is (C_out, H*W) and may be a view of `buf`, a flat array of at least
+    max(C_in, C_out)*H*W elements.  g is written into `dst`, whose columns
+    then serve both gradients.  Returns (dL/dweight in float64, dL/da as
+    (C_in, H*W) in `buf`), with None for dL/da unless `input_grad`.
+    """
+    c_out, c_in = weight.shape[:2]
+    dst.interior[...] = g.reshape(dst.interior.shape)
+    cols = dst.columns()
+    a = buf[: c_in * cols.shape[1]].reshape(c_in, -1)
+    np.copyto(a.reshape(src.interior.shape), src.interior)
+    taps = (cols @ a.T).reshape(c_out, 3, 3, c_in)
+    g_weight = np.ascontiguousarray(taps.transpose(0, 3, 1, 2)[:, :, ::-1, ::-1], dtype=np.float64)
+    if not input_grad:
+        return g_weight, None
+    return g_weight, np.matmul(flip_kernel(weight).reshape(c_in, -1), cols, out=a)
 
 
 def bn_forward(z: np.ndarray) -> np.ndarray:
@@ -128,7 +160,9 @@ class GeneratorNet:
     arithmetic only (see the module docstring).
 
     The arrays a forward pass caches for `backward` live in buffers the net
-    reuses, so a cache is valid until the next forward pass.
+    reuses, one set per grid size around one column storage (see the module
+    docstring).  So a cache is valid until the next forward pass, and
+    `backward` consumes it.
     """
 
     def __init__(self, plan=DEFAULT_PLAN, seed: int = 0, dtype=np.float64):
@@ -165,25 +199,20 @@ class GeneratorNet:
     def _cast(self, a: np.ndarray) -> np.ndarray:
         return a.astype(self.dtype, copy=False)
 
-    def _layer_buffers(self, h: int, w: int) -> list:
-        """Per-layer (im2col, GEMM output) buffers for an H x W input."""
+    def _layer_buffers(self, h: int, w: int) -> tuple:
+        """Buffers of an H x W grid: one bordered `_Im2col` per entry of the
+        plan, the BN blocks' GEMM outputs, and the backward pass's flat
+        gradient buffer; every column matrix is a view of one storage."""
         bufs = self._scratch.get((h, w))
         if bufs is None:
-            bufs = [
-                (_Im2col(self.plan[layer], h, w, self.dtype),
-                 np.empty((self.plan[layer + 1], h * w), dtype=self.dtype)
-                 if layer < self.n_blocks else None)
-                for layer in range(len(self.plan) - 1)
-            ]
-            self._scratch[(h, w)] = bufs
+            width = max(self.plan)
+            cols = np.empty(9 * width * h * w, dtype=self.dtype)
+            bufs = self._scratch[(h, w)] = (
+                [_Im2col(c, h, w, cols) for c in self.plan],
+                [np.empty((c, h * w), dtype=self.dtype) for c in self.plan[1:-1]],
+                np.empty(width * h * w, dtype=self.dtype),
+            )
         return bufs
-
-    def _shared(self, key, make):
-        """A backward-pass buffer shared by every layer that asks for `key`."""
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = self._scratch[key] = make()
-        return buf
 
     def forward(self, image: np.ndarray, want_cache: bool = False):
         """Run the generator on a 2D image; returns the 2D output in (0, 1).
@@ -195,13 +224,14 @@ class GeneratorNet:
             raise DimensionError("generator input must be a 2D image")
         h, w = x.shape
         bufs = self._layer_buffers(h, w)
-        bufs[0][0].interior[0] = x
+        bordered, xhats, _ = bufs
+        bordered[0].interior[0] = x
         inv_stds = []
         for layer in range(self.n_blocks):
             weight, gamma, beta = self._layer_params(layer)
-            im2col, z = bufs[layer]
-            act = bufs[layer + 1][0].interior
-            np.matmul(weight.reshape(len(weight), -1), im2col.columns(), out=z)
+            z = xhats[layer]
+            act = bordered[layer + 1].interior
+            np.matmul(weight.reshape(len(weight), -1), bordered[layer].columns(), out=z)
             inv_stds.append(bn_forward(z))
             # scale and shift in a contiguous temporary: in-place passes over
             # the strided interior of `act` run row by row and cost more than
@@ -211,47 +241,42 @@ class GeneratorNet:
             y = y.reshape(act.shape)
             np.maximum(y, LEAK * y, out=act)
         weight, bias = self._head_params()
-        z = _float64(weight.reshape(1, -1) @ bufs[self.n_blocks][0].columns())
+        z = _float64(weight.reshape(1, -1) @ bordered[self.n_blocks].columns())
         z += bias[:, None]
         s = sigmoid(z.reshape(h, w))
         if want_cache:
             return s, (bufs, inv_stds, s)
         return s
 
-    def _input_grad(self, g: np.ndarray, weight: np.ndarray, h: int, w: int) -> np.ndarray:
-        """dL/d(layer input) as (C_in, H*W), from g = dL/dz as (C_out, H*W)."""
-        c_out, c_in = weight.shape[:2]
-        dtype = self.dtype
-        im2col = self._shared(("grad_im2col", c_out, h, w), lambda: _Im2col(c_out, h, w, dtype))
-        out = self._shared(("grad_input", c_in, h, w), lambda: np.empty((c_in, h * w), dtype))
-        im2col.interior[...] = g.reshape(c_out, h, w)
-        return np.matmul(flip_kernel(weight).reshape(c_in, -1), im2col.columns(), out=out)
-
     def backward(self, g_output: np.ndarray, cache) -> list[np.ndarray]:
         """Float64 gradients of a scalar loss w.r.t. every parameter, given
-        dL/d(output)."""
-        bufs, inv_stds, s = cache
+        dL/d(output).
+
+        Consumes the cache: each layer's bordered buffer takes the upstream
+        gradient once its activation has been read, so a cache serves one
+        backward pass.
+        """
+        (bordered, xhats, buf), inv_stds, s = cache
         h, w = s.shape
+        head = self.n_blocks
         weight, _ = self._head_params()
         g = (g_output * s * (1.0 - s)).reshape(1, h * w)
         g_bias = g.sum(axis=1)
-        g = self._cast(g)
-        grads = [_float64(g @ bufs[self.n_blocks][0].cols.T).reshape(weight.shape), g_bias]
-        if self.n_blocks:  # the input gradient of layer 0 is never needed
-            g = self._input_grad(g, weight, h, w)
+        # the input gradient of layer 0 is never needed
+        g_w, g = conv_backward(self._cast(g), bordered[head], bordered[head + 1], weight, buf,
+                               input_grad=head > 0)
+        grads = [g_w, g_bias]
         for layer in range(self.n_blocks - 1, -1, -1):
             weight, gamma, _ = self._layer_params(layer)
-            im2col, xhat = bufs[layer]
-            act = bufs[layer + 1][0].interior
+            act = bordered[layer + 1].interior
             # LeakyReLU slope: 1 where the activation is positive, else the leak.
             # Arithmetic on the mask, not a masked or branching select, because
             # the sign pattern is random and branches mispredict.
             slope = np.multiply(act > 0, 1.0 - LEAK, dtype=self.dtype)
             slope += LEAK
             g *= slope.reshape(g.shape)
-            g_gamma, g_beta = bn_backward(g, xhat, gamma, inv_stds[layer])
-            g_w = _float64(g @ im2col.cols.T).reshape(weight.shape)
+            g_gamma, g_beta = bn_backward(g, xhats[layer], gamma, inv_stds[layer])
+            g_w, g = conv_backward(g, bordered[layer], bordered[layer + 1], weight, buf,
+                                   input_grad=layer > 0)
             grads[:0] = [g_w, _float64(g_gamma), _float64(g_beta)]
-            if layer > 0:
-                g = self._input_grad(g, weight, h, w)
         return grads

@@ -8,7 +8,7 @@ from singlepixel.classical import dgi_reconstruct
 from singlepixel.errors import ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import measure
-from singlepixel.network import BN_EPS, DEFAULT_PLAN, LEAK, GeneratorNet, _Im2col
+from singlepixel.network import BN_EPS, DEFAULT_PLAN, LEAK, GeneratorNet, _Im2col, conv_backward
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.prior import AdamState, loss_and_gradient
 from singlepixel.propagation import PropagationSpec
@@ -81,16 +81,28 @@ class TestNetworkGradients:
 def generator_conv(x, kernel):
     """The convolution of `GeneratorNet.forward`: im2col columns and one GEMM."""
     c, h, w = x.shape
-    im2col = _Im2col(c, h, w)
+    im2col = _Im2col(c, h, w, np.empty(9 * c * h * w))
     im2col.interior[...] = x
     return (kernel.reshape(len(kernel), -1) @ im2col.columns()).reshape(-1, h, w)
 
 
+def generator_conv_grads(x, g, kernel):
+    """(weight gradient, input gradient) of `GeneratorNet.backward` for the
+    convolution of x with kernel, given g = dL/d(output), on float64 buffers
+    that share one column storage as the net's do."""
+    (c_out, c_in), (_, h, w) = kernel.shape[:2], x.shape
+    storage = np.empty(9 * max(c_in, c_out) * h * w)
+    src, dst = _Im2col(c_in, h, w, storage), _Im2col(c_out, h, w, storage)
+    src.interior[...] = x
+    buf = np.empty(max(c_in, c_out) * h * w)
+    g_weight, g_input = conv_backward(g.reshape(c_out, -1), src, dst, kernel, buf)
+    return g_weight, g_input.reshape(c_in, h, w)
+
+
 def generator_input_grad(g, kernel):
-    """The input gradient of `GeneratorNet.backward`, through a float64 net."""
-    c_out, h, w = g.shape
-    net = GeneratorNet(plan=(1, 1))
-    return net._input_grad(g.reshape(c_out, -1), kernel, h, w).reshape(-1, h, w)
+    """The input gradient of `GeneratorNet.backward`; it does not read the input."""
+    c_in, (_, h, w) = kernel.shape[1], g.shape
+    return generator_conv_grads(np.zeros((c_in, h, w)), g, kernel)[1]
 
 
 class TestConvolution:
@@ -120,6 +132,23 @@ class TestConvolution:
         kernel = rng.standard_normal((c_out, c_in, 3, 3))
         lhs = float(np.vdot(generator_conv(x, kernel), g))
         rhs = float(np.vdot(x, generator_input_grad(g, kernel)))
+        scale = np.abs(generator_conv(x, kernel)).sum() * np.abs(g).max()
+        assert abs(lhs - rhs) <= 1e-12 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(c_in=st.integers(1, 5), c_out=st.integers(1, 5), h=st.integers(1, 12),
+           w=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_weight_gradient_is_the_adjoint(self, c_in, c_out, h, w, seed):
+        # <conv(x; W), g> = <W, weight_grad(x, g)> for every W and g: the
+        # convolution is linear in W, and the weight gradient is its adjoint
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((c_in, h, w))
+        g = rng.standard_normal((c_out, h, w))
+        kernel = rng.standard_normal((c_out, c_in, 3, 3))
+        g_weight, _ = generator_conv_grads(x, g, rng.standard_normal(kernel.shape))
+        assert g_weight.shape == kernel.shape and g_weight.dtype == np.float64
+        lhs = float(np.vdot(generator_conv(x, kernel), g))
+        rhs = float(np.vdot(kernel, g_weight))
         scale = np.abs(generator_conv(x, kernel)).sum() * np.abs(g).max()
         assert abs(lhs - rhs) <= 1e-12 * scale
 
@@ -217,13 +246,33 @@ class TestAgainstReference:
 
 
 def _layer_arrays(net):
-    """Every per-layer buffer and shared backward scratch array of a net."""
-    for entry in net._scratch.values():
-        for item in entry if isinstance(entry, list) else [entry]:
-            for buf in item if isinstance(item, tuple) else (item,):
-                if buf is None:
-                    continue
-                yield from (buf.padded, buf.cols) if hasattr(buf, "cols") else (buf,)
+    """Every array a net keeps between passes: per grid, each bordered buffer
+    and its column view, the BN blocks' x-hat and the gradient buffer."""
+    for bordered, xhats, grad in net._scratch.values():
+        for im2col in bordered:
+            yield from (im2col.padded, im2col.cols)
+        yield from (*xhats, grad)
+
+
+def _owner(a):
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _float32_step(n, rng):
+    """A float32 default-plan net after one loss_and_gradient and Adam step
+    on a random n x n scene; returns (net, input image, gradients, Adam state)."""
+    pitch = 1e-4
+    pset = walsh_hadamard_patterns(n, 64, modulation_depth=0.9)
+    meas = measure(IntensityImage(values=(rng.random((n, n)) > 0.5) * 1.0, pitch=pitch), pset)
+    inp = dgi_reconstruct(meas, pset, pitch=pitch).image
+    prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3)
+    net = GeneratorNet(seed=2, dtype=np.float32)
+    adam = AdamState.for_params(net.params)
+    _, grads = loss_and_gradient(net, inp, meas, pset, prop)
+    adam.update(net.params, grads)
+    return net, inp, grads, adam
 
 
 class TestFloat32Layers:
@@ -245,24 +294,28 @@ class TestFloat32Layers:
                 assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max(), (n, i)
 
     def test_dtypes_after_a_float32_step(self, rng):
-        n, pitch = 16, 1e-4
-        pset = walsh_hadamard_patterns(n, 64, modulation_depth=0.9)
-        meas = measure(IntensityImage(values=(rng.random((n, n)) > 0.5) * 1.0, pitch=pitch), pset)
-        inp = dgi_reconstruct(meas, pset, pitch=pitch).image
-        prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3)
-        net = GeneratorNet(seed=2, dtype=np.float32)
-        adam = AdamState.for_params(net.params)
-        _, grads = loss_and_gradient(net, inp, meas, pset, prop)
-        adam.update(net.params, grads)
+        n = 16
+        net, inp, grads, adam = _float32_step(n, rng)
         out, cache = net.forward(inp.values, want_cache=True)
         layer_arrays = list(_layer_arrays(net))
-        # per layer: bordered input and columns, plus x-hat in the BN blocks;
-        # then the backward scratch, shared by shape
-        assert len(layer_arrays) > 3 * (len(net.plan) - 1) - 1
+        # per plan entry a bordered buffer and its columns, x-hat in the BN
+        # blocks, then the one gradient buffer of the backward pass
+        assert len(layer_arrays) == 2 * len(net.plan) + net.n_blocks + 1
         assert all(a.dtype == np.float32 for a in layer_arrays)
         float64_arrays = [out, *net.backward(np.ones((n, n)), cache), *grads, *net.params,
                           *adam.m, *adam.v]
         assert all(a.dtype == np.float64 for a in float64_arrays)
+
+    def test_scratch_budget_at_64(self):
+        # the column matrices of every layer are views of one storage, and no
+        # column matrix is kept from forward to backward
+        n = 64
+        net, *_ = _float32_step(n, np.random.default_rng(0))
+        (bordered, _, _), = net._scratch.values()
+        storages = {id(_owner(im2col.cols)): _owner(im2col.cols) for im2col in bordered}
+        assert [a.size for a in storages.values()] == [9 * max(net.plan) * n * n]
+        owners = {id(_owner(a)): _owner(a) for a in _layer_arrays(net)}
+        assert sum(a.nbytes for a in owners.values()) < 12e6
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
     def test_other_dtypes_rejected(self, dtype):
