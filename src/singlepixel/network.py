@@ -105,6 +105,8 @@ def conv_backward(g: np.ndarray, src: _Im2col, dst: _Im2col, weight: np.ndarray,
     c_out, c_in = weight.shape[:2]
     dst.interior[...] = g.reshape(dst.interior.shape)
     cols = dst.columns()
+    # a contiguous copy of the layer input, read by the weight-gradient GEMM
+    # before the input gradient overwrites it
     a = buf[: c_in * cols.shape[1]].reshape(c_in, -1)
     np.copyto(a.reshape(src.interior.shape), src.interior)
     taps = (cols @ a.T).reshape(c_out, 3, 3, c_in)
