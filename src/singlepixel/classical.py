@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .field import IntensityImage
 from .measurement import Measurement, check_compatible, encode, encode_adjoint
-from .patterns import PatternSet, pattern_sums, synthesize
+from .patterns import PatternSet, synthesize
 from .tvreg import tv_anisotropic, tv_prox
 
 DEFAULT_CSTV_ITERATIONS = 200
@@ -30,16 +30,16 @@ class ReconResult:
     residual_history: tuple = ()
 
 
-def _to_unit_image(raw: np.ndarray, pitch: float) -> IntensityImage:
+def _to_unit_image(raw: np.ndarray) -> IntensityImage:
     """Min-max shift/scale to [0, 1] (native affine calibration is arbitrary)."""
     lo = float(raw.min())
     hi = float(raw.max())
     if hi - lo <= 0.0:
-        return IntensityImage(values=np.zeros_like(raw), pitch=pitch)
-    return IntensityImage(values=(raw - lo) / (hi - lo), pitch=pitch)
+        return IntensityImage(values=np.zeros_like(raw))
+    return IntensityImage(values=(raw - lo) / (hi - lo))
 
 
-def _clip_unit_image(raw: np.ndarray, pitch: float) -> IntensityImage:
+def _clip_unit_image(raw: np.ndarray) -> IntensityImage:
     """Clip negatives and scale to peak 1, preserving a zero-mean background.
 
     Unlike the min-max rendering this does not lift background noise toward
@@ -49,11 +49,11 @@ def _clip_unit_image(raw: np.ndarray, pitch: float) -> IntensityImage:
     clipped = np.maximum(raw, 0.0)
     hi = float(clipped.max())
     if hi <= 0.0:
-        return IntensityImage(values=np.zeros_like(raw), pitch=pitch)
-    return IntensityImage(values=clipped / hi, pitch=pitch)
+        return IntensityImage(values=np.zeros_like(raw))
+    return IntensityImage(values=clipped / hi)
 
 
-def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 1.0) -> ReconResult:
+def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
     """Partial inverse Hadamard transform O = (1/N) * sum_i I_i * P_i.
 
     Unmeasured coefficients stay zero (minimum-norm completion); for full
@@ -62,16 +62,17 @@ def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 
     """
     check_compatible(meas, pattern_set)
     raw = synthesize(pattern_set, meas.readings) / pattern_set.pixels
-    return ReconResult(image=_clip_unit_image(raw, pitch), raw=raw)
+    return ReconResult(image=_clip_unit_image(raw), raw=raw)
 
 
-def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 1.0) -> ReconResult:
+def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
     """Differential ghost imaging: centered pattern/readout correlation.
 
     The normalized signal I'_i = I_i - (<I>/<S>) * S_i uses the pattern sums
-    S_i; balanced Hadamard rows have S_i = 0, where the correction is skipped
-    (|S_i| < 1e-9 * N), and an ensemble without the DC row (<S> ~ 0) skips it
-    entirely.  The centered correlation over patterns then reduces to one
+    S_i, known in closed form: S_i = N for Hadamard row 0 (the DC row) and 0
+    for every balanced row.  So only the DC reading is corrected, by
+    <I> / (N/M) * N, and an ensemble without the DC row (<S> = 0) is left as
+    it is.  The centered correlation over patterns then reduces to one
     synthesis because the mean-pattern term multiplies a zero-sum weight
     vector.  Output image is min-max shifted to [0, 1]; its native affine
     calibration is arbitrary.
@@ -88,17 +89,12 @@ def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet, pitch: float = 1
         raise ParameterError("DGI needs at least 2 measurements")
     n_pixels = pattern_set.pixels
     readings = meas.readings
-    sums = pattern_sums(pattern_set)
-    mean_s = sums.mean()
-    if abs(mean_s) < 1e-12 * n_pixels:
-        normalized = readings.copy()
-    else:
-        correction = (readings.mean() / mean_s) * sums
-        correction[np.abs(sums) < 1e-9 * n_pixels] = 0.0
-        normalized = readings - correction
+    normalized = readings.copy()
+    dc = pattern_set.rows == 0  # selects nothing in an ensemble without the DC row
+    normalized[dc] = readings[dc] - readings.mean() / (n_pixels / m_count) * n_pixels
     weights = (normalized - normalized.mean()) / m_count
     raw = synthesize(pattern_set, weights)
-    return ReconResult(image=_to_unit_image(raw, pitch), raw=raw)
+    return ReconResult(image=_to_unit_image(raw), raw=raw)
 
 
 def cstv_reconstruct(
@@ -106,7 +102,6 @@ def cstv_reconstruct(
     pattern_set: PatternSet,
     tv_weight: float | None = None,
     max_iters: int = DEFAULT_CSTV_ITERATIONS,
-    pitch: float = 1.0,
 ) -> ReconResult:
     """argmin_O 0.5*||I - A O||^2 + tv_weight * TV(O), O >= 0.
 
@@ -165,7 +160,7 @@ def cstv_reconstruct(
         history.append(f_x)
 
     return ReconResult(
-        image=_clip_unit_image(x, pitch),
+        image=_clip_unit_image(x),
         iterations_used=max_iters,
         residual_history=tuple(history),
         raw=x,

@@ -44,30 +44,28 @@ class Settings(NamedTuple):
     """What a reconstructor reads besides the data.
 
     CS-TV reads `cstv_iterations` and `tv_weight` (None: its default).  The
-    generator reads the propagation, `iterations`, `seed` and `tv_weight`
-    (None: its default).
+    generator reads `prop`, the propagation geometry of the pattern grid,
+    `iterations`, `seed` and `tv_weight` (None: its default).
     """
 
-    wavelength: float
-    distance: float
+    prop: PropagationSpec
     iterations: int = DEFAULT_ITERATIONS
     cstv_iterations: int = DEFAULT_CSTV_ITERATIONS
     seed: int = 0
     tv_weight: float | None = None
 
 
-# name -> reconstructor(meas, pattern_set, pitch, settings).  Each entry looks
-# its function up on this module when called, so a wrapper set on the module
+# name -> reconstructor(meas, pattern_set, settings).  Each entry looks its
+# function up on this module when called, so a wrapper set on the module
 # attribute (a timer or tracer) sees every call.
 RECONSTRUCTORS = {
-    "hspi": lambda meas, pset, pitch, s: hspi_reconstruct(meas, pset, pitch=pitch),
-    "dgi": lambda meas, pset, pitch, s: dgi_reconstruct(meas, pset, pitch=pitch),
-    "cstv": lambda meas, pset, pitch, s: cstv_reconstruct(
-        meas, pset, tv_weight=s.tv_weight, max_iters=s.cstv_iterations, pitch=pitch
+    "hspi": lambda meas, pset, s: hspi_reconstruct(meas, pset),
+    "dgi": lambda meas, pset, s: dgi_reconstruct(meas, pset),
+    "cstv": lambda meas, pset, s: cstv_reconstruct(
+        meas, pset, tv_weight=s.tv_weight, max_iters=s.cstv_iterations
     ),
-    "untrained": lambda meas, pset, pitch, s: reconstruct_untrained(
-        meas, pset, PropagationSpec(wavelength=s.wavelength, distance=s.distance),
-        iterations=s.iterations, seed=s.seed, pitch=pitch, tv_weight=s.tv_weight,
+    "untrained": lambda meas, pset, s: reconstruct_untrained(
+        meas, pset, s.prop, iterations=s.iterations, seed=s.seed, tv_weight=s.tv_weight
     ),
 }
 METHODS = tuple(RECONSTRUCTORS)
@@ -131,7 +129,7 @@ def _write_csv(path, lines) -> None:
 def diffract_scene(spec: SceneSpec):
     """Object mask and its propagated intensity at the recording plane."""
     obj = build_scene(spec)
-    return obj, diffract(obj, PropagationSpec(wavelength=spec.wavelength, distance=spec.distance))
+    return obj, diffract(obj, PropagationSpec(spec.wavelength, spec.distance, spec.pitch))
 
 
 def full_sample_reference(diffracted: IntensityImage, order: int) -> IntensityImage:
@@ -141,9 +139,7 @@ def full_sample_reference(diffracted: IntensityImage, order: int) -> IntensityIm
     diffraction image up to the modulation-depth factor, so the reference is
     computed directly instead of materializing all N patterns.
     """
-    pooled = block_pool(diffracted.values, order)
-    pitch = diffracted.pitch * (diffracted.height // order)
-    return normalize(IntensityImage(values=pooled, pitch=pitch))
+    return normalize(IntensityImage(values=block_pool(diffracted.values, order)))
 
 
 def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
@@ -153,7 +149,7 @@ def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
     meas = measure(diffracted, pattern_set, noise_sigma=spec.noise_sigma, seed=spec.seed)
 
     peak = float(diffracted.values.max())
-    scaled = diffracted.with_values(diffracted.values / peak) if peak > 0 else diffracted
+    scaled = IntensityImage(values=diffracted.values / peak) if peak > 0 else diffracted
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(out_dir, "object.pgm"), lambda p: write_pgm(p, obj, {"scale": "1"})
@@ -213,13 +209,13 @@ def run_reconstruct(
             f"{meas.count} readings vs {pattern_set.count} patterns; pass --cr to subset"
         )
     meas, pattern_set = _truncate(meas, pattern_set, cr)
-    pitch = scene.fov / pattern_set.order
 
     distance = scene.distance if backprop_distance is None else backprop_distance
-    settings = Settings(scene.wavelength, distance, seed=seed, tv_weight=tv_weight)
+    prop = PropagationSpec(scene.wavelength, distance, scene.fov / pattern_set.order)
+    settings = Settings(prop, seed=seed, tv_weight=tv_weight)
     if iterations is not None:  # absent keeps each method's default
         settings = settings._replace(iterations=iterations, cstv_iterations=iterations)
-    result = RECONSTRUCTORS[method](meas, pattern_set, pitch, settings)
+    result = RECONSTRUCTORS[method](meas, pattern_set, settings)
 
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
@@ -228,7 +224,7 @@ def run_reconstruct(
     )
 
     rows = ["metric,value", f"method,{method}", f"iterations,{result.iterations_used}"]
-    rows += _metric_rows(result.image, reference_path, snr_mask_path, pitch)
+    rows += _metric_rows(result.image, reference_path, snr_mask_path)
     _write_csv(os.path.join(out_dir, "metrics.csv"), rows)
 
     if result.residual_history:
@@ -238,7 +234,7 @@ def run_reconstruct(
     return result
 
 
-def _metric_rows(image: IntensityImage, reference_path, snr_mask_path, pitch: float) -> list:
+def _metric_rows(image: IntensityImage, reference_path, snr_mask_path) -> list:
     """`ssim,…` and `snr,…` rows of `image` against the given PGM files.
 
     A constant image has no structure to compare, so its SSIM row reads
@@ -246,13 +242,13 @@ def _metric_rows(image: IntensityImage, reference_path, snr_mask_path, pitch: fl
     """
     rows = []
     if reference_path is not None:
-        reference, _ = read_pgm(reference_path, pitch=pitch)
+        reference, _ = read_pgm(reference_path)
         if float(image.values.max()) == float(image.values.min()):
             rows.append("ssim,degenerate")
         else:
             rows.append(f"ssim,{ssim(image, reference)!r}")
     if snr_mask_path is not None:
-        mask_img, _ = read_pgm(snr_mask_path, pitch=pitch)
+        mask_img, _ = read_pgm(snr_mask_path)
         rows.append(f"snr,{snr(image, mask_img.values >= 0.5)!r}")
     return rows
 
@@ -273,8 +269,9 @@ def _benchmark_cell(spec, diffracted, pattern_set, method, noise_sigma, seed, it
     """(SSIM, SNR) of one noisy measurement and reconstruction of the grid."""
     meas = measure(diffracted, pattern_set, noise_sigma=noise_sigma, seed=seed)
     # --iterations counts generator iterations only; CS-TV keeps its default
-    settings = Settings(spec.wavelength, spec.distance, iterations=iterations, seed=seed)
-    result = RECONSTRUCTORS[method](meas, pattern_set, spec.fov / pattern_set.order, settings)
+    prop = PropagationSpec(spec.wavelength, spec.distance, spec.fov / pattern_set.order)
+    settings = Settings(prop, iterations=iterations, seed=seed)
+    result = RECONSTRUCTORS[method](meas, pattern_set, settings)
     return ssim(result.image, reference), snr(result.image, snr_mask)
 
 
@@ -437,7 +434,7 @@ def main(argv=None) -> int:
         elif args.command == "metrics":
             image, _ = read_pgm(args.image)
             rows = ["metric,value"]
-            rows += _metric_rows(image, args.reference, args.snr_mask, image.pitch)
+            rows += _metric_rows(image, args.reference, args.snr_mask)
             if args.out:
                 _write_csv(args.out, rows)
             else:

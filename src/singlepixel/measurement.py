@@ -51,7 +51,7 @@ class Measurement:
         return self.readings.shape[0]
 
 
-def diffract_vjp(values: np.ndarray, pitch: float, prop: PropagationSpec):
+def diffract_vjp(values: np.ndarray, prop: PropagationSpec):
     """Diffraction image O_d of an object-plane intensity O, and the
     pullback that maps g = dL/dO_d to dL/dO.
 
@@ -62,17 +62,18 @@ def diffract_vjp(values: np.ndarray, pitch: float, prop: PropagationSpec):
     guards float underflow.
     """
     amp = np.sqrt(values)
-    field_d = propagate(amp.astype(np.complex128), pitch, prop)
+    field_d = propagate(amp.astype(np.complex128), prop)
 
     def pullback(g: np.ndarray) -> np.ndarray:
-        return transfer_gradient(g * field_d, pitch, prop).real / np.maximum(amp, 1e-200)
+        return transfer_gradient(g * field_d, prop).real / np.maximum(amp, 1e-200)
 
     return field_d.real * field_d.real + field_d.imag * field_d.imag, pullback
 
 
 def diffract(obj: IntensityImage, prop: PropagationSpec) -> IntensityImage:
-    """Intensity that an object-plane intensity casts on the recording plane."""
-    return obj.with_values(diffract_vjp(obj.values, obj.pitch, prop)[0])
+    """Intensity that an object-plane intensity, sampled at prop.pitch, casts
+    on the recording plane."""
+    return IntensityImage(values=diffract_vjp(obj.values, prop)[0])
 
 
 def block_pool(values: np.ndarray, order: int) -> np.ndarray:

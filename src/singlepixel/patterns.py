@@ -103,7 +103,7 @@ def _hadamard(length: int) -> np.ndarray:
 
 
 def _hadamard_masks(order: int, rows) -> np.ndarray:
-    """The (M, order, order) int8 masks of the given rows, in O(M*N) (nothing for M = 0)."""
+    """The (M, order, order) int8 masks of the given rows, in O(M*N)."""
     r1, r0 = np.divmod(np.asarray(rows, dtype=np.int64), order)
     h = _hadamard(order).astype(np.int8)
     return h[r1][:, :, None] * h[r0][:, None, :]
@@ -113,8 +113,8 @@ def _hadamard_masks(order: int, rows) -> np.ndarray:
 class PatternSet:
     """Ordered set of +/-1 Walsh-Hadamard masks, named by Hadamard row index.
 
-    The masks, the pattern operator, the pattern sums and the fingerprint
-    all follow from the selection.
+    The masks, the pattern operator and the fingerprint all follow from the
+    selection, which holds at least one row.
 
     Attributes
     ----------
@@ -137,8 +137,8 @@ class PatternSet:
         n = self.order
         _check_order(n)
         selection = tuple(int(i) for i in self.selection)
-        if len(selection) > n * n:
-            raise ParameterError(f"at most N = {n * n} patterns for order {n}")
+        if not 1 <= len(selection) <= n * n:
+            raise ParameterError(f"a pattern set of order {n} holds 1 to N = {n * n} patterns")
         if any(not 0 <= i < n * n for i in selection):
             raise ParameterError(f"selection indices must lie in [0, {n * n})")
         if not 0.0 < self.modulation_depth <= 1.0:
@@ -204,11 +204,6 @@ def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
     full[pattern_set.rows] = weights
     n = pattern_set.order
     return fwht(full).reshape(n, n)
-
-
-def pattern_sums(pattern_set: PatternSet) -> np.ndarray:
-    """S_i, the sum of the entries of each mask: N for row 0, 0 for every balanced row."""
-    return np.where(pattern_set.rows == 0, float(pattern_set.pixels), 0.0)
 
 
 def walsh_hadamard_patterns(
@@ -283,6 +278,8 @@ def load_patterns(path, modulation_depth: float = DEFAULT_MODULATION_DEPTH) -> P
         raise FormatError(f"unsupported pattern file version {version} at byte 4")
     if ordering_code not in _ORDERING_NAMES:
         raise FormatError(f"unknown ordering code {ordering_code} at byte {head_size - 1}")
+    if count == 0:
+        raise FormatError("pattern file holds no masks (count 0 at byte 10)")
     n_pixels = order * order
     expected = head_size + count * n_pixels
     if len(data) != expected:

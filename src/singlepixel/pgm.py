@@ -33,7 +33,7 @@ def quantize(values: np.ndarray) -> np.ndarray:
     return np.rint(v * MAXVAL).astype(np.uint16)
 
 
-def read_pgm(path, pitch: float = 1.0):
+def read_pgm(path):
     """Read a P5 file; returns (IntensityImage with values in [0, 1], comments).
 
     Raises FormatError with the offending byte offset on malformed input.
@@ -96,4 +96,4 @@ def read_pgm(path, pitch: float = 1.0):
     dtype = ">u2" if bytes_per == 2 else "u1"
     raster = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
     values = raster.reshape(height, width).astype(np.float64) / maxval
-    return IntensityImage(values=values, pitch=pitch), comments
+    return IntensityImage(values=values), comments

@@ -90,7 +90,7 @@ def loss_and_gradient(
     if not np.all(np.isfinite(output)):
         raise NumericalError("non-finite generator output", stage="generate")
 
-    diffracted, pullback = diffract_vjp(output, input_image.pitch, prop)
+    diffracted, pullback = diffract_vjp(output, prop)
     residual = encode(diffracted, pattern_set) - meas.readings
     data_loss = float(residual @ residual)
     loss = data_loss + tv_weight * tv_anisotropic(output)
@@ -115,7 +115,6 @@ def reconstruct_untrained(
     iterations: int = DEFAULT_ITERATIONS,
     seed: int = 0,
     *,
-    pitch: float = 1.0,
     tv_weight: float | None = None,
     net: GeneratorNet | None = None,
 ) -> ReconResult:
@@ -138,7 +137,7 @@ def reconstruct_untrained(
         tv_weight = DEFAULT_TV_WEIGHT
     if not 0 <= tv_weight < np.inf:
         raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
-    input_image = dgi_reconstruct(meas, pattern_set, pitch=pitch).image
+    input_image = dgi_reconstruct(meas, pattern_set).image
     if net is None:
         net = GeneratorNet(seed=seed, dtype=np.float32)
     adam = AdamState.for_params(net.params)
@@ -150,7 +149,7 @@ def reconstruct_untrained(
             raise NumericalError(err.message, stage=err.stage, iteration=it) from err
         adam.update(net.params, grads)
         history.append(loss)
-    final = IntensityImage(values=net.forward(input_image.values), pitch=input_image.pitch)
+    final = IntensityImage(values=net.forward(input_image.values))
     return ReconResult(
         image=final,
         iterations_used=iterations,

@@ -86,6 +86,7 @@ def parse_length(text: str) -> float:
 
 def parse_scene(text: str) -> SceneSpec:
     entries: dict = {}
+    first_line: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -93,6 +94,9 @@ def parse_scene(text: str) -> SceneSpec:
         if "=" not in line:
             raise FormatError(f"scene line {line_no} is not key=value: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise FormatError(f"scene key {key!r} on line {line_no} repeats line {first_line[key]}")
+        first_line[key] = line_no
         entries[key] = val
 
     def pop(key, default=None):
@@ -182,18 +186,18 @@ def _build_three_slit(spec: SceneSpec) -> IntensityImage:
     row_lo, row_hi = slit_row_bounds(spec)
     for col_lo, col_hi in _slit_column_edges(spec):
         mask[row_lo:row_hi, col_lo:col_hi] = 1.0
-    return IntensityImage(values=mask, pitch=spec.pitch)
+    return IntensityImage(values=mask)
 
 
 def _build_bitmap(spec: SceneSpec) -> IntensityImage:
     from .pgm import read_pgm
 
-    image, _ = read_pgm(spec.bitmap_path, pitch=spec.pitch)
+    image, _ = read_pgm(spec.bitmap_path)
     if image.width != spec.grid or image.height != spec.grid:
         raise ParameterError(
             f"bitmap is {image.width}x{image.height}, scene grid is {spec.grid}"
         )
-    return IntensityImage(values=(image.values >= 0.5).astype(np.float64), pitch=spec.pitch)
+    return IntensityImage(values=(image.values >= 0.5).astype(np.float64))
 
 
 def slit_feature_columns(spec: SceneSpec) -> tuple:

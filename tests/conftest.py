@@ -24,8 +24,8 @@ def random_field(rng, n=16):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def random_image(rng, n=16, pitch=1e-4):
-    return IntensityImage(values=rng.random((n, n)), pitch=pitch)
+def random_image(rng, n=16):
+    return IntensityImage(values=rng.random((n, n)))
 
 
 def band_limited_field(rng, n, pitch, wavelength):
@@ -87,10 +87,10 @@ def apply_mask(image: IntensityImage, mask: np.ndarray, depth: float) -> Intensi
         raise ParameterError("modulation depth must lie in (0, 1]")
     m = np.asarray(mask)
     up = upsample_mask(m, image.height, image.width)
-    return image.with_values(image.values * (1.0 - depth * up))
+    return IntensityImage(values=image.values * (1.0 - depth * up))
 
 
-def star_mask(n: int, pitch: float = 1.0, points: int = 5, outer: float = 0.42,
+def star_mask(n: int, points: int = 5, outer: float = 0.42,
               inner: float = 0.17, rotation: float = -np.pi / 2) -> IntensityImage:
     """Binary star-polygon mask, a stand-in for the hollow-star test object.
 
@@ -114,7 +114,7 @@ def star_mask(n: int, pitch: float = 1.0, points: int = 5, outer: float = 0.42,
         with np.errstate(divide="ignore", invalid="ignore"):
             x_cross = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
         inside ^= crosses & (px < x_cross)
-    return IntensityImage(values=inside.astype(np.float64), pitch=pitch)
+    return IntensityImage(values=inside.astype(np.float64))
 
 
 def reference_grad(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

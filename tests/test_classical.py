@@ -15,8 +15,8 @@ from singlepixel.propagation import PropagationSpec
 from singlepixel.tvreg import tv_anisotropic, tv_prox
 
 
-def image(values, pitch=1e-4):
-    return IntensityImage(values=np.asarray(values, float), pitch=pitch)
+def image(values):
+    return IntensityImage(values=np.asarray(values, float))
 
 
 def readings_like(pset, values):
@@ -145,8 +145,8 @@ class TestDgi:
     def test_full_sampling_matches_brute_force_oracle(self, rng):
         n = 16
         pset = walsh_hadamard_patterns(n, n * n)
-        obj = image(rng.random((n, n)), pitch=2e-4)
-        prop = PropagationSpec(wavelength=833.3e-6, distance=0.4e-3)
+        obj = image(rng.random((n, n)))
+        prop = PropagationSpec(wavelength=833.3e-6, distance=0.4e-3, pitch=2e-4)
         diffracted = diffract(obj, prop)
         meas = measure(diffracted, pset)
         result = dgi_reconstruct(meas, pset)

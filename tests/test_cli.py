@@ -1,4 +1,5 @@
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -234,7 +235,7 @@ def test_usage_error_exits_2(capsys):
 
 
 def test_metrics_subcommand(tmp_path, capsys):
-    star = star_mask(16, 1e-4, outer=0.4, inner=0.2)
+    star = star_mask(16, outer=0.4, inner=0.2)
     img_path = tmp_path / "a.pgm"
     ref_path = tmp_path / "b.pgm"
     write_pgm(img_path, star)
@@ -248,7 +249,7 @@ def test_metrics_subcommand(tmp_path, capsys):
 
 def test_metrics_prints_inf_for_a_constant_noise_region(tmp_path, capsys):
     """The star is 0 off its own mask, so its noise region is constant."""
-    star = star_mask(16, 1e-4, outer=0.4, inner=0.2)
+    star = star_mask(16, outer=0.4, inner=0.2)
     img_path = tmp_path / "a.pgm"
     write_pgm(img_path, star)
     assert main(["metrics", "--image", str(img_path), "--snr-mask", str(img_path)]) == 0
@@ -472,8 +473,8 @@ def test_reconstruct_of_zero_readings_writes_degenerate_ssim(workspace):
 
 def test_metrics_of_a_constant_image_writes_degenerate_ssim(tmp_path):
     img_path, ref_path, out = tmp_path / "flat.pgm", tmp_path / "star.pgm", tmp_path / "m.csv"
-    write_pgm(img_path, IntensityImage(values=np.full((16, 16), 0.5), pitch=1e-4))
-    write_pgm(ref_path, star_mask(16, 1e-4, outer=0.4, inner=0.2))
+    write_pgm(img_path, IntensityImage(values=np.full((16, 16), 0.5)))
+    write_pgm(ref_path, star_mask(16, outer=0.4, inner=0.2))
     assert main(["metrics", "--image", str(img_path), "--reference", str(ref_path),
                  "--snr-mask", str(ref_path), "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
@@ -603,6 +604,45 @@ def test_pattern_file_with_a_repeated_mask_exits_3(workspace, capsys):
                  "--out-dir", str(tmp_path / "sim")]) == 3
     assert "error: mask 2 (starting at byte 527) repeats mask 1" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
+
+
+def test_pattern_file_of_no_masks_exits_3(workspace, capsys):
+    """A SPIP header that counts 0 masks is refused at its count field by
+    `simulate`, and by `reconstruct` against a measurement of 0 readings."""
+    tmp_path, scene, _ = workspace
+    empty = tmp_path / "empty.spip"
+    empty.write_bytes(struct.pack("<4sHIIB", b"SPIP", 1, 16, 0, 0))
+    no_readings = tmp_path / "empty.csv"
+    no_readings.write_text("index,reading\n")
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(empty),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    for method in ("hspi", "cstv"):
+        assert main(["reconstruct", "--measurement", str(no_readings), "--patterns", str(empty),
+                     "--scene", str(scene), "--method", method,
+                     "--out-dir", str(tmp_path / method)]) == 3
+    assert capsys.readouterr().err.count("error: pattern file holds no masks (count 0 at byte 10)") == 3
+    assert not any((tmp_path / name).exists() for name in ("sim", "hspi", "cstv"))
+
+
+def test_scene_with_a_repeated_key_exits_3(workspace, capsys):
+    tmp_path, scene, patterns = workspace
+    scene.write_text(SCENE + "grid = 32\n")
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    assert "error: scene key 'grid' on line 12 repeats line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["hspi", "dgi", "cstv"])
+def test_non_finite_backprop_distance_exits_3_for_every_method(workspace, capsys, method):
+    """The distance is part of the propagation geometry every method is
+    given, so it is checked even where only the generator reads it."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                 "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                 "--backprop-distance=nan", "--out-dir", str(tmp_path / "rec")]) == 3
+    assert "error: propagation distance must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "rec").exists()
 
 
 def test_failed_simulate_makes_no_output_directory(workspace, capsys):

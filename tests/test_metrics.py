@@ -19,8 +19,8 @@ from singlepixel.metrics import (
 )
 
 
-def image(values, pitch=1e-4):
-    return IntensityImage(values=np.asarray(values, float), pitch=pitch)
+def image(values):
+    return IntensityImage(values=np.asarray(values, float))
 
 
 class TestSsim:

@@ -263,11 +263,10 @@ def _owner(a):
 def _float32_step(n, rng):
     """A float32 default-plan net after one loss_and_gradient and Adam step
     on a random n x n scene; returns (net, input image, gradients, Adam state)."""
-    pitch = 1e-4
     pset = walsh_hadamard_patterns(n, 64, modulation_depth=0.9)
-    meas = measure(IntensityImage(values=(rng.random((n, n)) > 0.5) * 1.0, pitch=pitch), pset)
-    inp = dgi_reconstruct(meas, pset, pitch=pitch).image
-    prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3)
+    meas = measure(IntensityImage(values=(rng.random((n, n)) > 0.5) * 1.0), pset)
+    inp = dgi_reconstruct(meas, pset).image
+    prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3, pitch=1e-4)
     net = GeneratorNet(seed=2, dtype=np.float32)
     adam = AdamState.for_params(net.params)
     _, grads = loss_and_gradient(net, inp, meas, pset, prop)

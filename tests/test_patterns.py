@@ -20,7 +20,6 @@ from singlepixel.patterns import (
     PatternSet,
     fwht,
     load_patterns,
-    pattern_sums,
     project,
     save_patterns,
     synthesize,
@@ -222,7 +221,7 @@ class TestPositiveNegativeSplit:
 
 class TestApplyMask:
     def image(self, values):
-        return IntensityImage(values=np.asarray(values, float), pitch=1e-4)
+        return IntensityImage(values=np.asarray(values, float))
 
     def test_full_depth_blocks_everything(self):
         img = self.image(np.ones((4, 4)))
@@ -340,7 +339,8 @@ class TestIndexDescriptor:
         reference = np.stack([hadamard_row(i, n_pixels) for i in pset.selection])
         assert pset.logical_masks.dtype == np.int8
         assert np.array_equal(pset.logical_masks.reshape(pset.count, n_pixels), reference)
-        assert np.array_equal(pattern_sums(pset), reference.sum(axis=1))
+        # the closed-form sums DGI reads: N for row 0, 0 for every balanced row
+        assert np.array_equal(reference.sum(axis=1), np.where(pset.rows == 0, n_pixels, 0))
 
     @given(pset=pattern_sets(max_count=4), junk=st.integers(0, 255))
     @settings(max_examples=12, deadline=None)
@@ -402,12 +402,12 @@ class TestIndexDescriptor:
 
     def test_operators_never_build_the_masks(self):
         pset = walsh_hadamard_patterns(16, 64)
-        image = IntensityImage(values=np.random.default_rng(0).random((16, 16)), pitch=1e-4)
+        image = IntensityImage(values=np.random.default_rng(0).random((16, 16)))
         meas = measure(image, pset, noise_sigma=0.01, seed=1)
         hspi_reconstruct(meas, pset)
         dgi_reconstruct(meas, pset)
         cstv_reconstruct(meas, pset, max_iters=3)
-        prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3)
+        prop = PropagationSpec(wavelength=833.3e-6, distance=0.5e-3, pitch=1e-4)
         loss_and_gradient(GeneratorNet(plan=(1, 4, 4, 1), seed=0), image, meas, pset, prop)
         assert "logical_masks" not in vars(pset)
         assert pset.logical_masks.shape == (64, 16, 16)
@@ -430,11 +430,16 @@ class TestIndexDescriptor:
         with pytest.raises(ParameterError, match=r"repeats row 3 \(positions 1 and 3\)"):
             PatternSet(4, (0, 3, 9, 3, 9), "natural")
 
-    def test_empty_file_of_huge_order_loads(self, tmp_path):
+    def test_empty_file_of_huge_order_is_rejected_at_the_count(self, tmp_path):
+        # rejected from the header alone, before any mask of order 65536 is built
         path = tmp_path / "empty.spip"
         path.write_bytes(struct.pack("<4sHIIB", b"SPIP", 1, 65536, 0, 0))
-        pset = load_patterns(path)
-        assert (pset.order, pset.count) == (65536, 0)
+        with pytest.raises(FormatError, match="byte 10"):
+            load_patterns(path)
+
+    def test_pattern_set_needs_a_pattern(self):
+        with pytest.raises(ParameterError, match="holds 1 to N = 16 patterns"):
+            PatternSet(4, (), "natural")
 
 
 class TestBlockwiseFileChecks:

@@ -6,8 +6,8 @@ from singlepixel.field import IntensityImage
 from singlepixel.pgm import quantize, read_pgm, write_pgm
 
 
-def image(values, pitch=1e-4):
-    return IntensityImage(values=np.asarray(values, float), pitch=pitch)
+def image(values):
+    return IntensityImage(values=np.asarray(values, float))
 
 
 class TestQuantize:
@@ -28,7 +28,7 @@ class TestRoundTrip:
         img = image(rng.random((16, 16)))
         path = tmp_path / "img.pgm"
         write_pgm(path, img)
-        loaded, _ = read_pgm(path, pitch=img.pitch)
+        loaded, _ = read_pgm(path)
         assert np.array_equal(quantize(loaded.values), quantize(img.values))
 
     def test_rewrite_is_byte_identical(self, tmp_path, rng):

@@ -19,12 +19,11 @@ WAVELENGTH = 833.3e-6
 
 
 def instance(rng, n=16, distance=0.5e-3, count=None, sigma=0.0, depth=0.9):
-    pitch = 10.5e-3 / 128
     pset = walsh_hadamard_patterns(n, count or n * n, modulation_depth=depth)
-    obj = IntensityImage(values=(rng.random((n, n)) > 0.6).astype(float), pitch=pitch)
-    prop = PropagationSpec(wavelength=WAVELENGTH, distance=distance)
+    obj = IntensityImage(values=(rng.random((n, n)) > 0.6).astype(float))
+    prop = PropagationSpec(wavelength=WAVELENGTH, distance=distance, pitch=10.5e-3 / 128)
     meas = measure(diffract(obj, prop), pset, noise_sigma=sigma, seed=0)
-    return obj, pset, prop, meas, pitch
+    return obj, pset, prop, meas
 
 
 class TestAdam:
@@ -58,10 +57,10 @@ class TestAdam:
 class TestLossAndGradient:
     def test_self_consistent_measurement_gives_tv_only_loss(self, rng):
         # measure the generator's own diffracted output: data term vanishes
-        obj, pset, prop, _, pitch = instance(rng)
+        obj, pset, prop, _ = instance(rng)
         net = GeneratorNet(plan=(1, 4, 4, 1), seed=0)
-        inp = IntensityImage(values=rng.random((16, 16)), pitch=pitch)
-        output = IntensityImage(values=net.forward(inp.values), pitch=pitch)
+        inp = IntensityImage(values=rng.random((16, 16)))
+        output = IntensityImage(values=net.forward(inp.values))
         meas = measure(diffract(output, prop), pset)
         tv_weight = 1e-6
         loss, _ = loss_and_gradient(net, inp, meas, pset, prop, tv_weight)
@@ -71,9 +70,9 @@ class TestLossAndGradient:
         """tv_weight = 0, constant generator output via the head bias: the
         derivative of the data term w.r.t. that bias is checked against a
         central difference."""
-        obj, pset, prop, meas, pitch = instance(rng)
+        obj, pset, prop, meas = instance(rng)
         net = GeneratorNet(plan=(1, 4, 4, 1), seed=1)
-        inp = IntensityImage(values=rng.random((16, 16)), pitch=pitch)
+        inp = IntensityImage(values=rng.random((16, 16)))
         head_bias = net.params[-1]
 
         def loss_only():
@@ -90,9 +89,9 @@ class TestLossAndGradient:
         assert abs(fd - grads[-1][0]) / abs(fd) < 1e-4
 
     def test_full_chain_gradient_on_random_parameters(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng)
+        obj, pset, prop, meas = instance(rng)
         net = GeneratorNet(plan=(1, 4, 8, 4, 1), seed=5)
-        inp = IntensityImage(values=rng.random((16, 16)), pitch=pitch)
+        inp = IntensityImage(values=rng.random((16, 16)))
 
         def loss_only():
             return loss_and_gradient(net, inp, meas, pset, prop, 1e-10)[0]
@@ -125,29 +124,28 @@ class TestLossAndGradient:
 class TestReconstructUntrained:
     def test_two_bar_phantom_reaches_high_ssim(self):
         n = 32
-        pitch = 10.5e-3 / 64
         values = np.zeros((n, n))
         values[8:24, 6:12] = 1.0
         values[8:24, 20:26] = 1.0
-        obj = IntensityImage(values=values, pitch=pitch)
+        obj = IntensityImage(values=values)
         pset = walsh_hadamard_patterns(n, n * n, modulation_depth=0.9)
         meas = measure(obj, pset)
-        prop = PropagationSpec(wavelength=WAVELENGTH, distance=0.0)
-        result = reconstruct_untrained(meas, pset, prop, iterations=300, seed=0, pitch=pitch)
+        prop = PropagationSpec(wavelength=WAVELENGTH, distance=0.0, pitch=10.5e-3 / 64)
+        result = reconstruct_untrained(meas, pset, prop, iterations=300, seed=0)
         assert ssim(normalize(result.image), obj) > 0.9
 
     def test_loss_trend_decreases_over_windows(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng, n=16, count=128)
-        result = reconstruct_untrained(meas, pset, prop, iterations=150, seed=0, pitch=pitch)
+        obj, pset, prop, meas = instance(rng, n=16, count=128)
+        result = reconstruct_untrained(meas, pset, prop, iterations=150, seed=0)
         history = np.array(result.residual_history)
         assert history[-1] < history[0]
         windows = [history[i : i + 50].mean() for i in range(0, 150, 50)]
         assert all(b < a for a, b in zip(windows, windows[1:]))
 
     def test_seeded_determinism(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng, n=16, count=64)
-        a = reconstruct_untrained(meas, pset, prop, iterations=5, seed=3, pitch=pitch)
-        b = reconstruct_untrained(meas, pset, prop, iterations=5, seed=3, pitch=pitch)
+        obj, pset, prop, meas = instance(rng, n=16, count=64)
+        a = reconstruct_untrained(meas, pset, prop, iterations=5, seed=3)
+        b = reconstruct_untrained(meas, pset, prop, iterations=5, seed=3)
         assert np.array_equal(a.image.values, b.image.values)
         assert a.residual_history == b.residual_history
 
@@ -161,36 +159,35 @@ class TestReconstructUntrained:
         obj, diffracted = diffract_scene(spec)
         pset = walsh_hadamard_patterns(64, 1024, modulation_depth=spec.modulation_depth)
         meas = measure(diffracted, pset, noise_sigma=spec.noise_sigma, seed=spec.seed)
-        prop = PropagationSpec(wavelength=spec.wavelength, distance=spec.distance)
+        prop = PropagationSpec(spec.wavelength, spec.distance, spec.pitch)
         seed = 827308000
-        default = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed,
-                                        pitch=spec.pitch)
-        exact = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed, pitch=spec.pitch,
+        default = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed)
+        exact = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed,
                                       net=GeneratorNet(seed=seed, dtype=np.float64))
         assert np.abs(default.image.values - exact.image.values).max() <= 1e-4
         assert abs(ssim(default.image, obj) - ssim(exact.image, obj)) <= 1e-3
 
     def test_iterations_must_be_positive(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng)
+        obj, pset, prop, meas = instance(rng)
         with pytest.raises(ParameterError):
-            reconstruct_untrained(meas, pset, prop, iterations=0, pitch=pitch)
+            reconstruct_untrained(meas, pset, prop, iterations=0)
 
     def test_numerical_error_names_stage_and_iteration_once(self, rng, monkeypatch):
-        obj, pset, prop, meas, pitch = instance(rng)
+        obj, pset, prop, meas = instance(rng)
 
         def failing_step(*args):
             raise NumericalError("x", stage="loss")
 
         monkeypatch.setattr(prior, "loss_and_gradient", failing_step)
         with pytest.raises(NumericalError) as info:
-            reconstruct_untrained(meas, pset, prop, iterations=3, pitch=pitch)
+            reconstruct_untrained(meas, pset, prop, iterations=3)
         assert str(info.value) == "x (stage: loss) (iteration 0)"
         assert (info.value.message, info.value.stage, info.value.iteration) == ("x", "loss", 0)
 
 
 class TestPriorInput:
     def test_input_is_normalized_dgi_estimate(self, rng):
-        obj, pset, prop, meas, pitch = instance(rng, n=16, count=128)
-        inp = dgi_reconstruct(meas, pset, pitch=pitch).image
+        obj, pset, prop, meas = instance(rng, n=16, count=128)
+        inp = dgi_reconstruct(meas, pset).image
         assert inp.values.min() >= 0.0
         assert inp.values.max() == pytest.approx(1.0)

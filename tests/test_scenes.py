@@ -110,8 +110,15 @@ seed = 7
         ("slit_height = 11mm", "slit height exceeds the field of view"),
     ])
     def test_slits_outside_the_field_rejected(self, line, message):
+        key = line.split(" =")[0]
+        lines = [ln for ln in self.SCENE.splitlines() if not ln.startswith(key)]
         with pytest.raises(FormatError, match=message):
-            parse_scene(self.SCENE + line + "\n")
+            parse_scene("\n".join(lines + [line]) + "\n")
+
+    def test_repeated_key_rejected(self):
+        text = "grid = 64\nobject = three_slit\n\ngrid = 32\n"
+        with pytest.raises(FormatError, match=r"scene key 'grid' on line 4 repeats line 1"):
+            parse_scene(text)
 
     def test_pitch_consistency(self):
         spec = parse_scene(self.SCENE)
@@ -151,7 +158,7 @@ class TestBuildScene:
             )
 
     def test_bitmap_threshold_pass_through(self, tmp_path):
-        star = star_mask(64, 10.5e-3 / 64)
+        star = star_mask(64)
         path = tmp_path / "star.pgm"
         write_pgm(path, star)
         spec = SceneSpec(
@@ -186,13 +193,13 @@ class TestBuildScene:
 
 class TestStarMask:
     def test_binary_and_centered(self):
-        star = star_mask(64, 1e-4)
+        star = star_mask(64)
         assert set(np.unique(star.values)) <= {0.0, 1.0}
         assert 0.05 < star.values.mean() < 0.5
         # center pixel is inside the star
         assert star.values[32, 32] == 1.0
 
     def test_point_count_changes_shape(self):
-        a = star_mask(64, 1e-4, points=5)
-        b = star_mask(64, 1e-4, points=7)
+        a = star_mask(64, points=5)
+        b = star_mask(64, points=7)
         assert not np.array_equal(a.values, b.values)
