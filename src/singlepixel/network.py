@@ -23,27 +23,33 @@ output gradient and every returned gradient.  A float32 net therefore has
 float64 master weights.
 
 Buffers.  Per grid size, every entry of the channel plan owns a
-zero-bordered (C, H+2, W+2) buffer, and each BN block a (C_out, H*W) GEMM
-output that batch norm turns into x-hat in place.  A block writes its
-activation straight into the interior of the next layer's bordered buffer,
-so the border is written once, when the buffer is made, and im2col is a
-single strided copy.  All layers share one column storage of
-9*max(plan)*H*W elements: every im2col matrix is a view of it and is
-consumed by the GEMM that follows, in both passes, so no column matrix
-outlives its layer.  The forward pass leaves x-hat for batch norm and the
-activations, whose sign is that of the pre-activation because the leak is
-positive.  Backward works top down: once a layer's LeakyReLU slope is read,
-its bordered buffer takes the upstream gradient g = dL/dz instead, and the
-one im2col of g serves both gradients.  The input gradient is the
-convolution of g with the flipped, channel-transposed kernel; the weight
-gradient follows from
+zero-bordered (C, H+2, W+2) buffer, and each BN block a (C_out, H*W)
+convolution output that batch norm turns into x-hat in place.  A block writes
+its activation straight into the interior of the next layer's bordered
+buffer, so the border is written once, when the buffer is made.
 
-    dL/dW[o, c, 2-ky, 2-kx] = sum_p im2col(g)[o, ky, kx, p] * a[c, p],
+Convolution by three-tap columns (memory-efficient convolution, Cho & Brand,
+ICML 2017).  One strided copy builds columns for the horizontal taps only:
+row 3*c + kx holds all H+2 bordered rows of channel c shifted left by kx, a
+(3*C, (H+2)*W) matrix.  One GEMM of the kernel stacked by tap row against it
+gives Y, (3*C_out, (H+2)*W), and tap row ky is then a row offset of ky*W:
+z = Y_0[:, 0:HW] + Y_1[:, W:W+HW] + Y_2[:, 2W:2W+HW].  All layers share two
+flat storages of 3*max(plan)*(H+2)*W elements, one for the columns and one
+for Y; both are consumed by the layer that fills them, in both passes, so no
+column matrix outlives its layer.  The forward pass leaves x-hat for batch
+norm and the activations, whose sign is that of the pre-activation because
+the leak is positive.  Backward works top down: once a layer's LeakyReLU
+slope is read, its bordered buffer takes the upstream gradient g = dL/dz
+instead, and the one column matrix of g serves both gradients.  The input
+gradient is the convolution of g with the flipped, channel-transposed
+kernel; the weight gradient follows from
 
-one (9*C_out, H*W) @ (H*W, C_in) GEMM against a contiguous copy of the
-layer input a.  The head's g has a 1-channel bordered buffer of its own.
-The first layer's input gradient is not formed, since the network input is
-fixed.
+    dL/dW[o, c, 2-ky, 2-kx] = sum_p cols(g)[3*o + kx, p + ky*W] * a[c, p],
+
+one (3*C_out, H*W) @ (H*W, C_in) GEMM per tap row against a contiguous copy
+of the layer input a.  The head's g has a 1-channel bordered buffer of its
+own.  The first layer's input gradient is not formed, since the network
+input is fixed.
 
 No conv bias in BN blocks.  Batch norm subtracts the per-channel mean, which
 cancels a conv bias exactly, so only the head's convolution has a bias.
@@ -62,26 +68,30 @@ LEAK = 0.2  # in (0, 1]: max(y, LEAK*y) and the sign rule of backward need it
 BN_EPS = 1e-3
 
 
-class _Im2col:
-    """Zero-bordered (C, H+2, W+2) buffer and its 3x3 im2col columns.
+class _Bordered:
+    """Zero-bordered (C, H+2, W+2) buffer and its three-tap columns.
 
     Callers write into `interior`; the border is zeroed once, here.
-    `columns()` fills the (C*9, H*W) column matrix, ordered channel-major and
-    then by kernel row and column, with one strided copy.  The matrix is a
-    view of the first C*9*H*W elements of the flat `storage`, which sets the
-    dtype and may be shared with other buffers of the same grid.
+    `columns()` fills the (3*C, (H+2)*W) column matrix with one strided copy:
+    row 3*c + kx holds channel c of all H+2 bordered rows shifted left by kx,
+    `cols[3*c + kx, r*W + x] = padded[c, r, x + kx]`.  The matrix is a view of
+    the first 3*C*(H+2)*W elements of the flat `storage`, which sets the dtype
+    and may be shared with other buffers of the same grid.  `tap_rows` views
+    it as (3, 3*C, H*W): `tap_rows[ky]` is its H*W columns from bordered row ky on.
     """
 
     def __init__(self, c: int, h: int, w: int, storage: np.ndarray):
         self.padded = np.zeros((c, h + 2, w + 2), dtype=storage.dtype)
         self.interior = self.padded[:, 1:-1, 1:-1]
-        self.cols = storage[: c * 9 * h * w].reshape(c * 9, h * w)
-        windows = np.lib.stride_tricks.sliding_window_view(self.padded, (3, 3), axis=(1, 2))
-        self._windows = windows.transpose(0, 3, 4, 1, 2)
-        self._cols5 = self.cols.reshape(c, 3, 3, h, w)
+        self.cols = storage[: 3 * c * (h + 2) * w].reshape(3 * c, (h + 2) * w)
+        windows = np.lib.stride_tricks.sliding_window_view(self.padded, 3, axis=2)
+        self._windows = windows.transpose(0, 3, 1, 2)
+        self._cols4 = self.cols.reshape(c, 3, h + 2, w)
+        shifts = np.lib.stride_tricks.sliding_window_view(self.cols, h * w, axis=1)
+        self.tap_rows = shifts[:, ::w].transpose(1, 0, 2)
 
     def columns(self) -> np.ndarray:
-        np.copyto(self._cols5, self._windows)
+        np.copyto(self._cols4, self._windows)
         return self.cols
 
 
@@ -93,27 +103,50 @@ def flip_kernel(weight: np.ndarray) -> np.ndarray:
     return weight.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
 
 
-def conv_backward(g: np.ndarray, src: _Im2col, dst: _Im2col, weight: np.ndarray,
-                  buf: np.ndarray, input_grad: bool = True):
+def conv(cols: np.ndarray, weight: np.ndarray, gemm_out: np.ndarray, out: np.ndarray):
+    """Same-padded 3x3 convolution of the input whose three-tap columns are
+    `cols`, written into `out` (C_out, H*W) and returned.
+
+    One GEMM of the kernel stacked by tap row, Wk[ky*C_out + o, 3*c + kx] =
+    weight[o, c, ky, kx], against the columns fills Y in `gemm_out`, a flat
+    array of at least 3*C_out*(H+2)*W elements.  Tap row ky then reads Y's
+    block ky at a row offset of ky*W: z = Y_0[:, 0:HW] + Y_1[:, W:W+HW] +
+    Y_2[:, 2W:2W+HW].
+    """
+    c_out = weight.shape[0]
+    hw = out.shape[1]
+    w = (cols.shape[1] - hw) // 2
+    stacked = weight.transpose(2, 0, 1, 3).reshape(3 * c_out, -1)
+    y = gemm_out[: 3 * c_out * cols.shape[1]].reshape(3 * c_out, -1)
+    np.matmul(stacked, cols, out=y)
+    np.add(y[:c_out, :hw], y[c_out : 2 * c_out, w : w + hw], out=out)
+    out += y[2 * c_out :, 2 * w : 2 * w + hw]
+    return out
+
+
+def conv_backward(g: np.ndarray, src: _Bordered, dst: _Bordered, weight: np.ndarray,
+                  gemm_out: np.ndarray, buf: np.ndarray, input_grad: bool = True):
     """Gradients of z = conv(a; weight), a in `src.interior`, given g = dL/dz.
 
     g is (C_out, H*W) and may be a view of `buf`, a flat array of at least
     max(C_in, C_out)*H*W elements.  g is written into `dst`, whose columns
-    then serve both gradients.  Returns (dL/dweight in float64, dL/da as
-    (C_in, H*W) in `buf`), with None for dL/da unless `input_grad`.
+    then serve both gradients; `gemm_out` is `conv`'s.  Returns (dL/dweight
+    in float64, dL/da as (C_in, H*W) in `buf`), with None for dL/da unless
+    `input_grad`.
     """
-    c_out, c_in = weight.shape[:2]
+    (c_out, c_in), hw = weight.shape[:2], g.shape[1]
     dst.interior[...] = g.reshape(dst.interior.shape)
     cols = dst.columns()
-    # a contiguous copy of the layer input, read by the weight-gradient GEMM
+    # a contiguous copy of the layer input, read by the weight-gradient GEMMs
     # before the input gradient overwrites it
-    a = buf[: c_in * cols.shape[1]].reshape(c_in, -1)
+    a = buf[: c_in * hw].reshape(c_in, hw)
     np.copyto(a.reshape(src.interior.shape), src.interior)
-    taps = (cols @ a.T).reshape(c_out, 3, 3, c_in)
-    g_weight = np.ascontiguousarray(taps.transpose(0, 3, 1, 2)[:, :, ::-1, ::-1], dtype=np.float64)
+    # one GEMM per tap row: taps[ky, o, kx, c] = dL/dW[o, c, 2-ky, 2-kx]
+    taps = (dst.tap_rows @ a.T).reshape(3, c_out, 3, c_in)
+    g_weight = np.ascontiguousarray(taps.transpose(1, 3, 0, 2)[:, :, ::-1, ::-1], dtype=np.float64)
     if not input_grad:
         return g_weight, None
-    return g_weight, np.matmul(flip_kernel(weight).reshape(c_in, -1), cols, out=a)
+    return g_weight, conv(cols, flip_kernel(weight), gemm_out, out=a)
 
 
 def bn_forward(z: np.ndarray) -> np.ndarray:
@@ -202,17 +235,18 @@ class GeneratorNet:
         return a.astype(self.dtype, copy=False)
 
     def _layer_buffers(self, h: int, w: int) -> tuple:
-        """Buffers of an H x W grid: one bordered `_Im2col` per entry of the
-        plan, the BN blocks' GEMM outputs, and the backward pass's flat
-        gradient buffer; every column matrix is a view of one storage."""
+        """Buffers of an H x W grid: one `_Bordered` per entry of the plan,
+        the BN blocks' x-hat, the backward pass's flat gradient buffer and
+        `conv`'s GEMM output; every column matrix is a view of one storage."""
         bufs = self._scratch.get((h, w))
         if bufs is None:
             width = max(self.plan)
-            cols = np.empty(9 * width * h * w, dtype=self.dtype)
+            cols = np.empty(3 * width * (h + 2) * w, dtype=self.dtype)
             bufs = self._scratch[(h, w)] = (
-                [_Im2col(c, h, w, cols) for c in self.plan],
+                [_Bordered(c, h, w, cols) for c in self.plan],
                 [np.empty((c, h * w), dtype=self.dtype) for c in self.plan[1:-1]],
                 np.empty(width * h * w, dtype=self.dtype),
+                np.empty_like(cols),
             )
         return bufs
 
@@ -226,14 +260,14 @@ class GeneratorNet:
             raise DimensionError("generator input must be a 2D image")
         h, w = x.shape
         bufs = self._layer_buffers(h, w)
-        bordered, xhats, _ = bufs
+        bordered, xhats, _, gemm_out = bufs
         bordered[0].interior[0] = x
         inv_stds = []
         for layer in range(self.n_blocks):
             weight, gamma, beta = self._layer_params(layer)
             z = xhats[layer]
             act = bordered[layer + 1].interior
-            np.matmul(weight.reshape(len(weight), -1), bordered[layer].columns(), out=z)
+            conv(bordered[layer].columns(), weight, gemm_out, out=z)
             inv_stds.append(bn_forward(z))
             # scale and shift in a contiguous temporary: in-place passes over
             # the strided interior of `act` run row by row and cost more than
@@ -243,7 +277,8 @@ class GeneratorNet:
             y = y.reshape(act.shape)
             np.maximum(y, LEAK * y, out=act)
         weight, bias = self._head_params()
-        z = _float64(weight.reshape(1, -1) @ bordered[self.n_blocks].columns())
+        z = np.empty((1, h * w), dtype=self.dtype)
+        z = _float64(conv(bordered[self.n_blocks].columns(), weight, gemm_out, out=z))
         z += bias[:, None]
         s = sigmoid(z.reshape(h, w))
         if want_cache:
@@ -258,15 +293,15 @@ class GeneratorNet:
         gradient once its activation has been read, so a cache serves one
         backward pass.
         """
-        (bordered, xhats, buf), inv_stds, s = cache
+        (bordered, xhats, buf, gemm_out), inv_stds, s = cache
         h, w = s.shape
         head = self.n_blocks
         weight, _ = self._head_params()
         g = (g_output * s * (1.0 - s)).reshape(1, h * w)
         g_bias = g.sum(axis=1)
         # the input gradient of layer 0 is never needed
-        g_w, g = conv_backward(self._cast(g), bordered[head], bordered[head + 1], weight, buf,
-                               input_grad=head > 0)
+        g_w, g = conv_backward(self._cast(g), bordered[head], bordered[head + 1], weight,
+                               gemm_out, buf, input_grad=head > 0)
         grads = [g_w, g_bias]
         for layer in range(self.n_blocks - 1, -1, -1):
             weight, gamma, _ = self._layer_params(layer)
@@ -278,7 +313,7 @@ class GeneratorNet:
             slope += LEAK
             g *= slope.reshape(g.shape)
             g_gamma, g_beta = bn_backward(g, xhats[layer], gamma, inv_stds[layer])
-            g_w, g = conv_backward(g, bordered[layer], bordered[layer + 1], weight, buf,
-                                   input_grad=layer > 0)
+            g_w, g = conv_backward(g, bordered[layer], bordered[layer + 1], weight, gemm_out,
+                                   buf, input_grad=layer > 0)
             grads[:0] = [g_w, _float64(g_gamma), _float64(g_beta)]
         return grads

@@ -9,7 +9,7 @@ the package against them.
 import numpy as np
 import pytest
 
-from singlepixel.errors import ParameterError
+from singlepixel.errors import ParameterError, SinglePixelError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import upsample_mask
 
@@ -152,3 +152,43 @@ def reference_tv_prox(v: np.ndarray, alpha: float, iterations: int = 10) -> np.n
         py = np.clip(py + (tau / alpha) * gy, -1.0, 1.0)
         px = np.clip(px + (tau / alpha) * gx, -1.0, 1.0)
     return v + alpha * reference_div(py, px)
+
+
+# Bytes that carry structure in the file formats (line and field separators,
+# comment and key marks, signs, digits, the exponent, the PGM magic) and
+# bytes that are not UTF-8 on their own.
+STRUCTURAL_BYTES = b"\n\r\t #=,.-+0159eEP\x00\x80\xff"
+
+
+def damaged_loads(parse, path, blob: bytes, junk: int) -> list:
+    """Run parse(path) on every damaged copy of `blob`: each byte replaced by
+    itself XOR `junk` and by each of STRUCTURAL_BYTES, then every truncation.
+
+    A copy may still be a valid file; otherwise the parser must raise a
+    SinglePixelError, and any other exception fails the calling test with the
+    damage named.  Returns the labels of the copies that loaded.
+    """
+    copies = [
+        (f"byte {pos} set to {new:#04x}", blob[:pos] + bytes([new]) + blob[pos + 1 :])
+        for pos, old in enumerate(blob)
+        for new in sorted({old ^ junk, *STRUCTURAL_BYTES} - {old})
+    ]
+    copies += [(f"truncated to {end} bytes", blob[:end]) for end in range(len(blob))]
+    loaded = []
+    # one handle, truncated only for a truncation: opening or truncating the
+    # file per copy costs more than the parse, and a corruption keeps its length
+    with open(path, "wb") as fh:
+        for label, data in copies:
+            fh.seek(0)
+            fh.write(data)
+            if len(data) < len(blob):
+                fh.truncate()
+            fh.flush()
+            try:
+                parse(path)
+            except SinglePixelError:
+                continue
+            except Exception as err:
+                raise AssertionError(f"{label}: {type(err).__name__}: {err}") from err
+            loaded.append(label)
+    return loaded

@@ -677,3 +677,25 @@ def test_out_dir_under_a_file_exits_3_before_the_work(workspace, capsys, monkeyp
     assert main([command, "--scene", str(scene), *argv, "--out-dir", str(out_dir)]) == 3
     expected = f"error: cannot make output directory {out_dir}: {tmp_path / 'file.txt'} is not a directory"
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damaged,damage,message", [
+    ("scene", lambda b: b.replace(b"=", b":", 1), "is not key=value"),
+    ("measurement", lambda b: b.replace(b"\n0,", b"\n0;", 1), "malformed measurement row 0"),
+    ("reference", lambda b: b[:-1], "raster has"),
+], ids=["scene", "measurement", "pgm"])
+def test_damaged_input_file_exits_3(workspace, capsys, damaged, damage, message):
+    """One damaged file per parser (scene, measurement CSV, PGM) through
+    cli.main: a typed error on standard error and exit code 3."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    files = {"scene": scene, "measurement": sim_dir / "measurement.csv",
+             "reference": sim_dir / "object.pgm"}
+    files[damaged].write_bytes(damage(files[damaged].read_bytes()))
+    capsys.readouterr()
+    code = main(["reconstruct", "--measurement", str(files["measurement"]),
+                 "--patterns", str(patterns), "--scene", str(scene), "--method", "hspi",
+                 "--reference", str(files["reference"]), "--out-dir", str(tmp_path / "rec")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlepixel.errors import ConsistencyError, FormatError, ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import (
+    Measurement,
     diffract,
     diffract_vjp,
     encode,
@@ -15,7 +18,7 @@ from singlepixel.measurement import (
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.propagation import PropagationSpec
 
-from conftest import apply_mask, positive_negative_split
+from conftest import apply_mask, damaged_loads, positive_negative_split
 
 
 def image(values):
@@ -212,6 +215,25 @@ class TestMeasurementCsv:
         path.write_bytes(b"\xff\xfeindex,reading\n0,1.0\n")
         with pytest.raises(FormatError, match="not UTF-8 text: byte 0 is 0xff"):
             read_measurement_csv(path)
+
+    @given(readings=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                             max_size=4),
+           noise_sigma=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1),
+           pattern_ref=st.from_regex(r"[a-z0-9-]{0,24}", fullmatch=True),
+           junk=st.integers(1, 255))
+    @settings(max_examples=20, deadline=None)
+    def test_round_trip_and_every_damaged_copy(self, tmp_path_factory, readings, noise_sigma,
+                                               seed, pattern_ref, junk):
+        meas = Measurement(readings=np.array(readings), pattern_ref=pattern_ref,
+                           noise_sigma=noise_sigma, seed=seed)
+        path = tmp_path_factory.mktemp("csv") / "m.csv"
+        write_measurement_csv(path, meas)
+        blob = path.read_bytes()
+        loaded = read_measurement_csv(path)
+        assert np.array_equal(loaded.readings, meas.readings)
+        assert (loaded.pattern_ref, loaded.noise_sigma, loaded.seed) == (
+            pattern_ref, noise_sigma, seed)
+        damaged_loads(read_measurement_csv, path, blob, junk)
 
     def test_mismatched_length_detected(self, rng):
         pset = walsh_hadamard_patterns(4, 16)

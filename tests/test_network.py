@@ -8,7 +8,8 @@ from singlepixel.classical import dgi_reconstruct
 from singlepixel.errors import ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import measure
-from singlepixel.network import BN_EPS, DEFAULT_PLAN, LEAK, GeneratorNet, _Im2col, conv_backward
+from singlepixel.network import (BN_EPS, DEFAULT_PLAN, LEAK, GeneratorNet, _Bordered, conv,
+                                 conv_backward)
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.prior import AdamState, loss_and_gradient
 from singlepixel.propagation import PropagationSpec
@@ -78,12 +79,19 @@ class TestNetworkGradients:
                 assert abs(an - fd) / max(abs(an), abs(fd)) < 1e-6
 
 
+def _storages(c, h, w):
+    """Column storage and GEMM output for c channels, sized as the net sizes them."""
+    return np.empty(3 * c * (h + 2) * w), np.empty(3 * c * (h + 2) * w)
+
+
 def generator_conv(x, kernel):
-    """The convolution of `GeneratorNet.forward`: im2col columns and one GEMM."""
-    c, h, w = x.shape
-    im2col = _Im2col(c, h, w, np.empty(9 * c * h * w))
-    im2col.interior[...] = x
-    return (kernel.reshape(len(kernel), -1) @ im2col.columns()).reshape(-1, h, w)
+    """The convolution of `GeneratorNet.forward`: three-tap columns and `conv`."""
+    (c_out, c_in), (_, h, w) = kernel.shape[:2], x.shape
+    storage, gemm_out = _storages(max(c_in, c_out), h, w)
+    bordered = _Bordered(c_in, h, w, storage)
+    bordered.interior[...] = x
+    out = conv(bordered.columns(), kernel, gemm_out, out=np.empty((c_out, h * w)))
+    return out.reshape(c_out, h, w)
 
 
 def generator_conv_grads(x, g, kernel):
@@ -91,11 +99,11 @@ def generator_conv_grads(x, g, kernel):
     convolution of x with kernel, given g = dL/d(output), on float64 buffers
     that share one column storage as the net's do."""
     (c_out, c_in), (_, h, w) = kernel.shape[:2], x.shape
-    storage = np.empty(9 * max(c_in, c_out) * h * w)
-    src, dst = _Im2col(c_in, h, w, storage), _Im2col(c_out, h, w, storage)
+    storage, gemm_out = _storages(max(c_in, c_out), h, w)
+    src, dst = _Bordered(c_in, h, w, storage), _Bordered(c_out, h, w, storage)
     src.interior[...] = x
     buf = np.empty(max(c_in, c_out) * h * w)
-    g_weight, g_input = conv_backward(g.reshape(c_out, -1), src, dst, kernel, buf)
+    g_weight, g_input = conv_backward(g.reshape(c_out, -1), src, dst, kernel, gemm_out, buf)
     return g_weight, g_input.reshape(c_in, h, w)
 
 
@@ -218,8 +226,10 @@ def _reference_pass(net, image, g_output):
 
 class TestAgainstReference:
     def test_forward_and_backward_match_textbook_layers(self):
-        """The fused forward and backward against _reference_pass at three grid
-        sizes, one net, every parameter randomized."""
+        """The fused forward and backward against _reference_pass at three
+        square grid sizes and two non-square ones, one net, every parameter
+        randomized.  A non-square grid catches H and W swapped as the row
+        stride of the tap-row offsets, which no square grid shows."""
         rng = np.random.default_rng(11)
         net = GeneratorNet(plan=DEFAULT_PLAN, seed=7)
         for layer in range(net.n_blocks):
@@ -232,9 +242,9 @@ class TestAgainstReference:
             beta += 0.3 * rng.standard_normal(beta.shape)
         for p in net.params[3 * net.n_blocks :]:
             p += 0.3 * rng.standard_normal(p.shape)
-        for n in (8, 32, 64):
-            image = rng.random((n, n))
-            g_output = rng.standard_normal((n, n))
+        for shape in ((8, 8), (32, 32), (64, 64), (8, 16), (16, 8)):
+            image = rng.random(shape)
+            g_output = rng.standard_normal(shape)
             expected_out, expected = _reference_pass(net, image, g_output)
             out, cache = net.forward(image, want_cache=True)
             grads = net.backward(g_output, cache)
@@ -242,16 +252,17 @@ class TestAgainstReference:
             for i, (got, want) in enumerate(zip(grads, expected)):
                 assert got.shape == net.params[i].shape
                 err = np.abs(got - want).max() / np.abs(want).max()
-                assert err <= 1e-12, (n, i, err)
+                assert err <= 1e-12, (shape, i, err)
 
 
 def _layer_arrays(net):
     """Every array a net keeps between passes: per grid, each bordered buffer
-    and its column view, the BN blocks' x-hat and the gradient buffer."""
-    for bordered, xhats, grad in net._scratch.values():
-        for im2col in bordered:
-            yield from (im2col.padded, im2col.cols)
-        yield from (*xhats, grad)
+    and its column view, the BN blocks' x-hat, the gradient buffer and the
+    GEMM output."""
+    for bordered, xhats, grad, gemm_out in net._scratch.values():
+        for buffer in bordered:
+            yield from (buffer.padded, buffer.cols)
+        yield from (*xhats, grad, gemm_out)
 
 
 def _owner(a):
@@ -298,23 +309,27 @@ class TestFloat32Layers:
         out, cache = net.forward(inp.values, want_cache=True)
         layer_arrays = list(_layer_arrays(net))
         # per plan entry a bordered buffer and its columns, x-hat in the BN
-        # blocks, then the one gradient buffer of the backward pass
-        assert len(layer_arrays) == 2 * len(net.plan) + net.n_blocks + 1
+        # blocks, then the one gradient buffer of the backward pass and the
+        # one GEMM output of `conv`
+        assert len(layer_arrays) == 2 * len(net.plan) + net.n_blocks + 2
         assert all(a.dtype == np.float32 for a in layer_arrays)
         float64_arrays = [out, *net.backward(np.ones((n, n)), cache), *grads, *net.params,
                           *adam.m, *adam.v]
         assert all(a.dtype == np.float64 for a in float64_arrays)
 
     def test_scratch_budget_at_64(self):
-        # the column matrices of every layer are views of one storage, and no
-        # column matrix is kept from forward to backward
+        # the three-tap column matrices of every layer are views of one
+        # storage, and every layer's GEMM writes into one output storage of
+        # the same size; no column matrix is kept from forward to backward
         n = 64
         net, *_ = _float32_step(n, np.random.default_rng(0))
-        (bordered, _, _), = net._scratch.values()
-        storages = {id(_owner(im2col.cols)): _owner(im2col.cols) for im2col in bordered}
-        assert [a.size for a in storages.values()] == [9 * max(net.plan) * n * n]
+        (bordered, _, _, gemm_out), = net._scratch.values()
+        storages = {id(_owner(buffer.cols)): _owner(buffer.cols) for buffer in bordered}
+        size = 3 * max(net.plan) * (n + 2) * n
+        assert [a.size for a in storages.values()] == [size]
+        assert _owner(gemm_out).size == size and _owner(gemm_out) is not _owner(bordered[0].cols)
         owners = {id(_owner(a)): _owner(a) for a in _layer_arrays(net)}
-        assert sum(a.nbytes for a in owners.values()) < 12e6
+        assert sum(a.nbytes for a in owners.values()) < 8e6
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
     def test_other_dtypes_rejected(self, dtype):

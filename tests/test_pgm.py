@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlepixel.errors import FormatError
 from singlepixel.field import IntensityImage
 from singlepixel.pgm import quantize, read_pgm, write_pgm
+
+from conftest import damaged_loads
 
 
 def image(values):
@@ -84,3 +88,22 @@ class TestFormatErrors:
         path.write_bytes(b"P5\n2 2\n70000\n" + bytes(8))
         with pytest.raises(FormatError, match="maxval"):
             read_pgm(path)
+
+
+class TestFuzz:
+    @given(h=st.sampled_from([2, 4]), w=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1),
+           comments=st.sampled_from([{}, {"scale": "2.5"}]), junk=st.integers(1, 255))
+    @settings(max_examples=20, deadline=None)
+    def test_round_trip_and_every_damaged_copy(self, tmp_path_factory, h, w, seed, comments,
+                                               junk):
+        img = image(np.random.default_rng(seed).random((h, w)))
+        path = tmp_path_factory.mktemp("pgm") / "img.pgm"
+        write_pgm(path, img, comments)
+        blob = path.read_bytes()
+        loaded, got = read_pgm(path)
+        assert np.array_equal(quantize(loaded.values), quantize(img.values))
+        assert got == comments
+        # a damaged byte may leave a valid header and raster; a truncation
+        # always shortens the raster
+        loads = damaged_loads(read_pgm, path, blob, junk)
+        assert not [label for label in loads if label.startswith("truncated")]

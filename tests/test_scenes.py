@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singlepixel.errors import FormatError, ParameterError
 from singlepixel.pgm import write_pgm
@@ -12,7 +14,7 @@ from singlepixel.scenes import (
     slit_feature_columns,
 )
 
-from conftest import star_mask
+from conftest import damaged_loads, star_mask
 
 FIG4C = dict(
     object_kind="three_slit",
@@ -119,6 +121,29 @@ seed = 7
         text = "grid = 64\nobject = three_slit\n\ngrid = 32\n"
         with pytest.raises(FormatError, match=r"scene key 'grid' on line 4 repeats line 1"):
             parse_scene(text)
+
+    @given(grid=st.sampled_from([16, 32, 64]), distance=st.floats(-5e-3, 5e-3),
+           modulation_depth=st.floats(0.01, 1.0), noise_sigma=st.floats(0.0, 10.0),
+           seed=st.integers(0, 2**31), junk=st.integers(1, 255))
+    @settings(max_examples=10, deadline=None)
+    def test_round_trip_and_every_damaged_copy(self, tmp_path_factory, grid, distance,
+                                               modulation_depth, noise_sigma, seed, junk):
+        # every length in meters, written by repr, so the file reads back exactly
+        spec = SceneSpec(grid=grid, fov=10.5e-3, wavelength=833.3e-6, distance=distance,
+                         object_kind="three_slit", slit_widths=(2e-3, 1.5e-3, 1.5e-3),
+                         slit_separations=(7e-4, 7e-4), modulation_depth=modulation_depth,
+                         noise_sigma=noise_sigma, seed=seed)
+        lengths = ", ".join
+        text = (f"grid = {grid}\nfov = {spec.fov!r}\nwavelength = {spec.wavelength!r}\n"
+                f"distance = {distance!r}\nobject = three_slit\n"
+                f"slit_widths = {lengths(map(repr, spec.slit_widths))}\n"
+                f"slit_separations = {lengths(map(repr, spec.slit_separations))}\n"
+                f"modulation_depth = {modulation_depth!r}\nnoise_sigma = {noise_sigma!r}\n"
+                f"seed = {seed}\n")
+        path = tmp_path_factory.mktemp("scene") / "scene.txt"
+        path.write_text(text)
+        assert load_scene(path) == spec
+        damaged_loads(load_scene, path, text.encode(), junk)
 
     def test_pitch_consistency(self):
         spec = parse_scene(self.SCENE)
