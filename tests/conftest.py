@@ -8,6 +8,7 @@ the package against them.
 
 import numpy as np
 import pytest
+from hypothesis import Phase
 
 from singlepixel.errors import ParameterError, SinglePixelError
 from singlepixel.field import IntensityImage
@@ -158,6 +159,11 @@ def reference_tv_prox(v: np.ndarray, alpha: float, iterations: int = 10) -> np.n
 # comment and key marks, signs, digits, the exponent, the PGM magic) and
 # bytes that are not UTF-8 on their own.
 STRUCTURAL_BYTES = b"\n\r\t #=,.-+0159eEP\x00\x80\xff"
+
+# Hypothesis phases of a test that calls damaged_loads: its failure already
+# names the damaged copy, and shrinking re-runs the whole scan per candidate
+# (minutes and hundreds of MB for one broken parser, against seconds).
+FUZZ_PHASES = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def damaged_loads(parse, path, blob: bytes, junk: int) -> list:

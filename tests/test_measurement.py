@@ -18,7 +18,7 @@ from singlepixel.measurement import (
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.propagation import PropagationSpec
 
-from conftest import apply_mask, damaged_loads, positive_negative_split
+from conftest import FUZZ_PHASES, apply_mask, damaged_loads, positive_negative_split
 
 
 def image(values):
@@ -221,7 +221,7 @@ class TestMeasurementCsv:
            noise_sigma=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1),
            pattern_ref=st.from_regex(r"[a-z0-9-]{0,24}", fullmatch=True),
            junk=st.integers(1, 255))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, phases=FUZZ_PHASES)
     def test_round_trip_and_every_damaged_copy(self, tmp_path_factory, readings, noise_sigma,
                                                seed, pattern_ref, junk):
         meas = Measurement(readings=np.array(readings), pattern_ref=pattern_ref,

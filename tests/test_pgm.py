@@ -7,7 +7,7 @@ from singlepixel.errors import FormatError
 from singlepixel.field import IntensityImage
 from singlepixel.pgm import quantize, read_pgm, write_pgm
 
-from conftest import damaged_loads
+from conftest import FUZZ_PHASES, damaged_loads
 
 
 def image(values):
@@ -93,7 +93,7 @@ class TestFormatErrors:
 class TestFuzz:
     @given(h=st.sampled_from([2, 4]), w=st.sampled_from([2, 4]), seed=st.integers(0, 2**32 - 1),
            comments=st.sampled_from([{}, {"scale": "2.5"}]), junk=st.integers(1, 255))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20, deadline=None, phases=FUZZ_PHASES)
     def test_round_trip_and_every_damaged_copy(self, tmp_path_factory, h, w, seed, comments,
                                                junk):
         img = image(np.random.default_rng(seed).random((h, w)))

@@ -14,7 +14,7 @@ from singlepixel.scenes import (
     slit_feature_columns,
 )
 
-from conftest import damaged_loads, star_mask
+from conftest import FUZZ_PHASES, damaged_loads, star_mask
 
 FIG4C = dict(
     object_kind="three_slit",
@@ -125,7 +125,7 @@ seed = 7
     @given(grid=st.sampled_from([16, 32, 64]), distance=st.floats(-5e-3, 5e-3),
            modulation_depth=st.floats(0.01, 1.0), noise_sigma=st.floats(0.0, 10.0),
            seed=st.integers(0, 2**31), junk=st.integers(1, 255))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10, deadline=None, phases=FUZZ_PHASES)
     def test_round_trip_and_every_damaged_copy(self, tmp_path_factory, grid, distance,
                                                modulation_depth, noise_sigma, seed, junk):
         # every length in meters, written by repr, so the file reads back exactly
