@@ -26,8 +26,12 @@ DEFAULT_CSTV_ITERATIONS = 200
 class ReconResult:
     image: IntensityImage
     raw: np.ndarray
-    iterations_used: int = 0
     residual_history: tuple = ()
+
+    @property
+    def iterations_used(self) -> int:
+        """Iterations run: one recorded loss each, none for hspi and dgi."""
+        return len(self.residual_history)
 
 
 def _to_unit_image(raw: np.ndarray) -> IntensityImage:
@@ -141,7 +145,7 @@ def cstv_reconstruct(
     f_init = max(f_x, 1e-300)
     history = []
     for _ in range(max_iters):
-        grad = encode_adjoint(ay - meas.readings, pattern_set, (n, n))
+        grad = encode_adjoint(ay - meas.readings, pattern_set)
         z = tv_prox(y - step * grad, tv_weight * step)
         np.maximum(z, 0.0, out=z)
         az = encode(z, pattern_set)
@@ -159,9 +163,4 @@ def cstv_reconstruct(
         x, ax, t = x_next, ax_next, t_next
         history.append(f_x)
 
-    return ReconResult(
-        image=_clip_unit_image(x),
-        iterations_used=max_iters,
-        residual_history=tuple(history),
-        raw=x,
-    )
+    return ReconResult(image=_clip_unit_image(x), raw=x, residual_history=tuple(history))

@@ -17,17 +17,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .classical import DEFAULT_CSTV_ITERATIONS, cstv_reconstruct, dgi_reconstruct, hspi_reconstruct
-from .errors import ConsistencyError, NumericalError, SinglePixelError
+from .errors import ConsistencyError, DimensionError, NumericalError, ParameterError, SinglePixelError
 from .field import IntensityImage, normalize
 from .measurement import (
     Measurement,
-    block_pool,
     diffract,
     measure,
     read_measurement_csv,
     write_measurement_csv,
 )
-from .metrics import snr, ssim
+from .metrics import SSIM_WINDOW, snr, ssim
 from .patterns import (
     PatternSet,
     load_patterns,
@@ -132,16 +131,6 @@ def diffract_scene(spec: SceneSpec):
     return obj, diffract(obj, PropagationSpec(spec.wavelength, spec.distance, spec.pitch))
 
 
-def full_sample_reference(diffracted: IntensityImage, order: int) -> IntensityImage:
-    """Normalized full-sampling HSPI reference of a noiseless measurement.
-
-    Full-sampling HSPI of a noiseless measurement returns the block-pooled
-    diffraction image up to the modulation-depth factor, so the reference is
-    computed directly instead of materializing all N patterns.
-    """
-    return normalize(IntensityImage(values=block_pool(diffracted.values, order)))
-
-
 def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
     """Object -> field -> propagate -> intensity -> measure; writes files."""
     _check_out_dir(out_dir)
@@ -209,9 +198,11 @@ def run_reconstruct(
             f"{meas.count} readings vs {pattern_set.count} patterns; pass --cr to subset"
         )
     meas, pattern_set = _truncate(meas, pattern_set, cr)
+    n = pattern_set.order
+    reference, snr_mask = _read_references(reference_path, snr_mask_path, (n, n))
 
     distance = scene.distance if backprop_distance is None else backprop_distance
-    prop = PropagationSpec(scene.wavelength, distance, scene.fov / pattern_set.order)
+    prop = PropagationSpec(scene.wavelength, distance, scene.fov / n)
     settings = Settings(prop, seed=seed, tv_weight=tv_weight)
     if iterations is not None:  # absent keeps each method's default
         settings = settings._replace(iterations=iterations, cstv_iterations=iterations)
@@ -224,7 +215,7 @@ def run_reconstruct(
     )
 
     rows = ["metric,value", f"method,{method}", f"iterations,{result.iterations_used}"]
-    rows += _metric_rows(result.image, reference_path, snr_mask_path)
+    rows += _metric_rows(result.image, reference, snr_mask)
     _write_csv(os.path.join(out_dir, "metrics.csv"), rows)
 
     if result.residual_history:
@@ -234,22 +225,42 @@ def run_reconstruct(
     return result
 
 
-def _metric_rows(image: IntensityImage, reference_path, snr_mask_path) -> list:
-    """`ssim,…` and `snr,…` rows of `image` against the given PGM files.
+def _read_references(reference_path, snr_mask_path, shape):
+    """The SSIM reference image and the SNR signal mask (pixels >= 0.5) read
+    from their PGM files, each None without a path.  Both are checked against
+    an image of `shape`, so a bad file fails before that image is made."""
+
+    def read(path) -> IntensityImage:
+        image, _ = read_pgm(path)
+        if image.values.shape != shape:
+            raise DimensionError(f"{path} is {image.width}x{image.height} pixels; "
+                                 f"the image is {shape[1]}x{shape[0]}")
+        return image
+
+    reference = snr_mask = None
+    if reference_path is not None:
+        if min(shape) < SSIM_WINDOW:
+            raise ParameterError("image smaller than the SSIM window")
+        reference = read(reference_path)
+    if snr_mask_path is not None:
+        snr_mask = read(snr_mask_path).values >= 0.5
+    return reference, snr_mask
+
+
+def _metric_rows(image: IntensityImage, reference, snr_mask) -> list:
+    """`ssim,…` and `snr,…` rows of `image` against `_read_references`' output.
 
     A constant image has no structure to compare, so its SSIM row reads
     `ssim,degenerate`.
     """
     rows = []
-    if reference_path is not None:
-        reference, _ = read_pgm(reference_path)
+    if reference is not None:
         if float(image.values.max()) == float(image.values.min()):
             rows.append("ssim,degenerate")
         else:
             rows.append(f"ssim,{ssim(image, reference)!r}")
-    if snr_mask_path is not None:
-        mask_img, _ = read_pgm(snr_mask_path)
-        rows.append(f"snr,{snr(image, mask_img.values >= 0.5)!r}")
+    if snr_mask is not None:
+        rows.append(f"snr,{snr(image, snr_mask)!r}")
     return rows
 
 
@@ -304,7 +315,8 @@ def run_benchmark(
     _check_out_dir(os.path.dirname(os.path.abspath(out_path)))
     obj, diffracted = diffract_scene(spec)
     order = spec.grid
-    detector_reference = full_sample_reference(diffracted, order)
+    # order = grid: full-sampling noiseless HSPI is the diffraction image up to m
+    detector_reference = normalize(diffracted)
     snr_mask = obj.values >= 0.5
 
     rows = ["cr,method,noise_sigma,repeats,ssim_mean,ssim_std,snr_mean,snr_std"]
@@ -360,7 +372,10 @@ def _build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--scene", required=True)
     rec.add_argument("--method", required=True, choices=METHODS)
     rec.add_argument("--cr", type=float, default=None)
-    rec.add_argument("--iterations", type=int, default=None)
+    rec.add_argument("--iterations", type=int, default=None,
+                     help="iterations of the chosen method: untrained (default "
+                          f"{DEFAULT_ITERATIONS}) or cstv (default {DEFAULT_CSTV_ITERATIONS}); "
+                          "hspi and dgi do not iterate")
     rec.add_argument("--seed", type=int, default=0)
     rec.add_argument("--backprop-distance", type=parse_length, default=None)
     rec.add_argument("--tv-weight", type=float, default=None)
@@ -375,7 +390,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--methods", default="hspi,untrained")
     ben.add_argument("--noise-sigma", type=_float_list, default="0")
     ben.add_argument("--repeats", type=int, default=1)
-    ben.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS)
+    ben.add_argument("--iterations", type=int, default=DEFAULT_ITERATIONS,
+                     help="untrained generator iterations (default %(default)s); "
+                          f"cstv always runs {DEFAULT_CSTV_ITERATIONS}")
     ben.add_argument("--out-dir", required=True)
 
     met = sub.add_parser("metrics", help="SSIM/SNR between image files")
@@ -434,7 +451,8 @@ def main(argv=None) -> int:
         elif args.command == "metrics":
             image, _ = read_pgm(args.image)
             rows = ["metric,value"]
-            rows += _metric_rows(image, args.reference, args.snr_mask)
+            rows += _metric_rows(image, *_read_references(args.reference, args.snr_mask,
+                                                          image.values.shape))
             if args.out:
                 _write_csv(args.out, rows)
             else:

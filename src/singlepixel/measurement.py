@@ -10,8 +10,9 @@ versa, the two-mask algebra collapses to
     I_i = m * <P_i, O_d>  +  (eta_i_plus - eta_i_minus)
 
 which is how the readings are computed here (`encode`, with its adjoint
-`encode_adjoint`): one fast Walsh-Hadamard transform of the (block-pooled)
-diffraction image yields every <P_i, O_d> at once.  eta are independent
+`encode_adjoint` on the pattern grid): one separable 2-D Walsh-Hadamard
+transform of the diffraction image, block-pooled onto the n x n pattern
+grid, yields every <P_i, O_d> at once.  eta are independent
 zero-mean Gaussian draws per half-measurement, all taken from one generator
 seeded with the measurement's seed.
 """
@@ -87,30 +88,15 @@ def block_pool(values: np.ndarray, order: int) -> np.ndarray:
     return values.reshape(order, b, order, b).sum(axis=(1, 3))
 
 
-def upsample_mask(mask: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Replicate pattern cells into integer blocks of image pixels (the
-    adjoint of `block_pool`)."""
-    mh, mw = mask.shape
-    if height % mh or width % mw or height // mh != width // mw:
-        raise DimensionError(
-            f"mask {mh}x{mw} does not tile image {height}x{width} by an integer factor"
-        )
-    b = height // mh
-    if b == 1:
-        return mask
-    return np.repeat(np.repeat(mask, b, axis=0), b, axis=1)
-
-
 def encode(values: np.ndarray, pattern_set: PatternSet) -> np.ndarray:
     """Noiseless readings m * <P_i, block_pool(values)> of an image grid."""
     pooled = block_pool(values, pattern_set.order)
     return pattern_set.modulation_depth * project(pattern_set, pooled)
 
 
-def encode_adjoint(weights: np.ndarray, pattern_set: PatternSet, shape) -> np.ndarray:
-    """Adjoint of `encode` on a grid of `shape`: m * sum_i w_i P_i, each
-    pattern cell replicated over its block of pixels."""
-    return upsample_mask(pattern_set.modulation_depth * synthesize(pattern_set, weights), *shape)
+def encode_adjoint(weights: np.ndarray, pattern_set: PatternSet) -> np.ndarray:
+    """Adjoint of `encode` on the pattern grid: m * sum_i w_i P_i."""
+    return pattern_set.modulation_depth * synthesize(pattern_set, weights)
 
 
 def check_compatible(meas: Measurement, pattern_set: PatternSet) -> None:

@@ -26,7 +26,9 @@ Buffers.  Per grid size, every entry of the channel plan owns a
 zero-bordered (C, H+2, W+2) buffer, and each BN block a (C_out, H*W)
 convolution output that batch norm turns into x-hat in place.  A block writes
 its activation straight into the interior of the next layer's bordered
-buffer, so the border is written once, when the buffer is made.
+buffer, so the border is written once, when the buffer is made.  The net
+keeps a record of its last forward pass, and `backward` consumes it, so each
+forward pass serves at most one backward pass.
 
 Convolution by three-tap columns (memory-efficient convolution, Cho & Brand,
 ICML 2017).  One strided copy builds columns for the horizontal taps only:
@@ -194,10 +196,9 @@ class GeneratorNet:
     can treat them uniformly.  `dtype` is the precision of the layer
     arithmetic only (see the module docstring).
 
-    The arrays a forward pass caches for `backward` live in buffers the net
-    reuses, one set per grid size around one column storage (see the module
-    docstring).  So a cache is valid until the next forward pass, and
-    `backward` consumes it.
+    What `backward` needs of a forward pass lives in buffers the net reuses,
+    one set per grid size around one column storage (see the module
+    docstring), so only the last forward pass can be differentiated, once.
     """
 
     def __init__(self, plan=DEFAULT_PLAN, seed: int = 0, dtype=np.float64):
@@ -211,6 +212,7 @@ class GeneratorNet:
         self.n_blocks = len(plan) - 2  # conv+BN+LeakyReLU blocks before the head
         self.params: list[np.ndarray] = []
         self._scratch: dict = {}
+        self._last_pass = None  # (buffers, inv_stds, output) for `backward`
         rng = np.random.Generator(np.random.PCG64(self.seed))
         for layer in range(len(plan) - 1):
             c_in, c_out = plan[layer], plan[layer + 1]
@@ -250,10 +252,10 @@ class GeneratorNet:
             )
         return bufs
 
-    def forward(self, image: np.ndarray, want_cache: bool = False):
+    def forward(self, image: np.ndarray) -> np.ndarray:
         """Run the generator on a 2D image; returns the 2D output in (0, 1).
 
-        With want_cache=True, also returns the cache that `backward` reads.
+        Records what `backward` reads, replacing the record of any earlier pass.
         """
         x = np.asarray(image, dtype=np.float64)
         if x.ndim != 2:
@@ -281,19 +283,21 @@ class GeneratorNet:
         z = _float64(conv(bordered[self.n_blocks].columns(), weight, gemm_out, out=z))
         z += bias[:, None]
         s = sigmoid(z.reshape(h, w))
-        if want_cache:
-            return s, (bufs, inv_stds, s)
+        self._last_pass = (bufs, inv_stds, s)
         return s
 
-    def backward(self, g_output: np.ndarray, cache) -> list[np.ndarray]:
+    def backward(self, g_output: np.ndarray) -> list[np.ndarray]:
         """Float64 gradients of a scalar loss w.r.t. every parameter, given
-        dL/d(output).
+        dL/d(output) of the last forward pass.
 
-        Consumes the cache: each layer's bordered buffer takes the upstream
-        gradient once its activation has been read, so a cache serves one
-        backward pass.
+        Consumes that pass: each layer's bordered buffer takes the upstream
+        gradient once its activation has been read.  Raises ParameterError
+        when no forward pass is left to differentiate.
         """
-        (bordered, xhats, buf, gemm_out), inv_stds, s = cache
+        record, self._last_pass = self._last_pass, None
+        if record is None:
+            raise ParameterError("backward needs a forward pass of its own")
+        (bordered, xhats, buf, gemm_out), inv_stds, s = record
         h, w = s.shape
         head = self.n_blocks
         weight, _ = self._head_params()

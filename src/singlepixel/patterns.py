@@ -3,8 +3,8 @@
 A pattern is named by its row r of the Sylvester Hadamard matrix of order
 N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]).  Masks
 are derived on demand; `project` and `synthesize` apply the pattern operator
-and its adjoint through the Walsh-Hadamard transform, computed as two matrix
-products with H_a and H_b (N = a*b) in O(N*sqrt(N)).
+and its adjoint on the n x n pattern grid through the separable 2-D
+Walsh-Hadamard transform H_n @ X @ H_n, two matrix products in O(n^3).
 
 Physically a +1 logical state is the unpumped (transparent) modulator region;
 pumped regions attenuate the probe intensity by the modulation depth m.
@@ -34,26 +34,21 @@ _CHECK_BLOCK_BYTES = 1 << 20  # payload bytes `load_patterns` checks at a time
 DEFAULT_MODULATION_DEPTH = 0.9
 
 
-def fwht(vec: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform in natural (Sylvester) order.
+def fwht(grid: np.ndarray) -> np.ndarray:
+    """Separable 2-D Walsh-Hadamard transform H_n @ grid @ H_n of an n x n grid.
 
-    Computes y[r] = sum_c H[r, c] * x[c] with H[r, c] = (-1)**popcount(r & c).
-    Operates on the last axis, which must have power-of-two length, and
-    returns a new float64 array.  The transform is its own inverse up to a
-    factor 1/len.
-
-    H_N is the Kronecker product H_a (x) H_b for N = a*b with a = b or
-    a = 2b, so the last axis is reshaped to X of shape (a, b) and
-    transformed as H_a @ X @ H_b, two matrix products with cached H_a, H_b.
+    Row r1*n + r0 of H_{n*n}, reshaped to n x n, is outer(H_n[r1], H_n[r0]),
+    so entry (r1, r0) of the result is the inner product of the grid with
+    that row: flattened, the result is H_{n*n} @ grid.ravel() in natural
+    (Sylvester) order.  n must be a power of two.  Returns a new float64
+    grid; the transform is its own inverse up to a factor 1/n^2.
     """
-    x = np.asarray(vec, dtype=np.float64)
-    n = x.shape[-1]
-    if n & (n - 1) or n == 0:
-        raise ParameterError(f"FWHT length must be a power of two, got {n}")
-    bits = n.bit_length() - 1
-    a, b = 1 << (bits - bits // 2), 1 << (bits // 2)
-    lead = x.shape[:-1]
-    return (_hadamard(a) @ x.reshape(lead + (a, b)) @ _hadamard(b)).reshape(lead + (n,))
+    x = np.asarray(grid, dtype=np.float64)
+    n = x.shape[0] if x.ndim == 2 else 0
+    if x.shape != (n, n) or n & (n - 1) or n == 0:
+        raise ParameterError(f"FWHT needs a square power-of-two grid, got shape {x.shape}")
+    h = _hadamard(n)
+    return h @ x @ h
 
 
 def _sequency_selection(order_n: int, count_m: int) -> list:
@@ -192,7 +187,7 @@ class PatternSet:
 
 def project(pattern_set: PatternSet, grid: np.ndarray) -> np.ndarray:
     """<P_i, grid> for every pattern i, for an order x order grid (one FWHT)."""
-    return fwht(grid.ravel())[pattern_set.rows]
+    return fwht(grid).ravel()[pattern_set.rows]
 
 
 def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
@@ -200,10 +195,10 @@ def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
 
     The adjoint of `project`; for distinct rows project(synthesize(w)) = N*w.
     """
-    full = np.zeros(pattern_set.pixels, dtype=np.float64)
-    full[pattern_set.rows] = weights
     n = pattern_set.order
-    return fwht(full).reshape(n, n)
+    full = np.zeros((n, n))
+    full.ravel()[pattern_set.rows] = weights
+    return fwht(full)
 
 
 def walsh_hadamard_patterns(

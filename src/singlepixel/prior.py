@@ -86,7 +86,7 @@ def loss_and_gradient(
     if not 0 <= tv_weight < np.inf:
         raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
 
-    output, cache = net.forward(input_image.values, want_cache=True)
+    output = net.forward(input_image.values)
     if not np.all(np.isfinite(output)):
         raise NumericalError("non-finite generator output", stage="generate")
 
@@ -98,11 +98,11 @@ def loss_and_gradient(
         raise NumericalError("non-finite loss", stage="loss")
 
     # The sigmoid keeps O strictly positive, so the pullback through sqrt(O) holds.
-    g_output = pullback(encode_adjoint(2.0 * residual, pattern_set, output.shape))
+    g_output = pullback(encode_adjoint(2.0 * residual, pattern_set))
     if tv_weight > 0:
         g_output = g_output + tv_weight * tv_subgradient(output)
 
-    grads = net.backward(g_output, cache)
+    grads = net.backward(g_output)
     if not all(np.all(np.isfinite(g)) for g in grads):
         raise NumericalError("non-finite gradient", stage="gradient")
     return loss, grads
@@ -150,10 +150,5 @@ def reconstruct_untrained(
         adam.update(net.params, grads)
         history.append(loss)
     final = IntensityImage(values=net.forward(input_image.values))
-    return ReconResult(
-        image=final,
-        iterations_used=iterations,
-        residual_history=tuple(history),
-        raw=final.values,
-    )
+    return ReconResult(image=final, raw=final.values, residual_history=tuple(history))
 

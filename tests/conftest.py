@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import Phase
 
-from singlepixel.errors import ParameterError, SinglePixelError
+from singlepixel.errors import DimensionError, ParameterError, SinglePixelError
 from singlepixel.field import IntensityImage
-from singlepixel.measurement import upsample_mask
 
 
 @pytest.fixture
@@ -83,11 +82,15 @@ def positive_negative_split(pattern_set, i: int) -> tuple[np.ndarray, np.ndarray
 
 
 def apply_mask(image: IntensityImage, mask: np.ndarray, depth: float) -> IntensityImage:
-    """Attenuate pumped (mask = 1) regions: out = image * (1 - depth * mask)."""
+    """Attenuate pumped (mask = 1) regions: out = image * (1 - depth * mask),
+    each mask cell replicated over its square block of image pixels."""
     if not 0.0 < depth <= 1.0:
         raise ParameterError("modulation depth must lie in (0, 1]")
     m = np.asarray(mask)
-    up = upsample_mask(m, image.height, image.width)
+    (mh, mw), (h, w) = m.shape, image.values.shape
+    if h % mh or w % mw or h // mh != w // mw:
+        raise DimensionError(f"mask {mh}x{mw} does not tile image {h}x{w} by an integer factor")
+    up = np.kron(m, np.ones((h // mh, w // mw)))
     return IntensityImage(values=image.values * (1.0 - depth * up))
 
 

@@ -70,7 +70,7 @@ def fista_oracle(meas, pset, tv_weight, iterations):
     x = y = np.zeros((n, n))
     t, f_x, history = 1.0, objective(x), []
     for _ in range(iterations):
-        grad = encode_adjoint(encode(y, pset) - meas.readings, pset, (n, n))
+        grad = encode_adjoint(encode(y, pset) - meas.readings, pset)
         z = np.maximum(tv_prox(y - step * grad, tv_weight * step), 0.0)
         f_z = objective(z)
         x_next, f_x = (z, f_z) if f_z <= f_x else (x, f_x)

@@ -11,7 +11,7 @@ import singlepixel
 import singlepixel.cli as cli
 from singlepixel.cli import main
 from singlepixel.errors import SinglePixelError
-from singlepixel.field import IntensityImage
+from singlepixel.field import IntensityImage, normalize
 from singlepixel.measurement import read_measurement_csv
 from singlepixel.patterns import load_patterns
 from singlepixel.pgm import read_pgm, write_pgm
@@ -415,7 +415,7 @@ def test_benchmark_scores_untrained_against_the_object(tmp_path, monkeypatch):
     (image,) = images
     obj, diffracted = cli.diffract_scene(spec)
     against_object = real_ssim(image, obj)
-    against_diffraction = real_ssim(image, cli.full_sample_reference(diffracted, spec.grid))
+    against_diffraction = real_ssim(image, normalize(diffracted))
     assert float(rows[1].split(",")[4]) == against_object
     assert against_object > against_diffraction
 
@@ -677,6 +677,43 @@ def test_out_dir_under_a_file_exits_3_before_the_work(workspace, capsys, monkeyp
     assert main([command, "--scene", str(scene), *argv, "--out-dir", str(out_dir)]) == 3
     expected = f"error: cannot make output directory {out_dir}: {tmp_path / 'file.txt'} is not a directory"
     assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,problem", [
+    ("--reference", "missing"), ("--reference", "misshapen"), ("--reference", "below the window"),
+    ("--snr-mask", "missing"), ("--snr-mask", "misshapen"),
+])
+def test_bad_reference_file_exits_3_before_the_work(workspace, capsys, monkeypatch, flag,
+                                                    problem):
+    """A reference or SNR mask that cannot score the reconstruction fails
+    before any reconstructor runs and before the output directory is made."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    path = tmp_path / "ref.pgm"
+    if problem == "misshapen":
+        write_pgm(path, IntensityImage(values=np.full((4, 4), 0.5)))
+    elif problem == "below the window":
+        # an order-8 pattern grid is smaller than the 11 px SSIM window
+        patterns = tmp_path / "p8.spip"
+        assert main(["patterns", "--order", "8", "--count", "64", "--out", str(patterns)]) == 0
+        sim_dir = tmp_path / "sim8"
+        assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                     "--out-dir", str(sim_dir)]) == 0
+        write_pgm(path, IntensityImage(values=np.full((8, 8), 0.5)))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for name in RECONSTRUCTOR_NAMES:
+        monkeypatch.setattr(cli, name, no_work)
+    out_dir = tmp_path / "rec"
+    capsys.readouterr()
+    for method in cli.METHODS:
+        assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                     "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                     flag, str(path), "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("damaged,damage,message", [

@@ -57,8 +57,8 @@ class TestNetworkGradients:
         def scalar():
             return float((net.forward(x) * weights).sum())
 
-        out, cache = net.forward(x, want_cache=True)
-        grads = net.backward(weights, cache)
+        net.forward(x)
+        grads = net.backward(weights)
         step = 1e-6
         prng = np.random.default_rng(0)
         for _ in range(40):
@@ -246,8 +246,8 @@ class TestAgainstReference:
             image = rng.random(shape)
             g_output = rng.standard_normal(shape)
             expected_out, expected = _reference_pass(net, image, g_output)
-            out, cache = net.forward(image, want_cache=True)
-            grads = net.backward(g_output, cache)
+            out = net.forward(image)
+            grads = net.backward(g_output)
             assert np.abs(out - expected_out).max() <= 1e-12
             for i, (got, want) in enumerate(zip(grads, expected)):
                 assert got.shape == net.params[i].shape
@@ -285,6 +285,33 @@ def _float32_step(n, rng):
     return net, inp, grads, adam
 
 
+class TestOnePassRecord:
+    """`backward` differentiates the last forward pass, once."""
+
+    def test_a_second_backward_raises(self, rng):
+        net = small_net()
+        x, g = rng.random((8, 8)), rng.standard_normal((8, 8))
+        net.forward(x)
+        net.backward(g)
+        with pytest.raises(ParameterError, match="forward pass"):
+            net.backward(g)
+
+    def test_backward_without_a_forward_raises(self, rng):
+        with pytest.raises(ParameterError, match="forward pass"):
+            small_net().backward(rng.standard_normal((8, 8)))
+
+    def test_backward_follows_the_last_forward(self, rng):
+        net = small_net(seed=4)
+        first, last = rng.random((8, 8)), rng.random((8, 8))
+        g = rng.standard_normal((8, 8))
+        net.forward(last)
+        expected = net.backward(g)
+        net.forward(first)
+        net.forward(last)
+        for got, want in zip(net.backward(g), expected):
+            assert np.array_equal(got, want)
+
+
 class TestFloat32Layers:
     """A float32 net: float32 layer arithmetic around float64 parameters."""
 
@@ -296,8 +323,8 @@ class TestFloat32Layers:
             g_output = rng.standard_normal((n, n))
             results = []
             for net in nets:
-                out, cache = net.forward(image, want_cache=True)
-                results.append((out, net.backward(g_output, cache)))
+                out = net.forward(image)
+                results.append((out, net.backward(g_output)))
             (out64, grads64), (out32, grads32) = results
             assert np.abs(out32 - out64).max() <= 1e-5
             for i, (got, want) in enumerate(zip(grads32, grads64)):
@@ -306,14 +333,14 @@ class TestFloat32Layers:
     def test_dtypes_after_a_float32_step(self, rng):
         n = 16
         net, inp, grads, adam = _float32_step(n, rng)
-        out, cache = net.forward(inp.values, want_cache=True)
+        out = net.forward(inp.values)
         layer_arrays = list(_layer_arrays(net))
         # per plan entry a bordered buffer and its columns, x-hat in the BN
         # blocks, then the one gradient buffer of the backward pass and the
         # one GEMM output of `conv`
         assert len(layer_arrays) == 2 * len(net.plan) + net.n_blocks + 2
         assert all(a.dtype == np.float32 for a in layer_arrays)
-        float64_arrays = [out, *net.backward(np.ones((n, n)), cache), *grads, *net.params,
+        float64_arrays = [out, *net.backward(np.ones((n, n))), *grads, *net.params,
                           *adam.m, *adam.v]
         assert all(a.dtype == np.float64 for a in float64_arrays)
 

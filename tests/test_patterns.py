@@ -39,53 +39,51 @@ class TestFwht:
     @pytest.mark.parametrize("n", [2, 4, 8, 64])
     def test_matches_popcount_matrix(self, n, rng):
         h = brute_force_hadamard(n)
-        x = rng.standard_normal(n)
-        assert np.allclose(fwht(x), h @ x, atol=1e-10)
+        x = rng.standard_normal((n, n))
+        assert np.allclose(fwht(x), h @ x @ h, atol=1e-10)
 
     def test_self_inverse_up_to_length(self, rng):
-        x = rng.standard_normal(64)
+        x = rng.standard_normal((8, 8))
         assert np.allclose(fwht(fwht(x)) / 64, x, atol=1e-12)
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ParameterError):
-            fwht(np.zeros(6))
+        """A grid whose side is not a power of two, or that is not square."""
+        for shape in [(6, 6), (3, 3), (0, 0), (12, 12), (4, 8), (8, 4), (16,), (2, 2, 2), ()]:
+            with pytest.raises(ParameterError, match="square power-of-two grid"):
+                fwht(np.zeros(shape))
 
-    @pytest.mark.parametrize("bits", range(13))
+    @pytest.mark.parametrize("bits", range(0, 13, 2))
     def test_matches_scipy_hadamard(self, bits, rng):
-        # integer-valued input keeps every partial sum exact, so any
-        # summation order gives the same bits
-        n = 1 << bits
-        x = rng.integers(-1000, 1000, size=n).astype(np.float64)
-        h = scipy.linalg.hadamard(n, dtype=np.int8)
-        expected = np.concatenate([h[i:i + 512].astype(np.float64) @ x for i in range(0, n, 512)])
-        assert np.array_equal(fwht(x), expected)
+        """The flattened transform of an n x n grid is H_{n*n} @ grid.ravel(),
+        N = n*n = 2**bits.  Integer-valued input keeps every partial sum
+        exact, so any summation order gives the same bits."""
+        n, big_n = 1 << (bits // 2), 1 << bits
+        x = rng.integers(-1000, 1000, size=(n, n)).astype(np.float64)
+        h = scipy.linalg.hadamard(big_n, dtype=np.int8)
+        flat = x.ravel()
+        expected = np.concatenate([h[i:i + 512].astype(np.float64) @ flat
+                                   for i in range(0, big_n, 512)])
+        assert np.array_equal(fwht(x).ravel(), expected)
 
-    @pytest.mark.parametrize("bits", [13, 14])
+    @pytest.mark.parametrize("bits", [14])
     def test_large_lengths_match_hadamard_rows(self, bits, rng):
-        # H of order 2^14 is 268 MB even as int8, so check sampled rows
-        n = 1 << bits
-        x = rng.integers(-1000, 1000, size=n).astype(np.float64)
-        y = fwht(x)
-        for r in [0, 1, n // 2, n - 1, *rng.integers(0, n, size=16)]:
-            assert y[r] == hadamard_row(int(r), n) @ x
-
-    def test_transforms_the_last_axis_of_any_leading_shape(self, rng):
-        n = 32
-        x = rng.standard_normal((3, 2, n))
-        y = fwht(x)
-        assert y.shape == (3, 2, n)
-        expected = x @ scipy.linalg.hadamard(n).T
-        assert np.allclose(y, expected, rtol=1e-13, atol=1e-12)
+        # H of order 2^14 (a 128 x 128 grid) is 268 MB even as int8, so check sampled rows
+        big_n = 1 << bits
+        n = 1 << (bits // 2)
+        x = rng.integers(-1000, 1000, size=(n, n)).astype(np.float64)
+        y = fwht(x).ravel()
+        for r in [0, 1, n, big_n // 2, big_n - 1, *rng.integers(0, big_n, size=16)]:
+            assert y[r] == hadamard_row(int(r), big_n) @ x.ravel()
 
     def test_int8_masks_transform_exactly(self):
         pset = walsh_hadamard_patterns(8, 64, ordering="natural")
-        masks = pset.logical_masks.reshape(64, 64)
-        y = fwht(masks)
-        assert y.dtype == np.float64
-        assert np.array_equal(y, 64.0 * np.eye(64))
+        for r, mask in enumerate(pset.logical_masks):
+            y = fwht(mask)
+            assert y.dtype == np.float64
+            assert np.array_equal(y.ravel(), 64.0 * np.eye(64)[r])
 
     def test_input_is_not_mutated(self, rng):
-        for x in (rng.standard_normal((4, 256)), rng.integers(-1, 2, size=128).astype(np.int8)):
+        for x in (rng.standard_normal((16, 16)), rng.integers(-1, 2, size=(8, 8)).astype(np.int8)):
             kept = x.copy()
             fwht(x)
             assert np.array_equal(x, kept)
@@ -97,8 +95,8 @@ class TestFwht:
             "from singlepixel.patterns import fwht\n"
             "rng = np.random.default_rng(5)\n"
             "h = hashlib.sha256()\n"
-            "for shape in [(128 * 128,), (64 * 64,), (16, 128 * 128)]:\n"
-            "    h.update(fwht(rng.standard_normal(shape)).tobytes())\n"
+            "for n in [128, 64, 256]:\n"
+            "    h.update(fwht(rng.standard_normal((n, n))).tobytes())\n"
             "print(h.hexdigest())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -251,8 +249,9 @@ class TestApplyMask:
 
     def test_incompatible_shapes(self):
         img = self.image(np.ones((8, 8)))
-        with pytest.raises(DimensionError):
-            apply_mask(img, np.zeros((16, 16)), 0.5)
+        for shape in [(16, 16), (3, 3), (4, 2)]:
+            with pytest.raises(DimensionError):
+                apply_mask(img, np.zeros(shape), 0.5)
 
     @given(depth1=st.floats(0.01, 1.0), depth2=st.floats(0.01, 1.0))
     @settings(max_examples=25, deadline=None)
@@ -361,19 +360,18 @@ class TestIndexDescriptor:
                 with pytest.raises(FormatError):
                     load_patterns(path)
 
-    @given(pset=pattern_sets(), seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 2]))
+    @given(pset=pattern_sets(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_synthesize_is_the_adjoint_of_project(self, pset, seed, block):
+    def test_synthesize_is_the_adjoint_of_project(self, pset, seed):
         rng = np.random.default_rng(seed)
         grid = rng.standard_normal((pset.order, pset.order))
         weights = rng.standard_normal(pset.count)
         lhs = project(pset, grid) @ weights
         rhs = np.sum(grid * synthesize(pset, weights))
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9 * pset.pixels)
-        # the same pair scaled by the modulation depth, on an image of
-        # `block` x `block` pixels per pattern cell
-        image = rng.standard_normal((block * pset.order, block * pset.order))
-        back = encode_adjoint(weights, pset, image.shape)
+        # the same pair scaled by the modulation depth
+        image = rng.standard_normal((pset.order, pset.order))
+        back = encode_adjoint(weights, pset)
         scale = np.linalg.norm(image) * np.linalg.norm(back)
         assert abs(encode(image, pset) @ weights - np.sum(image * back)) <= 1e-12 * scale
         # distinct rows are orthogonal with squared norm N, which makes the
