@@ -26,7 +26,7 @@ from .measurement import (
     read_measurement_csv,
     write_measurement_csv,
 )
-from .metrics import SSIM_WINDOW, snr, ssim
+from .metrics import SSIM_WINDOW, signal_region, snr, ssim
 from .patterns import (
     PatternSet,
     load_patterns,
@@ -228,7 +228,8 @@ def run_reconstruct(
 def _read_references(reference_path, snr_mask_path, shape):
     """The SSIM reference image and the SNR signal mask (pixels >= 0.5) read
     from their PGM files, each None without a path.  Both are checked against
-    an image of `shape`, so a bad file fails before that image is made."""
+    an image of `shape`, and the mask's signal and noise regions as `snr`
+    checks them, so a bad file fails before that image is made."""
 
     def read(path) -> IntensityImage:
         image, _ = read_pgm(path)
@@ -243,7 +244,7 @@ def _read_references(reference_path, snr_mask_path, shape):
             raise ParameterError("image smaller than the SSIM window")
         reference = read(reference_path)
     if snr_mask_path is not None:
-        snr_mask = read(snr_mask_path).values >= 0.5
+        snr_mask = signal_region(read(snr_mask_path).values >= 0.5)
     return reference, snr_mask
 
 

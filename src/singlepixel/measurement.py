@@ -11,7 +11,7 @@ versa, the two-mask algebra collapses to
 
 which is how the readings are computed here (`encode`, with its adjoint
 `encode_adjoint` on the pattern grid): one separable 2-D Walsh-Hadamard
-transform of the diffraction image, block-pooled onto the n x n pattern
+transform of the diffraction image, block-averaged onto the n x n pattern
 grid, yields every <P_i, O_d> at once.  eta are independent
 zero-mean Gaussian draws per half-measurement, all taken from one generator
 seeded with the measurement's seed.
@@ -78,14 +78,16 @@ def diffract(obj: IntensityImage, prop: PropagationSpec) -> IntensityImage:
 
 
 def block_pool(values: np.ndarray, order: int) -> np.ndarray:
-    """Sum image pixels over the integer blocks covered by each pattern cell."""
+    """Mean of the image pixels over the integer block covered by each pattern
+    cell, so a scene sampled b times finer than the pattern grid reads the
+    intensity scale of the grid itself; at b = 1 the image is returned as is."""
     h, w = values.shape
     if h % order or w % order or h // order != w // order:
         raise DimensionError(f"image {h}x{w} is not an integer replication of order {order}")
     b = h // order
     if b == 1:
         return values
-    return values.reshape(order, b, order, b).sum(axis=(1, 3))
+    return values.reshape(order, b, order, b).mean(axis=(1, 3))
 
 
 def encode(values: np.ndarray, pattern_set: PatternSet) -> np.ndarray:

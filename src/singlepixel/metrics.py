@@ -63,20 +63,28 @@ def ssim(a: IntensityImage, b: IntensityImage) -> float:
     return float(np.mean(num / den))
 
 
+def signal_region(signal_mask: np.ndarray) -> np.ndarray:
+    """The signal region (nonzero pixels) of an SNR mask as a boolean array.
+
+    Raises ParameterError unless the region holds a pixel and its complement,
+    the noise region, at least 2.
+    """
+    sig = np.asarray(signal_mask) != 0
+    n_signal = int(sig.sum())
+    if n_signal == 0:
+        raise ParameterError("signal region is empty")
+    if sig.size - n_signal < 2:
+        raise ParameterError("noise region needs at least 2 pixels")
+    return sig
+
+
 def snr(image: IntensityImage, signal_mask: np.ndarray) -> float:
     """Mean intensity in the signal region over the standard deviation of the
     complement (noise) region.  A perfectly constant noise region gives inf
     rather than raising."""
-    mask = np.asarray(signal_mask)
-    if mask.shape != image.values.shape:
+    if np.shape(signal_mask) != image.values.shape:
         raise DimensionError("signal mask shape must match the image")
-    sig = mask != 0
-    n_signal = int(sig.sum())
-    n_noise = sig.size - n_signal
-    if n_signal == 0:
-        raise ParameterError("signal region is empty")
-    if n_noise < 2:
-        raise ParameterError("noise region needs at least 2 pixels")
+    sig = signal_region(signal_mask)
     mu = float(image.values[sig].mean())
     sd = float(image.values[~sig].std())
     if sd == 0.0:

@@ -5,6 +5,9 @@ N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]).  Masks
 are derived on demand; `project` and `synthesize` apply the pattern operator
 and its adjoint on the n x n pattern grid through the separable 2-D
 Walsh-Hadamard transform H_n @ X @ H_n, two matrix products in O(n^3).
+`save_patterns` and `load_patterns` stream the SPIP file's masks one block
+of _BLOCK_BYTES at a time, so no path of the package holds every mask at
+once; `PatternSet.logical_masks` builds them all, for tests and tracing.
 
 Physically a +1 logical state is the unpumped (transparent) modulator region;
 pumped regions attenuate the probe intensity by the modulation depth m.
@@ -12,6 +15,7 @@ pumped regions attenuate the probe intensity by the modulation depth m.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -29,7 +33,9 @@ _ORDERING_NAMES = {v: k for k, v in _ORDERING_CODES.items()}
 
 _PATTERN_MAGIC = b"SPIP"
 _PATTERN_VERSION = 1
-_CHECK_BLOCK_BYTES = 1 << 20  # payload bytes `load_patterns` checks at a time
+_HEADER = "<4sHIIB"
+_HEADER_BYTES = struct.calcsize(_HEADER)
+_BLOCK_BYTES = 1 << 20  # payload bytes `save_patterns` and `load_patterns` hold at a time
 
 DEFAULT_MODULATION_DEPTH = 0.9
 
@@ -97,11 +103,12 @@ def _hadamard(length: int) -> np.ndarray:
     return h
 
 
-def _hadamard_masks(order: int, rows) -> np.ndarray:
-    """The (M, order, order) int8 masks of the given rows, in O(M*N)."""
+def _hadamard_masks(order: int, rows, out=None) -> np.ndarray:
+    """The (M, order, order) int8 masks of the given rows, in O(M*N), written
+    into `out` when given."""
     r1, r0 = np.divmod(np.asarray(rows, dtype=np.int64), order)
     h = _hadamard(order).astype(np.int8)
-    return h[r1][:, :, None] * h[r0][:, None, :]
+    return np.multiply(h[r1][:, :, None], h[r0][:, None, :], out=out)
 
 
 @dataclass(frozen=True)
@@ -147,7 +154,10 @@ class PatternSet:
 
     @cached_property
     def logical_masks(self) -> np.ndarray:
-        """The (M, n, n) int8 +/-1 masks, derived on first read (read-only)."""
+        """The (M, n, n) int8 +/-1 masks, derived on first read (read-only).
+
+        M*N bytes, kept on the set; no path of the package reads them, they
+        serve tests and tracing."""
         masks = _hadamard_masks(self.order, self.selection)
         masks.setflags(write=False)
         return masks
@@ -236,19 +246,17 @@ def save_patterns(path, pattern_set: PatternSet) -> None:
     """Write a pattern set to the binary SPIP container.
 
     Layout (little-endian): magic "SPIP", version u16, n u32, M u32,
-    ordering u8, then M*N signed bytes holding the +/-1 mask entries.
+    ordering u8, then M*N signed bytes holding the +/-1 mask entries.  The
+    masks are derived and written one block of about _BLOCK_BYTES at a
+    time, so the file is never held in memory whole.
     """
-    header = struct.pack(
-        "<4sHIIB",
-        _PATTERN_MAGIC,
-        _PATTERN_VERSION,
-        pattern_set.order,
-        pattern_set.count,
-        _ORDERING_CODES[pattern_set.ordering],
-    )
+    order, rows = pattern_set.order, pattern_set.rows
+    step = max(1, _BLOCK_BYTES // pattern_set.pixels)
     with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pattern_set.logical_masks.tobytes())
+        fh.write(struct.pack(_HEADER, _PATTERN_MAGIC, _PATTERN_VERSION, order,
+                             pattern_set.count, _ORDERING_CODES[pattern_set.ordering]))
+        for first in range(0, pattern_set.count, step):
+            fh.write(_hadamard_masks(order, rows[first : first + step]))
 
 
 def load_patterns(path, modulation_depth: float = DEFAULT_MODULATION_DEPTH) -> PatternSet:
@@ -256,64 +264,92 @@ def load_patterns(path, modulation_depth: float = DEFAULT_MODULATION_DEPTH) -> P
 
     Mask r1*n + r0 is outer(H_n[r1], H_n[r0]), so its row 0 is H_n[r0] and
     its column 0 is H_n[r1]; entry 2^k of H_n[r] is -1 exactly when bit k of
-    r is set, which names r0 and r1.  The payload is checked in blocks of
-    about 1 MiB against the masks of the rows it names, derived afresh, which
-    also rejects every byte that is not +/-1.  Only when a check fails is the
-    payload scanned for such a byte, so that one is reported first.
+    r is set, which names r0 and r1.  The payload length is checked against
+    the header before any mask.  The payload is then read one block of about
+    _BLOCK_BYTES at a time into one reused buffer and checked against the
+    masks of the rows it names, derived afresh, which also rejects every byte
+    that is not +/-1.  Once a block fails, the rest of the payload is only
+    scanned for such a byte, so that one is reported first.  Memory stays at
+    a few blocks whatever the file size.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    head_size = struct.calcsize("<4sHIIB")
-    if len(data) < head_size:
-        raise FormatError(f"pattern file truncated in header (byte {len(data)})")
-    magic, version, order, count, ordering_code = struct.unpack_from("<4sHIIB", data, 0)
+        order, count, ordering_code = _read_header(fh)
+        selection = _read_selection(fh, order, count)
+    if (repeat := _first_repeat(selection)) is not None:
+        j, k = repeat
+        raise FormatError(f"mask {k} (starting at byte {_HEADER_BYTES + k * order * order}) "
+                          f"repeats mask {j}")
+    return PatternSet(
+        order=order,
+        selection=tuple(selection),
+        ordering=_ORDERING_NAMES[ordering_code],
+        modulation_depth=modulation_depth,
+    )
+
+
+def _length_error(payload: int, expected: int) -> FormatError:
+    return FormatError(f"pattern payload has {payload} bytes at byte {_HEADER_BYTES}; "
+                       f"expected {expected}")
+
+
+def _read_header(fh) -> tuple:
+    """(order, count, ordering code) of an open SPIP file, whose payload
+    length, taken from the file system, must match them."""
+    head = fh.read(_HEADER_BYTES)
+    if len(head) < _HEADER_BYTES:
+        raise FormatError(f"pattern file truncated in header (byte {len(head)})")
+    magic, version, order, count, ordering_code = struct.unpack(_HEADER, head)
     if magic != _PATTERN_MAGIC:
         raise FormatError(f"bad magic {magic!r} at byte 0; expected {_PATTERN_MAGIC!r}")
     if version != _PATTERN_VERSION:
         raise FormatError(f"unsupported pattern file version {version} at byte 4")
     if ordering_code not in _ORDERING_NAMES:
-        raise FormatError(f"unknown ordering code {ordering_code} at byte {head_size - 1}")
+        raise FormatError(f"unknown ordering code {ordering_code} at byte {_HEADER_BYTES - 1}")
     if count == 0:
         raise FormatError("pattern file holds no masks (count 0 at byte 10)")
+    payload = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+    if payload != count * order * order:
+        raise _length_error(payload, count * order * order)
+    return order, count, ordering_code
+
+
+def _read_selection(fh, order: int, count: int) -> list:
+    """The Hadamard row of each of the `count` masks that follow the header,
+    read and checked one block at a time."""
     n_pixels = order * order
-    expected = head_size + count * n_pixels
-    if len(data) != expected:
-        raise FormatError(
-            f"pattern payload has {len(data) - head_size} bytes at byte {head_size}; "
-            f"expected {count * n_pixels}"
-        )
-    body = np.frombuffer(data, dtype=np.int8, offset=head_size)
     try:
         _check_order(order)
-        masks = body.reshape(count, order, order)
-        bits = np.arange(order.bit_length() - 1, dtype=np.int64)
-        r1 = ((masks[:, 1 << bits, 0] < 0) << bits).sum(axis=1, dtype=np.int64)
-        r0 = ((masks[:, 0, 1 << bits] < 0) << bits).sum(axis=1, dtype=np.int64)
-        selection = r1 * order + r0
-        step = max(1, _CHECK_BLOCK_BYTES // n_pixels)
-        for first in range(0, count, step):
-            derived = _hadamard_masks(order, selection[first : first + step])
-            wrong = np.flatnonzero(np.any(masks[first : first + step] != derived, axis=(1, 2)))
+        fault = None
+    except ParameterError as err:
+        fault = err
+    step = min(count, max(1, _BLOCK_BYTES // max(n_pixels, 1)))  # order 0 has no payload
+    buffer = np.empty(step * n_pixels, dtype=np.int8)
+    derived = np.empty((step, order, order), dtype=np.int8)
+    bits = np.arange(order.bit_length() - 1, dtype=np.int64)
+    selection = []
+    for first in range(0, count, step):
+        block = buffer[: min(step, count - first) * n_pixels]
+        got = fh.readinto(block)
+        if got != block.size:
+            raise _length_error(first * n_pixels + got, count * n_pixels)
+        if fault is None:
+            masks = block.reshape(-1, order, order)
+            r1 = ((masks[:, 1 << bits, 0] < 0) << bits).sum(axis=1, dtype=np.int64)
+            r0 = ((masks[:, 0, 1 << bits] < 0) << bits).sum(axis=1, dtype=np.int64)
+            rows = r1 * order + r0
+            diff = _hadamard_masks(order, rows, out=derived[: rows.size])
+            diff -= masks  # int8 wraps, so only equal bytes cancel
+            wrong = np.flatnonzero(np.any(diff, axis=(1, 2)))
             if wrong.size:
                 k = first + int(wrong[0])
-                raise FormatError(
-                    f"mask {k} (starting at byte {head_size + k * n_pixels}) "
-                    "is not a Walsh-Hadamard row"
-                )
-    except SinglePixelError:  # a byte that is not +/-1 is reported first
-        for start in range(0, body.size, _CHECK_BLOCK_BYTES):
-            bad = np.flatnonzero(np.abs(body[start : start + _CHECK_BLOCK_BYTES]) != 1)
+                fault = FormatError(f"mask {k} (starting at byte {_HEADER_BYTES + k * n_pixels}) "
+                                    "is not a Walsh-Hadamard row")
+            selection.extend(rows.tolist())
+        if fault is not None:  # a byte that is not +/-1 is reported first
+            bad = np.flatnonzero(np.abs(block) != 1)
             if bad.size:
-                raise FormatError(f"mask byte not +1/-1 at byte {head_size + start + int(bad[0])}")
-        raise
-    selection = tuple(selection.tolist())
-    if (repeat := _first_repeat(selection)) is not None:
-        j, k = repeat
-        raise FormatError(f"mask {k} (starting at byte {head_size + k * n_pixels}) repeats mask {j}")
-
-    return PatternSet(
-        order=order,
-        selection=selection,
-        ordering=_ORDERING_NAMES[ordering_code],
-        modulation_depth=modulation_depth,
-    )
+                offset = _HEADER_BYTES + first * n_pixels + int(bad[0])
+                raise FormatError(f"mask byte not +1/-1 at byte {offset}")
+    if fault is not None:
+        raise fault
+    return selection

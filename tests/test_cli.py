@@ -2,6 +2,8 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +14,11 @@ import singlepixel.cli as cli
 from singlepixel.cli import main
 from singlepixel.errors import SinglePixelError
 from singlepixel.field import IntensityImage, normalize
+from singlepixel.metrics import dip_contrast, line_profile
 from singlepixel.measurement import read_measurement_csv
 from singlepixel.patterns import load_patterns
 from singlepixel.pgm import read_pgm, write_pgm
-from singlepixel.scenes import parse_scene
+from singlepixel.scenes import parse_scene, slit_feature_columns, slit_row_bounds
 
 from conftest import star_mask
 
@@ -682,6 +685,7 @@ def test_out_dir_under_a_file_exits_3_before_the_work(workspace, capsys, monkeyp
 @pytest.mark.parametrize("flag,problem", [
     ("--reference", "missing"), ("--reference", "misshapen"), ("--reference", "below the window"),
     ("--snr-mask", "missing"), ("--snr-mask", "misshapen"),
+    ("--snr-mask", "all black"), ("--snr-mask", "all white"),
 ])
 def test_bad_reference_file_exits_3_before_the_work(workspace, capsys, monkeypatch, flag,
                                                     problem):
@@ -692,6 +696,8 @@ def test_bad_reference_file_exits_3_before_the_work(workspace, capsys, monkeypat
     path = tmp_path / "ref.pgm"
     if problem == "misshapen":
         write_pgm(path, IntensityImage(values=np.full((4, 4), 0.5)))
+    elif problem.startswith("all "):  # no signal region, or no noise region
+        write_pgm(path, IntensityImage(values=np.full((16, 16), float(problem == "all white"))))
     elif problem == "below the window":
         # an order-8 pattern grid is smaller than the 11 px SSIM window
         patterns = tmp_path / "p8.spip"
@@ -736,3 +742,62 @@ def test_damaged_input_file_exits_3(workspace, capsys, damaged, damage, message)
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+FIG4C_IN_SILICON = f"""
+grid = 256
+fov = 5.25mm
+wavelength = {833.3 / 3.417!r}um
+distance = 0.5mm
+object = three_slit
+slit_widths = 1217um, 884um, 920um
+slit_separations = 118um, 118um
+"""
+
+
+def test_untrained_resolves_fig4c_simulated_four_times_finer(tmp_path):
+    """The paper's 118 um gaps at lambda0 / n inside the wafer, simulated at
+    256 px and read through an order-64 pattern file: pooling onto the
+    pattern grid keeps the grid's intensity scale, so the untrained
+    generator, which models the 64 px grid, resolves both gaps."""
+    scene = tmp_path / "fig4c.txt"
+    scene.write_text(FIG4C_IN_SILICON)
+    patterns = tmp_path / "p64.spip"
+    assert main(["patterns", "--order", "64", "--cr", "0.25", "--out", str(patterns)]) == 0
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")]) == 0
+    assert main(["reconstruct", "--measurement", str(tmp_path / "sim" / "measurement.csv"),
+                 "--patterns", str(patterns), "--scene", str(scene), "--method", "untrained",
+                 "--seed", "0", "--out-dir", str(tmp_path / "rec")]) == 0
+    image, _ = read_pgm(tmp_path / "rec" / "recon_untrained.pgm")
+    grid64 = replace(parse_scene(FIG4C_IN_SILICON), grid=64)
+    peaks, gaps = slit_feature_columns(grid64)
+    profile = line_profile(image, "cols", region=slit_row_bounds(grid64))
+    dips = [dip_contrast(profile, peaks, [gap]) for gap in gaps]
+    assert min(dips) > 0.8, dips
+
+
+def test_hspi_from_a_pattern_file_far_larger_than_its_memory(tmp_path):
+    """`patterns`, `simulate` and `reconstruct` stream a 32 MiB pattern file
+    (2048 masks of 128 px) in blocks: none of them holds it whole."""
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE.replace("grid = 16", "grid = 128"))
+    patterns = tmp_path / "p128.spip"
+    sim_dir, rec_dir = tmp_path / "sim", tmp_path / "rec"
+    commands = [
+        ["patterns", "--order", "128", "--count", "2048", "--out", str(patterns)],
+        ["simulate", "--scene", str(scene), "--patterns", str(patterns), "--out-dir", str(sim_dir)],
+        ["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+         "--patterns", str(patterns), "--scene", str(scene), "--method", "hspi",
+         "--out-dir", str(rec_dir)],
+    ]
+    for argv in commands:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (argv[0], peak)
+    assert patterns.stat().st_size == 15 + 2048 * 128 * 128
+    assert (rec_dir / "recon_hspi.pgm").exists()

@@ -27,12 +27,15 @@ def image(values):
 
 def brute_force_reading(img, pset, i):
     """Literal two-mask differential readout: I+ (pump the -1 cells) minus
-    I- (pump the +1 cells), each with attenuation 1 - m on pumped cells."""
+    I- (pump the +1 cells), each with attenuation 1 - m on pumped cells.  An
+    image b times finer than the pattern grid is read per cell as the mean
+    of its b x b block, so the sum is divided by b^2."""
     m = pset.modulation_depth
+    b = img.values.shape[0] // pset.order
     plus, minus = positive_negative_split(pset, i)
     i_plus = float(apply_mask(img, minus, m).values.sum())
     i_minus = float(apply_mask(img, plus, m).values.sum())
-    return i_plus - i_minus
+    return (i_plus - i_minus) / b**2
 
 
 class TestMeasure:
@@ -69,6 +72,22 @@ class TestMeasure:
         meas = measure(img, pset)
         for i in range(0, 16, 5):
             assert meas.readings[i] == pytest.approx(brute_force_reading(img, pset, i), abs=1e-10)
+
+    def test_readings_of_a_finer_smooth_scene_match_the_pattern_grid(self):
+        # a smooth scene sampled at b = 1, 2 and 4 pixels per pattern cell
+        # reads alike: the pooled mean differs from the cell-centre sample by
+        # discretisation error only, never by a factor b^2
+        pset = walsh_hadamard_patterns(16, 64, modulation_depth=0.8)
+
+        def scene(b):
+            x = (np.arange(16 * b) + 0.5) / (16 * b)
+            return image(np.outer(1.0 + 0.5 * np.sin(2 * np.pi * x), 1.0 + 0.5 * np.cos(np.pi * x)))
+
+        readings = [measure(scene(b), pset).readings for b in (1, 2, 4)]
+        scale = np.abs(readings[0]).max()
+        assert readings[0][0] == pytest.approx(0.8 * scene(1).values.sum(), rel=1e-12)
+        for finer in readings[1:]:
+            assert np.abs(finer - readings[0]).max() <= 0.005 * scale
 
     def test_linearity_without_noise(self, rng):
         pset = walsh_hadamard_patterns(4, 16)

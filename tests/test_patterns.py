@@ -3,7 +3,9 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from singlepixel.errors import DimensionError, FormatError, ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import encode, encode_adjoint, measure
 from singlepixel.network import GeneratorNet
+from singlepixel import patterns
 from singlepixel.patterns import (
     PatternSet,
     fwht,
@@ -441,8 +444,9 @@ class TestIndexDescriptor:
 
 
 class TestBlockwiseFileChecks:
-    """A 128 px file of 256 masks is checked in 4 blocks of 64 masks; a fault
-    in the last block is reported as if the payload were checked at once."""
+    """A 128 px file of 256 masks is read and checked in 4 blocks of 64 masks
+    (1 MiB each); a fault in the last block is reported as if the payload
+    were checked at once."""
 
     @pytest.fixture(scope="class")
     def blob(self, tmp_path_factory):
@@ -484,15 +488,100 @@ class TestBlockwiseFileChecks:
             load_patterns(path)
         assert str(err.value) == "mask 2 (starting at byte 47) repeats mask 1"
 
-    def test_load_peaks_at_most_4_mib_above_the_file(self, tmp_path, blob):
-        path = tmp_path / "p.spip"
-        path.write_bytes(blob)
+    @staticmethod
+    def traced_peak(call):
         tracemalloc.start()
         try:
             entry = tracemalloc.get_traced_memory()[0]
-            pset = load_patterns(path)
-            peak = tracemalloc.get_traced_memory()[1]
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] - entry
         finally:
             tracemalloc.stop()
-        assert pset.count == 256
-        assert peak - entry <= len(blob) + 4 * 2**20
+
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        """A 128 px set of 1024 masks, and the 16 MiB file it makes."""
+        pset = walsh_hadamard_patterns(128, 1024)
+        path = tmp_path_factory.mktemp("spip") / "large.spip"
+        save_patterns(path, pset)
+        return pset, path
+
+    def test_load_peaks_at_a_few_blocks(self, large):
+        # the file holds 16 blocks; the bound does not grow with it
+        pset, path = large
+        loaded, peak = self.traced_peak(lambda: load_patterns(path))
+        assert loaded == pset
+        assert peak <= 3 * patterns._BLOCK_BYTES + 2**19
+
+    def test_save_peaks_at_a_few_blocks(self, tmp_path, large):
+        pset, path = large
+        pset = replace(pset)  # a fresh set: no masks or index cached
+        pset.rows  # the selection's index, not the file
+        _, peak = self.traced_peak(lambda: save_patterns(tmp_path / "p.spip", pset))
+        assert (tmp_path / "p.spip").read_bytes() == path.read_bytes()
+        assert peak <= 2 * patterns._BLOCK_BYTES + 2**19
+        assert "logical_masks" not in vars(pset)
+
+    @pytest.mark.parametrize("size", [-1, 1])
+    def test_a_byte_short_or_long_gives_the_length_message(self, tmp_path, blob, size):
+        path = tmp_path / "p.spip"
+        path.write_bytes(blob[:-1] if size < 0 else blob + b"\x01")
+        with pytest.raises(FormatError) as err:
+            load_patterns(path)
+        assert str(err.value) == (f"pattern payload has {len(blob) - 15 + size} bytes at byte 15; "
+                                  f"expected {len(blob) - 15}")
+
+    def test_a_short_read_gives_the_length_message(self, tmp_path, blob, monkeypatch):
+        # the file ends before the length it was stat'ed at: a block comes up short
+        path = tmp_path / "p.spip"
+        path.write_bytes(blob[: len(blob) // 2])
+        monkeypatch.setattr(patterns, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(
+            st_size=len(blob))))
+        with pytest.raises(FormatError) as err:
+            load_patterns(path)
+        assert str(err.value) == (f"pattern payload has {len(blob) // 2 - 15} bytes at byte 15; "
+                                  f"expected {len(blob) - 15}")
+
+    @pytest.mark.parametrize("bad_byte", [None, 7])
+    def test_non_power_of_two_order_reports_a_bad_byte_first(self, tmp_path, bad_byte):
+        # the masks of order 3 span three blocks; the bad byte sits in the last
+        count = 2 * (patterns._BLOCK_BYTES // 9) + 5
+        payload = bytearray(np.ones(count * 9, dtype=np.int8).tobytes())
+        if bad_byte is not None:
+            payload[-2] = bad_byte
+        path = tmp_path / "p3.spip"
+        path.write_bytes(struct.pack("<4sHIIB", b"SPIP", 1, 3, count, 0) + bytes(payload))
+        with pytest.raises(FormatError if bad_byte else ParameterError) as err:
+            load_patterns(path)
+        assert str(err.value) == (f"mask byte not +1/-1 at byte {15 + count * 9 - 2}" if bad_byte
+                                  else "pattern order must be a power of two >= 2, got 3")
+
+
+@st.composite
+def streamed_sets(draw):
+    """(pattern set, block bytes): orders 2-128, block sizes from one byte to
+    the module's own, and counts that span several blocks."""
+    order = draw(st.sampled_from([2, 4, 8, 16, 32, 64, 128]))
+    n_pixels = order * order
+    block = draw(st.sampled_from([1, n_pixels - 1, 3 * n_pixels + 1, patterns._BLOCK_BYTES]))
+    step = max(1, block // n_pixels)
+    count = draw(st.integers(1, min(n_pixels, 4 * step + 1)))
+    selection = draw(st.lists(st.integers(0, n_pixels - 1), min_size=count, max_size=count,
+                              unique=True))
+    ordering = draw(st.sampled_from(["natural", "sequency"]))
+    return PatternSet(order, tuple(selection), ordering), block
+
+
+@given(case=streamed_sets())
+@settings(max_examples=40, deadline=None)
+def test_streamed_file_is_the_header_and_every_mask(tmp_path_factory, case):
+    pset, block = case
+    path = tmp_path_factory.mktemp("spip") / "p.spip"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "_BLOCK_BYTES", block)
+        save_patterns(path, pset)
+        loaded = load_patterns(path)
+    header = struct.pack("<4sHIIB", b"SPIP", 1, pset.order, pset.count,
+                         {"natural": 0, "sequency": 1}[pset.ordering])
+    assert path.read_bytes() == header + pset.logical_masks.tobytes()
+    assert loaded == pset
