@@ -138,7 +138,7 @@ def cstv_reconstruct(
         return 0.5 * float(r @ r) + tv_weight * tv_anisotropic(x)
 
     x = np.zeros((n, n))
-    ax = encode(x, pattern_set)
+    ax = np.zeros(meas.count)  # encode(x), known without a transform
     y, ay = x, ax
     t = 1.0
     f_x = objective(x, ax)

@@ -4,7 +4,9 @@ A pattern is named by its row r of the Sylvester Hadamard matrix of order
 N = n*n; reshaped to n x n, row r1*n + r0 is outer(H_n[r1], H_n[r0]).  Masks
 are derived on demand; `project` and `synthesize` apply the pattern operator
 and its adjoint on the n x n pattern grid through the separable 2-D
-Walsh-Hadamard transform H_n @ X @ H_n, two matrix products in O(n^3).
+Walsh-Hadamard transform restricted to the sampled rows: with k1 distinct
+r1 and k0 distinct r0 in the selection, two matrix products in
+O(n^2 (k1 + k0)), against O(n^3) for the full H_n @ X @ H_n.
 `save_patterns` and `load_patterns` stream the SPIP file's masks one block
 of _BLOCK_BYTES at a time, so no path of the package holds every mask at
 once; `PatternSet.logical_masks` builds them all, for tests and tracing.
@@ -20,6 +22,7 @@ import struct
 import zlib
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,23 +41,33 @@ _HEADER_BYTES = struct.calcsize(_HEADER)
 _BLOCK_BYTES = 1 << 20  # payload bytes `save_patterns` and `load_patterns` hold at a time
 
 DEFAULT_MODULATION_DEPTH = 0.9
+_FACTOR_ALIGN = 8  # distinct factor rows are padded to a multiple of this (see `walsh_factors`)
 
 
-def fwht(grid: np.ndarray) -> np.ndarray:
-    """Separable 2-D Walsh-Hadamard transform H_n @ grid @ H_n of an n x n grid.
+def fwht(grid: np.ndarray, left: np.ndarray | None = None,
+         right: np.ndarray | None = None) -> np.ndarray:
+    """Separable 2-D Walsh-Hadamard transform left @ grid @ right.
 
-    Row r1*n + r0 of H_{n*n}, reshaped to n x n, is outer(H_n[r1], H_n[r0]),
-    so entry (r1, r0) of the result is the inner product of the grid with
-    that row: flattened, the result is H_{n*n} @ grid.ravel() in natural
+    By default both sides are H_n of an n x n grid.  Row r1*n + r0 of
+    H_{n*n}, reshaped to n x n, is outer(H_n[r1], H_n[r0]), so entry
+    (r1, r0) of H_n @ grid @ H_n is the inner product of the grid with that
+    row: flattened, the result is H_{n*n} @ grid.ravel() in natural
     (Sylvester) order.  n must be a power of two.  Returns a new float64
     grid; the transform is its own inverse up to a factor 1/n^2.
+
+    `left` and `right` restrict the transform to the Walsh rows a pattern
+    set samples (`PatternSet.walsh_factors`), so it costs O(n^2 (k1 + k0))
+    instead of O(n^3).
     """
     x = np.asarray(grid, dtype=np.float64)
-    n = x.shape[0] if x.ndim == 2 else 0
-    if x.shape != (n, n) or n & (n - 1) or n == 0:
-        raise ParameterError(f"FWHT needs a square power-of-two grid, got shape {x.shape}")
-    h = _hadamard(n)
-    return h @ x @ h
+    if left is None or right is None:
+        n = x.shape[0] if x.ndim == 2 else 0
+        if x.shape != (n, n) or n & (n - 1) or n == 0:
+            raise ParameterError(f"FWHT needs a square power-of-two grid, got shape {x.shape}")
+        h = _hadamard(n)
+        left = h if left is None else left
+        right = h if right is None else right
+    return left @ x @ right
 
 
 def _sequency_selection(order_n: int, count_m: int) -> list:
@@ -109,6 +122,21 @@ def _hadamard_masks(order: int, rows, out=None) -> np.ndarray:
     r1, r0 = np.divmod(np.asarray(rows, dtype=np.int64), order)
     h = _hadamard(order).astype(np.int8)
     return np.multiply(h[r1][:, :, None], h[r0][:, None, :], out=out)
+
+
+def _padded(count: int, n: int) -> int:
+    """`count` rounded up to a multiple of _FACTOR_ALIGN, at most n."""
+    return min(n, -(-count // _FACTOR_ALIGN) * _FACTOR_ALIGN)
+
+
+class WalshFactors(NamedTuple):
+    """The pattern operator of a selection, factored over its sampled Walsh rows."""
+
+    left: np.ndarray  # H_n[u1], zero-padded to k1 x n
+    right: np.ndarray  # H_n[:, u0], zero-padded to n x k0
+    left_t: np.ndarray  # left.T, C-contiguous
+    right_t: np.ndarray  # right.T, C-contiguous
+    cells: np.ndarray  # flat index i1*k0 + i0 of each mask in the k1 x k0 grid
 
 
 @dataclass(frozen=True)
@@ -169,6 +197,41 @@ class PatternSet:
         rows.setflags(write=False)
         return rows
 
+    @cached_property
+    def walsh_factors(self) -> WalshFactors:
+        """The pattern operator factored over the sampled Walsh rows, built on
+        first read (read-only).
+
+        With u1 and u0 the sorted distinct r1 and r0 of the selection, `left`
+        holds H_n[u1] and `right` holds H_n[:, u0], so left @ X @ right is the
+        k1 x k0 block of H_n @ X @ H_n that the masks sample, and `cells`
+        picks each mask's entry from it.
+
+        k1 and k0 are padded with zero rows and columns up to a multiple of
+        _FACTOR_ALIGN, capped at n, and all four factors are C-contiguous.
+        OpenBLAS then computes every sampled entry in the same summation
+        order as the full transform: outputs are bit-identical to
+        H_n @ X @ H_n, independent of the BLAS thread count, and the
+        readings of `subset(k)` are the first k readings of the set.
+        Unpadded factors, or transposed views in place of the contiguous
+        copies, lose all three at some orders and selections.
+        """
+        n = self.order
+        h = _hadamard(n)
+        r1, r0 = np.divmod(self.rows, n)
+        u1, i1 = np.unique(r1, return_inverse=True)
+        u0, i0 = np.unique(r0, return_inverse=True)
+        left = np.zeros((_padded(u1.size, n), n))
+        left[: u1.size] = h[u1]
+        right_t = np.zeros((_padded(u0.size, n), n))
+        right_t[: u0.size] = h[u0]  # H_n is symmetric: H_n[u0] = H_n[:, u0].T
+        factors = WalshFactors(left=left, right=np.ascontiguousarray(right_t.T),
+                               left_t=np.ascontiguousarray(left.T), right_t=right_t,
+                               cells=i1 * right_t.shape[0] + i0)
+        for factor in factors:
+            factor.setflags(write=False)
+        return factors
+
     @property
     def count(self) -> int:
         return len(self.selection)
@@ -196,19 +259,23 @@ class PatternSet:
 
 
 def project(pattern_set: PatternSet, grid: np.ndarray) -> np.ndarray:
-    """<P_i, grid> for every pattern i, for an order x order grid (one FWHT)."""
-    return fwht(grid).ravel()[pattern_set.rows]
+    """<P_i, grid> for every pattern i, for an order x order grid: one Walsh
+    transform restricted to the sampled rows, O(n^2 (k1 + k0))."""
+    factors = pattern_set.walsh_factors
+    return fwht(grid, factors.left, factors.right).ravel()[factors.cells]
 
 
 def synthesize(pattern_set: PatternSet, weights: np.ndarray) -> np.ndarray:
-    """sum_i weights[i] * P_i as an order x order grid (one FWHT).
+    """sum_i weights[i] * P_i as an order x order grid: the weights scattered
+    into the k1 x k0 grid of sampled Walsh rows, then the transpose of the
+    restricted transform, O(n^2 (k1 + k0)).
 
     The adjoint of `project`; for distinct rows project(synthesize(w)) = N*w.
     """
-    n = pattern_set.order
-    full = np.zeros((n, n))
-    full.ravel()[pattern_set.rows] = weights
-    return fwht(full)
+    factors = pattern_set.walsh_factors
+    sampled = np.zeros((factors.left.shape[0], factors.right.shape[1]))
+    sampled.ravel()[factors.cells] = weights
+    return fwht(sampled, factors.left_t, factors.right_t)
 
 
 def walsh_hadamard_patterns(

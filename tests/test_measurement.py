@@ -127,6 +127,16 @@ class TestMeasure:
         prefix = measure(img, pset.subset(k), noise_sigma=0.5, seed=21).readings
         assert np.array_equal(prefix, full[:k])
 
+    @pytest.mark.parametrize("order, count", [(64, 1024), (128, 256)])
+    def test_subset_readings_are_a_prefix_bit_for_bit(self, rng, order, count):
+        """The readings of subset(k) are the first k readings of the set: the
+        factored operator keeps each reading's bytes whatever rows it shares."""
+        pset = walsh_hadamard_patterns(order, count)
+        img = image(rng.random((order, order)))
+        full = measure(img, pset).readings
+        for k in (1, 7, 50, count // 4, count - 1):
+            assert np.array_equal(measure(img, pset.subset(k)).readings, full[:k]), k
+
     def test_negative_sigma_rejected(self):
         pset = walsh_hadamard_patterns(4, 4)
         with pytest.raises(ParameterError):

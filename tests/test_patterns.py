@@ -92,14 +92,20 @@ class TestFwht:
             assert np.array_equal(x, kept)
 
     def test_same_bytes_with_one_blas_thread(self):
-        """The transform runs through BLAS; its bytes must not depend on the thread count."""
+        """The transform runs through BLAS; its bytes must not depend on the
+        thread count, for the full transform or for the factored operator at
+        the sequency prefixes where unpadded factors would."""
         script = (
             "import hashlib, numpy as np\n"
-            "from singlepixel.patterns import fwht\n"
+            "from singlepixel.patterns import fwht, project, synthesize, walsh_hadamard_patterns\n"
             "rng = np.random.default_rng(5)\n"
             "h = hashlib.sha256()\n"
             "for n in [128, 64, 256]:\n"
             "    h.update(fwht(rng.standard_normal((n, n))).tobytes())\n"
+            "for n, m in [(128, 4096), (128, 8192), (256, 3000), (256, 16384)]:\n"
+            "    pset = walsh_hadamard_patterns(n, m)\n"
+            "    h.update(project(pset, rng.standard_normal((n, n))).tobytes())\n"
+            "    h.update(synthesize(pset, rng.standard_normal(m)).tobytes())\n"
             "print(h.hexdigest())\n"
         )
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -394,6 +400,25 @@ class TestIndexDescriptor:
         weights = rng.integers(-8, 9, size=count).astype(np.float64)
         assert project(pset, grid) @ weights == np.sum(grid * synthesize(pset, weights))
 
+    def test_walsh_factors_are_cached_read_only_and_padded(self):
+        pset = PatternSet(64, (0, 5 * 64 + 3, 9 * 64 + 3, 9 * 64), "natural")
+        factors = pset.walsh_factors
+        assert factors is pset.walsh_factors
+        assert factors.left.shape == (8, 64) and factors.right.shape == (64, 8)
+        assert np.array_equal(factors.left[:3], patterns._hadamard(64)[[0, 5, 9]])
+        assert not factors.left[3:].any() and not factors.right[:, 2:].any()
+        assert factors.cells.tolist() == [0, 8 + 1, 16 + 1, 16]
+        for factor in factors:
+            assert not factor.flags.writeable
+        for factor in factors[:4]:
+            assert factor.flags.c_contiguous
+        assert np.array_equal(factors.left_t, factors.left.T)
+        assert np.array_equal(factors.right_t, factors.right.T)
+        # the full set is the full transform
+        full = walsh_hadamard_patterns(8, 64).walsh_factors
+        for factor in full[:4]:
+            assert np.array_equal(factor, patterns._hadamard(8))
+
     def test_rows_is_a_cached_read_only_index(self):
         pset = PatternSet(4, (0, 5, 3), "natural")
         assert pset.rows.dtype == np.int64
@@ -441,6 +466,33 @@ class TestIndexDescriptor:
     def test_pattern_set_needs_a_pattern(self):
         with pytest.raises(ParameterError, match="holds 1 to N = 16 patterns"):
             PatternSet(4, (), "natural")
+
+
+def _operator_cases(order, rng):
+    """Sequency and natural prefixes at CR 1/256 to 1 (one mask, N - 1 and
+    the full set among them) and random selections of the same sizes."""
+    n_pixels = order * order
+    counts = {max(1, n_pixels >> shift) for shift in (8, 6, 4, 2, 1, 0)}
+    counts |= {1, min(7, n_pixels), n_pixels - 1}
+    counts |= {128: {1024, 4096, 8192}, 256: {3000, 16384}}.get(order, set())
+    for count in sorted(counts):
+        yield walsh_hadamard_patterns(order, count, "sequency")
+        yield walsh_hadamard_patterns(order, count, "natural")
+        yield PatternSet(order, tuple(rng.permutation(n_pixels)[:count].tolist()), "natural")
+
+
+class TestFactoredOperator:
+    @pytest.mark.parametrize("order", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_bit_identical_to_the_full_transform(self, order, rng):
+        """`project` and `synthesize` multiply by the sampled Walsh rows only,
+        yet give the bytes of the full transform H_n @ X @ H_n."""
+        for pset in _operator_cases(order, rng):
+            grid = rng.standard_normal((order, order))
+            weights = rng.standard_normal(pset.count)
+            assert np.array_equal(project(pset, grid), fwht(grid).ravel()[pset.rows]), pset.count
+            scattered = np.zeros((order, order))
+            scattered.ravel()[pset.rows] = weights
+            assert np.array_equal(synthesize(pset, weights), fwht(scattered)), pset.count
 
 
 class TestBlockwiseFileChecks:
