@@ -228,6 +228,14 @@ class TestCstv:
         assert np.allclose(result.residual_history, history, rtol=1e-12, atol=0)
         assert np.abs(result.raw - x).max() <= 1e-12 * np.abs(x).max()
 
+    def test_subnormal_weight_solves_as_unregularized(self, rng):
+        # tv_weight * step is so small that the prox's dual step overflows
+        pset = walsh_hadamard_patterns(8, 20)
+        meas = readings_like(pset, rng.standard_normal(20) * 5)
+        tiny = cstv_reconstruct(meas, pset, tv_weight=1e-310, max_iters=20)
+        plain = cstv_reconstruct(meas, pset, tv_weight=0.0, max_iters=20)
+        assert tiny.raw.tobytes() == plain.raw.tobytes()
+
     def test_objective_monotone_and_output_nonnegative(self, rng):
         n = 8
         pset = walsh_hadamard_patterns(n, 20)

@@ -572,6 +572,20 @@ def test_non_finite_tv_weight_exits_3(workspace, capsys, monkeypatch, method, we
     assert not out_dir.exists()  # made only before the first write
 
 
+def test_subnormal_tv_weight_runs_cstv(workspace):
+    """A positive `--tv-weight` too small for the prox's dual step (0.25 over
+    it overflows) regularizes nothing; the solve neither warns nor diverges."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+    for weight in ("1e-310", "0"):
+        assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                     "--patterns", str(patterns), "--scene", str(scene), "--method", "cstv",
+                     "--iterations", "5", "--tv-weight", weight,
+                     "--out-dir", str(tmp_path / f"rec_{weight}")]) == 0
+    assert ((tmp_path / "rec_1e-310" / "recon_cstv.pgm").read_bytes()
+            == (tmp_path / "rec_0" / "recon_cstv.pgm").read_bytes())
+
+
 @pytest.mark.parametrize("key", ["fov", "wavelength", "distance", "slit_height"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_simulate_non_finite_scene_length_names_the_key(workspace, capsys, key, value):

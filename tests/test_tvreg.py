@@ -39,11 +39,46 @@ class TestTvProx:
         v = np.repeat(rng.random((shape[0], 1)), shape[1], axis=1) + 0.1 * rng.standard_normal(shape)
         assert prox_objective(tv_prox(v, alpha), v, alpha) <= prox_objective(v, v, alpha)
 
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("iterations", [0, 1, 10])
+    def test_same_bytes_as_the_oracle_on_signed_zeros(self, shape, alpha, iterations, rng):
+        # whole numbers, with each zero's sign drawn at random: the first dual
+        # step, taken from v, must give the oracle's bytes on both zeros
+        v = np.round(rng.standard_normal(shape))
+        v[(v == 0) & (rng.random(shape) < 0.5)] = -0.0
+        assert np.signbit(v[v == 0]).any() and not np.signbit(v[v == 0]).all()
+        out = tv_prox(v, alpha, iterations)
+        assert out.tobytes() == reference_tv_prox(v, alpha, iterations).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (7, 1), (5, 7), (128, 128)])
+    def test_transpose_commutes_bit_for_bit(self, shape, rng):
+        # the oracle's reference_div cannot run one-wide grids
+        v = rng.standard_normal(shape)
+        assert tv_prox(v.T, 0.1).tobytes() == np.ascontiguousarray(tv_prox(v, 0.1).T).tobytes()
+
+    def test_each_call_returns_a_new_array(self, rng):
+        v = rng.standard_normal((16, 16))
+        first = tv_prox(v, 0.1)
+        kept = first.copy()
+        second = tv_prox(v + 1.0, 0.1)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0])
     def test_nonpositive_weight_returns_a_copy(self, alpha, rng):
         v = rng.standard_normal((6, 5))
         out = tv_prox(v, alpha)
         assert np.array_equal(out, v)
+        assert not np.shares_memory(out, v)
+
+    @pytest.mark.parametrize("alpha", [1e-310, 1e-320, np.float64(1e-320)])
+    def test_weight_whose_dual_step_overflows_returns_a_copy(self, alpha, rng):
+        # below about 1.4e-309, 0.25 / alpha overflows; u would move from v
+        # by at most 4 * alpha
+        v = rng.standard_normal((6, 5))
+        out = tv_prox(v, alpha)
+        assert out.tobytes() == v.tobytes()
         assert not np.shares_memory(out, v)
 
 
