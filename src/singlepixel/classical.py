@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .field import IntensityImage
+from .field import IntensityImage, normalize
 from .measurement import Measurement, check_compatible, encode, encode_adjoint
 from .patterns import PatternSet, synthesize
 from .tvreg import tv_anisotropic, tv_prox
@@ -43,20 +43,6 @@ def _to_unit_image(raw: np.ndarray) -> IntensityImage:
     return IntensityImage(values=(raw - lo) / (hi - lo))
 
 
-def _clip_unit_image(raw: np.ndarray) -> IntensityImage:
-    """Clip negatives and scale to peak 1, preserving a zero-mean background.
-
-    Unlike the min-max rendering this does not lift background noise toward
-    mid-gray, so signal-to-background ratios of the rendered image track the
-    raw transform.
-    """
-    clipped = np.maximum(raw, 0.0)
-    hi = float(clipped.max())
-    if hi <= 0.0:
-        return IntensityImage(values=np.zeros_like(raw))
-    return IntensityImage(values=clipped / hi)
-
-
 def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
     """Partial inverse Hadamard transform O = (1/N) * sum_i I_i * P_i.
 
@@ -66,7 +52,7 @@ def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
     """
     check_compatible(meas, pattern_set)
     raw = synthesize(pattern_set, meas.readings) / pattern_set.pixels
-    return ReconResult(image=_clip_unit_image(raw), raw=raw)
+    return ReconResult(image=normalize(raw), raw=raw)
 
 
 def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
@@ -163,4 +149,4 @@ def cstv_reconstruct(
         x, ax, t = x_next, ax_next, t_next
         history.append(f_x)
 
-    return ReconResult(image=_clip_unit_image(x), raw=x, residual_history=tuple(history))
+    return ReconResult(image=normalize(x), raw=x, residual_history=tuple(history))

@@ -128,7 +128,7 @@ def _write_csv(path, lines) -> None:
 def diffract_scene(spec: SceneSpec):
     """Object mask and its propagated intensity at the recording plane."""
     obj = build_scene(spec)
-    return obj, diffract(obj, PropagationSpec(spec.wavelength, spec.distance, spec.pitch))
+    return obj, diffract(obj, spec.propagation())
 
 
 def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
@@ -137,15 +137,14 @@ def run_simulate(spec: SceneSpec, pattern_set: PatternSet, out_dir):
     obj, diffracted = diffract_scene(spec)
     meas = measure(diffracted, pattern_set, noise_sigma=spec.noise_sigma, seed=spec.seed)
 
-    peak = float(diffracted.values.max())
-    scaled = IntensityImage(values=diffracted.values / peak) if peak > 0 else diffracted
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(
         os.path.join(out_dir, "object.pgm"), lambda p: write_pgm(p, obj, {"scale": "1"})
     )
     _atomic_write(
         os.path.join(out_dir, "diffracted.pgm"),
-        lambda p: write_pgm(p, scaled, {"scale": repr(peak)}),
+        lambda p: write_pgm(p, normalize(diffracted.values),
+                            {"scale": repr(float(diffracted.values.max()))}),
     )
     _atomic_write(
         os.path.join(out_dir, "measurement.csv"), lambda p: write_measurement_csv(p, meas)
@@ -183,6 +182,8 @@ def run_reconstruct(
     _check_method(method)
     if iterations is not None:
         _check_iterations(iterations)
+    if seed < 0:
+        raise ParameterError(f"seed {seed} is negative")
     if cr is not None:
         _check_cr(cr)
     _check_out_dir(out_dir)
@@ -201,9 +202,7 @@ def run_reconstruct(
     n = pattern_set.order
     reference, snr_mask = _read_references(reference_path, snr_mask_path, (n, n))
 
-    distance = scene.distance if backprop_distance is None else backprop_distance
-    prop = PropagationSpec(scene.wavelength, distance, scene.fov / n)
-    settings = Settings(prop, seed=seed, tv_weight=tv_weight)
+    settings = Settings(scene.propagation(n, backprop_distance), seed=seed, tv_weight=tv_weight)
     if iterations is not None:  # absent keeps each method's default
         settings = settings._replace(iterations=iterations, cstv_iterations=iterations)
     result = RECONSTRUCTORS[method](meas, pattern_set, settings)
@@ -276,13 +275,9 @@ def _cell_seed(base_seed: int, cr: float, method: str, noise_sigma: float, repea
     return int(np.random.SeedSequence(key).generate_state(1)[0])
 
 
-def _benchmark_cell(spec, diffracted, pattern_set, method, noise_sigma, seed, iterations,
-                    reference, snr_mask):
-    """(SSIM, SNR) of one noisy measurement and reconstruction of the grid."""
-    meas = measure(diffracted, pattern_set, noise_sigma=noise_sigma, seed=seed)
-    # --iterations counts generator iterations only; CS-TV keeps its default
-    prop = PropagationSpec(spec.wavelength, spec.distance, spec.fov / pattern_set.order)
-    settings = Settings(prop, iterations=iterations, seed=seed)
+def _benchmark_cell(diffracted, pattern_set, method, noise_sigma, settings, reference, snr_mask):
+    """(SSIM, SNR) of one measurement, its noise drawn with the settings' seed."""
+    meas = measure(diffracted, pattern_set, noise_sigma=noise_sigma, seed=settings.seed)
     result = RECONSTRUCTORS[method](meas, pattern_set, settings)
     return ssim(result.image, reference), snr(result.image, snr_mask)
 
@@ -315,10 +310,12 @@ def run_benchmark(
     _check_iterations(iterations)
     _check_out_dir(os.path.dirname(os.path.abspath(out_path)))
     obj, diffracted = diffract_scene(spec)
+    snr_mask = signal_region(obj.values >= 0.5)  # fails before the first cell
     order = spec.grid
     # order = grid: full-sampling noiseless HSPI is the diffraction image up to m
-    detector_reference = normalize(diffracted)
-    snr_mask = obj.values >= 0.5
+    detector_reference = normalize(diffracted.values)
+    # --iterations counts generator iterations only; CS-TV keeps its default
+    settings = Settings(spec.propagation(), iterations=iterations)
 
     rows = ["cr,method,noise_sigma,repeats,ssim_mean,ssim_std,snr_mean,snr_std"]
     for cr in cr_list:
@@ -328,12 +325,10 @@ def run_benchmark(
             # the generator images the object plane, not the detector plane
             reference = obj if method == "untrained" else detector_reference
             for noise_sigma in noise_levels:
-                outcomes = [
-                    _benchmark_cell(spec, diffracted, pattern_set, method, noise_sigma,
-                                    _cell_seed(spec.seed, cr, method, noise_sigma, repeat),
-                                    iterations, reference, snr_mask)
-                    for repeat in range(repeats)
-                ]
+                cells = (settings._replace(seed=_cell_seed(spec.seed, cr, method, noise_sigma, r))
+                         for r in range(repeats))
+                outcomes = [_benchmark_cell(diffracted, pattern_set, method, noise_sigma, cell,
+                                            reference, snr_mask) for cell in cells]
                 ssims, snrs = (np.array(values) for values in zip(*outcomes))
                 rows.append(
                     f"{cr!r},{method},{noise_sigma!r},{repeats},"

@@ -1,4 +1,4 @@
-"""The intensity-image grid type and its normalization.
+"""The intensity-image grid type and its one rendering rule.
 
 An `IntensityImage` is an immutable, nonnegative intensity grid: it guards
 every image that comes from a file or a scene.  Grid sides must be powers of
@@ -6,7 +6,9 @@ two so the FFT-based propagator never needs implicit padding, and all
 arithmetic is double precision.  The image carries no pixel pitch: only
 propagation reads one, so it lives in `PropagationSpec` beside the
 wavelength and distance.  Complex fields inside the physics chain are plain
-complex128 arrays (see `propagation`).
+complex128 arrays (see `propagation`).  `normalize` is the one rule that
+renders an image to peak 1: the HSPI and CS-TV outputs, `simulate`'s
+diffraction image and `benchmark`'s detector-plane reference.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, InvalidFieldError, ParameterError
+from .errors import DimensionError, InvalidFieldError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -56,15 +58,15 @@ class IntensityImage:
         return self.values.shape[1]
 
 
-def normalize(image: IntensityImage) -> IntensityImage:
-    """Scale an image to [0, 1] with max exactly 1.
+def normalize(values: np.ndarray) -> IntensityImage:
+    """Clip negatives to 0 and scale to peak 1; no positive value renders all zero.
 
-    Raises
-    ------
-    DegenerateInputError
-        If the image is identically zero.
+    Unlike a min-max rendering this does not lift background noise toward
+    mid-gray, so signal-to-background ratios of the rendered image track the
+    raw values.
     """
-    peak = float(image.values.max())
+    clipped = np.maximum(values, 0.0)
+    peak = float(clipped.max())
     if peak <= 0.0:
-        raise DegenerateInputError("cannot normalize an all-zero image")
-    return IntensityImage(values=image.values / peak)
+        return IntensityImage(values=np.zeros_like(clipped))
+    return IntensityImage(values=clipped / peak)

@@ -123,6 +123,8 @@ def measure(
     """
     if not 0 <= noise_sigma < np.inf:
         raise ParameterError(f"noise sigma {noise_sigma} is not finite and >= 0")
+    if noise_sigma > 0 and seed < 0:
+        raise ParameterError(f"noise seed {seed} is negative")
     readings = encode(diffracted.values, pattern_set)
     if noise_sigma > 0:
         rng = np.random.Generator(np.random.PCG64(seed))

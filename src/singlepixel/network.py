@@ -209,6 +209,8 @@ class GeneratorNet:
             raise ParameterError(f"generator dtype must be float32 or float64, got {self.dtype}")
         self.plan = tuple(int(c) for c in plan)
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ParameterError(f"generator seed {self.seed} is negative")
         self.n_blocks = len(plan) - 2  # conv+BN+LeakyReLU blocks before the head
         self.params: list[np.ndarray] = []
         self._scratch: dict = {}

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import FormatError, ParameterError, read_text
 from .field import IntensityImage
 from .patterns import DEFAULT_MODULATION_DEPTH
+from .propagation import PropagationSpec
 
 THREE_SLIT = "three_slit"
 BITMAP = "bitmap"
@@ -62,10 +63,19 @@ class SceneSpec:
             raise ParameterError("modulation_depth must lie in (0, 1]")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ParameterError(f"noise sigma {self.noise_sigma} is not finite and >= 0")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ParameterError(f"seed {self.seed} is negative")
 
     @property
     def pitch(self) -> float:
         return self.fov / self.grid
+
+    def propagation(self, order: int | None = None, distance: float | None = None) -> PropagationSpec:
+        """The scene's propagation geometry on an `order`-pixel grid over its
+        field of view (None: the scene grid), over `distance` (None: the
+        scene's).  Every `PropagationSpec` of a run is made here."""
+        return PropagationSpec(self.wavelength, self.distance if distance is None else distance,
+                               self.fov / (self.grid if order is None else order))
 
 
 def parse_length(text: str) -> float:

@@ -418,7 +418,7 @@ def test_benchmark_scores_untrained_against_the_object(tmp_path, monkeypatch):
     (image,) = images
     obj, diffracted = cli.diffract_scene(spec)
     against_object = real_ssim(image, obj)
-    against_diffraction = real_ssim(image, normalize(diffracted))
+    against_diffraction = real_ssim(image, normalize(diffracted.values))
     assert float(rows[1].split(",")[4]) == against_object
     assert against_object > against_diffraction
 
@@ -734,6 +734,68 @@ def test_bad_reference_file_exits_3_before_the_work(workspace, capsys, monkeypat
                      flag, str(path), "--out-dir", str(out_dir)]) == 3
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "benchmark"])
+def test_negative_scene_seed_exits_3(workspace, capsys, command):
+    tmp_path, scene, patterns = workspace
+    scene.write_text(SCENE.replace("seed = 5", "seed = -1"))
+    argv = {"simulate": ["--patterns", str(patterns)],
+            "benchmark": ["--cr", "0.25", "--methods", "hspi"]}[command]
+    out_dir = tmp_path / "out"
+    assert main([command, "--scene", str(scene), *argv, "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == "error: invalid scene: seed -1 is negative\n"
+    assert not out_dir.exists()
+
+
+def test_negative_simulate_seed_exits_3(workspace, capsys):
+    tmp_path, scene, patterns = workspace
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--seed", "-5", "--out-dir", str(tmp_path / "sim")]) == 3
+    assert capsys.readouterr().err == "error: seed -5 is negative\n"
+    assert not (tmp_path / "sim").exists()
+
+
+def test_negative_reconstruct_seed_exits_3_for_every_method(workspace, capsys, monkeypatch):
+    """Only the generator reads `--seed`, but every method rejects a negative
+    one, before any reconstructor runs."""
+    tmp_path, scene, patterns = workspace
+    sim_dir = simulated(workspace)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for name in RECONSTRUCTOR_NAMES:
+        monkeypatch.setattr(cli, name, no_work)
+    capsys.readouterr()
+    for method in cli.METHODS:
+        out_dir = tmp_path / f"rec_{method}"
+        assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+                     "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                     "--seed", "-1", "--out-dir", str(out_dir)]) == 3
+        assert capsys.readouterr().err == "error: seed -1 is negative\n"
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("fill,message", [
+    (0.0, "signal region is empty"), (1.0, "noise region needs at least 2 pixels"),
+], ids=["all black", "all white"])
+def test_benchmark_without_snr_regions_exits_3_before_the_work(workspace, capsys, monkeypatch,
+                                                               fill, message):
+    tmp_path, scene, _ = workspace
+    bitmap = tmp_path / "flat.pgm"
+    write_pgm(bitmap, IntensityImage(values=np.full((16, 16), fill)))
+    scene.write_text(SCENE.replace("object = three_slit",
+                                   f"object = bitmap\nbitmap_path = {bitmap}"))
+    calls = []
+    for name in RECONSTRUCTOR_NAMES:
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--scene", str(scene), "--cr", "0.25",
+                 "--methods", ",".join(cli.METHODS), "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not (out_dir / "benchmark.csv").exists()
 
 
 @pytest.mark.parametrize("damaged,damage,message", [

@@ -148,6 +148,13 @@ class TestMeasure:
         with pytest.raises(ParameterError, match="is not finite and >= 0"):
             measure(image(np.zeros((4, 4))), pset, noise_sigma=sigma)
 
+    def test_negative_seed_rejected_when_noise_is_drawn(self):
+        pset = walsh_hadamard_patterns(4, 4)
+        with pytest.raises(ParameterError, match="noise seed -1 is negative"):
+            measure(image(np.zeros((4, 4))), pset, noise_sigma=0.5, seed=-1)
+        # without noise the seed is only recorded
+        assert measure(image(np.zeros((4, 4))), pset, seed=-1).seed == -1
+
 
 class TestDiffraction:
     @pytest.mark.parametrize("distance", [0.5e-3, -0.4e-3])

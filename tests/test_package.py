@@ -50,3 +50,17 @@ def test_every_top_level_definition_is_reached():
     assert unreached == []
     # an analysis name that code reaches, or that is gone, leaves the allowance
     assert ANALYSIS <= {name for _, name in definitions} - used
+
+
+def test_only_scenes_builds_a_propagation_spec():
+    """`SceneSpec.propagation` is the one place a run's geometry is made, so a
+    new field of it (a medium index, say) reaches every command at once."""
+    callers = sorted(
+        module
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "PropagationSpec"
+             or getattr(node.func, "attr", None) == "PropagationSpec")
+    )
+    assert callers == ["scenes"]

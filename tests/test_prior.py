@@ -132,7 +132,7 @@ class TestReconstructUntrained:
         meas = measure(obj, pset)
         prop = PropagationSpec(wavelength=WAVELENGTH, distance=0.0, pitch=10.5e-3 / 64)
         result = reconstruct_untrained(meas, pset, prop, iterations=300, seed=0)
-        assert ssim(normalize(result.image), obj) > 0.9
+        assert ssim(normalize(result.image.values), obj) > 0.9
 
     def test_loss_trend_decreases_over_windows(self, rng):
         obj, pset, prop, meas = instance(rng, n=16, count=128)
@@ -159,7 +159,7 @@ class TestReconstructUntrained:
         obj, diffracted = diffract_scene(spec)
         pset = walsh_hadamard_patterns(64, 1024, modulation_depth=spec.modulation_depth)
         meas = measure(diffracted, pset, noise_sigma=spec.noise_sigma, seed=spec.seed)
-        prop = PropagationSpec(spec.wavelength, spec.distance, spec.pitch)
+        prop = spec.propagation()
         seed = 827308000
         default = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed)
         exact = reconstruct_untrained(meas, pset, prop, iterations=50, seed=seed,

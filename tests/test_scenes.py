@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from singlepixel.errors import FormatError, ParameterError
 from singlepixel.pgm import write_pgm
+from singlepixel.propagation import PropagationSpec
 from singlepixel.scenes import (
     SceneSpec,
     build_scene,
@@ -117,6 +118,12 @@ seed = 7
         with pytest.raises(FormatError, match=message):
             parse_scene("\n".join(lines + [line]) + "\n")
 
+    @pytest.mark.parametrize("seed", ["-1", "-2147483648"])
+    def test_negative_seed_rejected(self, seed):
+        lines = [ln for ln in self.SCENE.splitlines() if not ln.startswith("seed")]
+        with pytest.raises(FormatError, match=f"invalid scene: seed {seed} is negative"):
+            parse_scene("\n".join(lines + [f"seed = {seed}"]))
+
     def test_repeated_key_rejected(self):
         text = "grid = 64\nobject = three_slit\n\ngrid = 32\n"
         with pytest.raises(FormatError, match=r"scene key 'grid' on line 4 repeats line 1"):
@@ -143,11 +150,36 @@ seed = 7
         path = tmp_path_factory.mktemp("scene") / "scene.txt"
         path.write_text(text)
         assert load_scene(path) == spec
-        damaged_loads(load_scene, path, text.encode(), junk)
+
+        def load_and_seed(path):
+            # a scene that loads seeds numpy's generators: "seed =-5" must not load
+            np.random.PCG64(load_scene(path).seed)
+
+        damaged_loads(load_and_seed, path, text.encode(), junk)
 
     def test_pitch_consistency(self):
         spec = parse_scene(self.SCENE)
         assert spec.pitch == pytest.approx(10.5e-3 / 128)
+
+
+class TestPropagation:
+    SPEC = SceneSpec(grid=128, fov=10.5e-3, wavelength=833.3e-6, distance=0.5e-3, **FIG4C)
+
+    def test_default_is_the_scene_grid_and_distance(self):
+        spec = self.SPEC
+        assert spec.propagation() == PropagationSpec(833.3e-6, 0.5e-3, spec.pitch)
+        assert spec.propagation().pitch == 10.5e-3 / 128
+
+    def test_order_sets_the_pitch_over_the_field_of_view(self):
+        assert self.SPEC.propagation(64) == PropagationSpec(833.3e-6, 0.5e-3, 10.5e-3 / 64)
+        assert self.SPEC.propagation(512).pitch == 10.5e-3 / 512
+
+    @pytest.mark.parametrize("distance", [-0.4e-3, 0.0, 2e-3])
+    def test_distance_replaces_the_scene_distance(self, distance):
+        assert (self.SPEC.propagation(distance=distance)
+                == PropagationSpec(833.3e-6, distance, 10.5e-3 / 128))
+        assert (self.SPEC.propagation(32, distance)
+                == PropagationSpec(833.3e-6, distance, 10.5e-3 / 32))
 
 
 class TestBuildScene:
