@@ -38,7 +38,10 @@ gives Y, (3*C_out, (H+2)*W), and tap row ky is then a row offset of ky*W:
 z = Y_0[:, 0:HW] + Y_1[:, W:W+HW] + Y_2[:, 2W:2W+HW].  All layers share two
 flat storages of 3*max(plan)*(H+2)*W elements, one for the columns and one
 for Y; both are consumed by the layer that fills them, in both passes, so no
-column matrix outlives its layer.  The forward pass leaves x-hat for batch
+column matrix outlives its layer.  Between convolutions, Y's storage is the
+scratch of the elementwise steps (scale, shift and leak forward; the
+LeakyReLU slope and batch norm's x-hat term backward), so no step allocates
+a temporary the size of a layer.  The forward pass leaves x-hat for batch
 norm and the activations, whose sign is that of the pre-activation because
 the leak is positive.  Backward works top down: once a layer's LeakyReLU
 slope is read, its bordered buffer takes the upstream gradient g = dL/dz
@@ -164,15 +167,26 @@ def bn_forward(z: np.ndarray) -> np.ndarray:
     return inv_std
 
 
-def bn_backward(g: np.ndarray, xhat: np.ndarray, gamma, inv_std):
-    """In place: g, dL/dy as (C, H*W), becomes dL/dz.  Returns (dL/dgamma, dL/dbeta)."""
+def bn_backward(g: np.ndarray, xhat: np.ndarray, gamma, inv_std, scratch: np.ndarray):
+    """In place: g, dL/dy as (C, H*W), becomes dL/dz; `scratch` is an array of
+    g's shape and dtype that it may overwrite.  Returns (dL/dgamma, dL/dbeta)."""
     n = g.shape[1]
     g_gamma = np.einsum("ij,ij->i", g, xhat)
     g_beta = g.sum(axis=1)
-    g -= xhat * (g_gamma / n)[:, None]
+    g -= np.multiply(xhat, (g_gamma / n)[:, None], out=scratch)
     g -= (g_beta / n)[:, None]
     g *= (gamma * inv_std)[:, None]
     return g_gamma, g_beta
+
+
+def _step_scratch(gemm_out: np.ndarray, count: int, shape) -> list:
+    """`count` disjoint arrays of `shape` over the start of `conv`'s GEMM
+    output, which is free between convolutions.  The elementwise steps of
+    both passes work there rather than in fresh temporaries: at 64 px those
+    would be up to 512 KiB each, over glibc's mmap threshold, and every step
+    would pay the page faults of a fresh mapping."""
+    size = int(np.prod(shape))
+    return [gemm_out[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
 
 
 def _float64(a: np.ndarray) -> np.ndarray:
@@ -180,12 +194,13 @@ def _float64(a: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + exp(-x)), as exp(x) / (1 + exp(x)) where x < 0, so no exp overflows."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)  # exp(-x) where x >= 0, else exp(x)
+    out = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    return np.divide(e, out, out=out)
 
 
 class GeneratorNet:
@@ -273,13 +288,13 @@ class GeneratorNet:
             act = bordered[layer + 1].interior
             conv(bordered[layer].columns(), weight, gemm_out, out=z)
             inv_stds.append(bn_forward(z))
-            # scale and shift in a contiguous temporary: in-place passes over
-            # the strided interior of `act` run row by row and cost more than
-            # the allocation they would save
-            y = z * gamma[:, None]
-            y += beta[:, None]
-            y = y.reshape(act.shape)
-            np.maximum(y, LEAK * y, out=act)
+            # scale, shift and leak in contiguous scratch: in-place passes over
+            # the strided interior of `act` run row by row
+            y, leaky = _step_scratch(gemm_out, 2, act.shape)
+            np.multiply(z.reshape(act.shape), gamma[:, None, None], out=y)
+            y += beta[:, None, None]
+            np.multiply(y, LEAK, out=leaky)
+            np.maximum(y, leaky, out=act)
         weight, bias = self._head_params()
         z = np.empty((1, h * w), dtype=self.dtype)
         z = _float64(conv(bordered[self.n_blocks].columns(), weight, gemm_out, out=z))
@@ -303,7 +318,8 @@ class GeneratorNet:
         h, w = s.shape
         head = self.n_blocks
         weight, _ = self._head_params()
-        g = (g_output * s * (1.0 - s)).reshape(1, h * w)
+        g = np.multiply(g_output, s).reshape(1, h * w)
+        g *= (1.0 - s).reshape(g.shape)
         g_bias = g.sum(axis=1)
         # the input gradient of layer 0 is never needed
         g_w, g = conv_backward(self._cast(g), bordered[head], bordered[head + 1], weight,
@@ -315,10 +331,13 @@ class GeneratorNet:
             # LeakyReLU slope: 1 where the activation is positive, else the leak.
             # Arithmetic on the mask, not a masked or branching select, because
             # the sign pattern is random and branches mispredict.
-            slope = np.multiply(act > 0, 1.0 - LEAK, dtype=self.dtype)
+            slope, = _step_scratch(gemm_out, 1, act.shape)
+            np.greater(act, 0, out=slope)
+            slope *= 1.0 - LEAK
             slope += LEAK
             g *= slope.reshape(g.shape)
-            g_gamma, g_beta = bn_backward(g, xhats[layer], gamma, inv_stds[layer])
+            g_gamma, g_beta = bn_backward(g, xhats[layer], gamma, inv_stds[layer],
+                                          *_step_scratch(gemm_out, 1, g.shape))
             g_w, g = conv_backward(g, bordered[layer], bordered[layer + 1], weight, gemm_out,
                                    buf, input_grad=layer > 0)
             grads[:0] = [g_w, _float64(g_gamma), _float64(g_beta)]
