@@ -26,7 +26,7 @@ from .measurement import (
     read_measurement_csv,
     write_measurement_csv,
 )
-from .metrics import SSIM_WINDOW, signal_region, snr, ssim
+from .metrics import SSIM_WINDOW, gap_dips, signal_region, snr, ssim
 from .patterns import (
     PatternSet,
     load_patterns,
@@ -264,6 +264,14 @@ def _metric_rows(image: IntensityImage, reference, snr_mask) -> list:
     return rows
 
 
+def _dip_rows(image: IntensityImage, spec: SceneSpec) -> list:
+    """`dip_gap1,…`, `dip_gap2,…` and `dip_mean,…` rows of `image` against a
+    three-slit scene (`metrics.gap_dips`)."""
+    dips = gap_dips(image, spec)
+    rows = [f"dip_gap{i},{dip!r}" for i, dip in enumerate(dips, start=1)]
+    return rows + [f"dip_mean,{float(np.mean(dips))!r}"]
+
+
 def _cell_seed(base_seed: int, cr: float, method: str, noise_sigma: float, repeat: int) -> int:
     """Noise and generator seed of one benchmark run, the same in every process.
 
@@ -309,6 +317,8 @@ def run_benchmark(
         _check_method(method)
     _check_iterations(iterations)
     _check_out_dir(os.path.dirname(os.path.abspath(out_path)))
+    if spec.grid < SSIM_WINDOW:  # every cell is scored by SSIM
+        raise ParameterError("image smaller than the SSIM window")
     obj, diffracted = diffract_scene(spec)
     snr_mask = signal_region(obj.values >= 0.5)  # fails before the first cell
     order = spec.grid
@@ -391,10 +401,12 @@ def _build_parser() -> argparse.ArgumentParser:
                           f"cstv always runs {DEFAULT_CSTV_ITERATIONS}")
     ben.add_argument("--out-dir", required=True)
 
-    met = sub.add_parser("metrics", help="SSIM/SNR between image files")
+    met = sub.add_parser("metrics", help="SSIM/SNR between image files, dips at a scene's gaps")
     met.add_argument("--image", required=True)
     met.add_argument("--reference", default=None)
     met.add_argument("--snr-mask", default=None)
+    met.add_argument("--scene", default=None,
+                     help="three-slit scene: adds the dip at each gap and their mean")
     met.add_argument("--out", default=None)
 
     pat = sub.add_parser("patterns", help="generate a Walsh-Hadamard pattern file")
@@ -449,6 +461,8 @@ def main(argv=None) -> int:
             rows = ["metric,value"]
             rows += _metric_rows(image, *_read_references(args.reference, args.snr_mask,
                                                           image.values.shape))
+            if args.scene is not None:
+                rows += _dip_rows(image, load_scene(args.scene))
             if args.out:
                 _write_csv(args.out, rows)
             else:

@@ -1,5 +1,6 @@
-"""Quantitative evaluation: SSIM and signal-to-noise ratio for the CLI, and
-line profiles with dip contrast for the slit-resolution analysis.
+"""Quantitative evaluation: SSIM, signal-to-noise ratio, and the dip at each
+gap of a three-slit scene (line profiles with dip contrast), the score of
+the slit-resolution analysis.
 
 SSIM takes the published defaults of Wang et al. (IEEE TIP 13, 600, 2004) as
 constants: an 11 x 11 Gaussian window of sigma 1.5 (SSIM_WINDOW, SSIM_SIGMA),
@@ -12,10 +13,13 @@ R is the same band for the columns, transposed.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, ParameterError
 from .field import IntensityImage
+from .scenes import SceneSpec, slit_feature_columns, slit_row_bounds
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -138,3 +142,22 @@ def dip_contrast(profile: np.ndarray, peak_positions, valley_positions) -> float
         ref = min(p[left[-1]], p[right[0]])
         depths.append(max(0.0, (ref - p[int(v)]) / ref) if ref > 0 else 0.0)
     return float(np.mean(depths))
+
+
+def gap_dips(image: IntensityImage, spec: SceneSpec) -> tuple:
+    """`dip_contrast` at each gap of a three-slit scene, one call per gap:
+    the mean over both gaps can hide a gap that is not resolved.
+
+    The scene is read at the image's grid, `replace(spec, grid=N)` for an
+    N x N image, so a reconstruction on a pattern grid coarser than the
+    scene's is scored on its own columns, over the rows the slits span.
+    Raises ParameterError for a scene that is not three-slit, or whose slits
+    or gaps cover no column at that grid.
+    """
+    rows, cols = image.values.shape
+    if rows != cols:
+        raise DimensionError(f"gap dips need a square image, got {cols}x{rows}")
+    at_image = replace(spec, grid=cols)
+    peaks, gaps = slit_feature_columns(at_image)
+    profile = line_profile(image, "cols", region=slit_row_bounds(at_image))
+    return tuple(dip_contrast(profile, peaks, [gap]) for gap in gaps)

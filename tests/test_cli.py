@@ -3,7 +3,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,11 +13,10 @@ import singlepixel.cli as cli
 from singlepixel.cli import main
 from singlepixel.errors import SinglePixelError
 from singlepixel.field import IntensityImage, normalize
-from singlepixel.metrics import dip_contrast, line_profile
 from singlepixel.measurement import read_measurement_csv
 from singlepixel.patterns import load_patterns
 from singlepixel.pgm import read_pgm, write_pgm
-from singlepixel.scenes import parse_scene, slit_feature_columns, slit_row_bounds
+from singlepixel.scenes import parse_scene
 
 from conftest import star_mask
 
@@ -248,6 +246,40 @@ def test_metrics_subcommand(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "ssim,1.0" in out
     assert "snr," in out
+
+
+def metric_rows(text: str) -> dict:
+    """metric -> value of a `metrics` CSV."""
+    lines = text.splitlines()
+    assert lines[0] == "metric,value"
+    return dict(line.split(",") for line in lines[1:])
+
+
+def test_metrics_scores_each_gap_of_a_three_slit_scene(workspace, capsys):
+    """The scene's own object, drawn at 32 px and read at the image's grid:
+    every gap is fully dark between bright slits."""
+    tmp_path, scene, _ = workspace
+    drawn = tmp_path / "scene32.txt"
+    drawn.write_text(SCENE.replace("grid = 16", "grid = 32"))
+    image = tmp_path / "object.pgm"
+    write_pgm(image, cli.build_scene(parse_scene(drawn.read_text())))
+    assert main(["metrics", "--image", str(image), "--scene", str(scene)]) == 0
+    rows = metric_rows(capsys.readouterr().out)
+    assert list(rows) == ["dip_gap1", "dip_gap2", "dip_mean"]
+    assert [float(v) for v in rows.values()] == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("scene_text", ["bitmap", None], ids=["bitmap scene", "missing file"])
+def test_metrics_scene_without_gaps_exits_3(tmp_path, capsys, scene_text):
+    image = tmp_path / "a.pgm"
+    write_pgm(image, star_mask(16, outer=0.4, inner=0.2))
+    scene = tmp_path / "scene.txt"
+    if scene_text is not None:
+        scene.write_text(SCENE.replace("object = three_slit",
+                                       f"object = bitmap\nbitmap_path = {image}"))
+    assert main(["metrics", "--image", str(image), "--scene", str(scene)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_metrics_prints_inf_for_a_constant_noise_region(tmp_path, capsys):
@@ -798,6 +830,35 @@ def test_benchmark_without_snr_regions_exits_3_before_the_work(workspace, capsys
     assert not (out_dir / "benchmark.csv").exists()
 
 
+@pytest.mark.parametrize("index", ["0", "-3.417", "nan", "inf"])
+def test_medium_index_outside_positive_finite_exits_3(workspace, capsys, index):
+    tmp_path, scene, patterns = workspace
+    scene.write_text(SCENE + f"medium_index = {index}\n")
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    assert capsys.readouterr().err.startswith("error: invalid scene: medium_index ")
+    assert not (tmp_path / "sim").exists()
+
+
+def test_benchmark_below_the_ssim_window_exits_3_before_the_work(workspace, capsys, monkeypatch):
+    """An 8 px scene is smaller than the 11 px SSIM window that scores every
+    cell, so the run fails before the first reconstruction."""
+    tmp_path, scene, _ = workspace
+    bitmap = tmp_path / "star.pgm"
+    write_pgm(bitmap, star_mask(8, outer=0.4, inner=0.2))
+    scene.write_text(SCENE.replace("grid = 16", "grid = 8").replace(
+        "object = three_slit", f"object = bitmap\nbitmap_path = {bitmap}"))
+    calls = []
+    for name in RECONSTRUCTOR_NAMES:
+        monkeypatch.setattr(cli, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    out_dir = tmp_path / "bench"
+    assert main(["benchmark", "--scene", str(scene), "--cr", "0.25",
+                 "--methods", "hspi,untrained", "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == "error: image smaller than the SSIM window\n"
+    assert calls == []
+    assert not (out_dir / "benchmark.csv").exists()
+
+
 @pytest.mark.parametrize("damaged,damage,message", [
     ("scene", lambda b: b.replace(b"=", b":", 1), "is not key=value"),
     ("measurement", lambda b: b.replace(b"\n0,", b"\n0;", 1), "malformed measurement row 0"),
@@ -820,10 +881,11 @@ def test_damaged_input_file_exits_3(workspace, capsys, damaged, damage, message)
     assert err.startswith("error: ") and message in err
 
 
-FIG4C_IN_SILICON = f"""
+FIG4C_IN_SILICON = """
 grid = 256
 fov = 5.25mm
-wavelength = {833.3 / 3.417!r}um
+wavelength = 833.3um
+medium_index = 3.417
 distance = 0.5mm
 object = three_slit
 slit_widths = 1217um, 884um, 920um
@@ -832,25 +894,28 @@ slit_separations = 118um, 118um
 
 
 def test_untrained_resolves_fig4c_simulated_four_times_finer(tmp_path):
-    """The paper's 118 um gaps at lambda0 / n inside the wafer, simulated at
-    256 px and read through an order-64 pattern file: pooling onto the
-    pattern grid keeps the grid's intensity scale, so the untrained
-    generator, which models the 64 px grid, resolves both gaps."""
+    """The paper's 118 um gaps behind the 500 um silicon wafer (n = 3.417),
+    simulated at 256 px and read through an order-64 pattern file, scored
+    by `metrics --scene` at the pattern grid.  The untrained generator,
+    which models the 64 px grid, resolves each gap; HSPI, which does not
+    model the propagation, resolves neither."""
     scene = tmp_path / "fig4c.txt"
     scene.write_text(FIG4C_IN_SILICON)
     patterns = tmp_path / "p64.spip"
     assert main(["patterns", "--order", "64", "--cr", "0.25", "--out", str(patterns)]) == 0
     assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
                  "--out-dir", str(tmp_path / "sim")]) == 0
-    assert main(["reconstruct", "--measurement", str(tmp_path / "sim" / "measurement.csv"),
-                 "--patterns", str(patterns), "--scene", str(scene), "--method", "untrained",
-                 "--seed", "0", "--out-dir", str(tmp_path / "rec")]) == 0
-    image, _ = read_pgm(tmp_path / "rec" / "recon_untrained.pgm")
-    grid64 = replace(parse_scene(FIG4C_IN_SILICON), grid=64)
-    peaks, gaps = slit_feature_columns(grid64)
-    profile = line_profile(image, "cols", region=slit_row_bounds(grid64))
-    dips = [dip_contrast(profile, peaks, [gap]) for gap in gaps]
-    assert min(dips) > 0.8, dips
+    dips = {}
+    for method in ("untrained", "hspi"):
+        rec = tmp_path / method
+        assert main(["reconstruct", "--measurement", str(tmp_path / "sim" / "measurement.csv"),
+                     "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                     "--seed", "0", "--out-dir", str(rec)]) == 0
+        assert main(["metrics", "--image", str(rec / f"recon_{method}.pgm"),
+                     "--scene", str(scene), "--out", str(rec / "dips.csv")]) == 0
+        dips[method] = {k: float(v) for k, v in metric_rows((rec / "dips.csv").read_text()).items()}
+    assert min(dips["untrained"]["dip_gap1"], dips["untrained"]["dip_gap2"]) > 0.8, dips
+    assert dips["hspi"]["dip_mean"] < 0.3, dips
 
 
 def test_hspi_from_a_pattern_file_far_larger_than_its_memory(tmp_path):

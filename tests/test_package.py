@@ -10,12 +10,6 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "singlepixel"
 
-# The slit-resolution analysis (ROADMAP open item 1): an `analyze` subcommand
-# is to read a reconstruction's dip at the gap columns of a three-slit scene.
-# Until it lands, only the paper's analysis and the tests call these.
-ANALYSIS = {"line_profile", "dip_contrast", "slit_feature_columns"}
-
-
 def _trees() -> dict:
     return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -45,11 +39,8 @@ def _used_names(trees: dict) -> set:
 def test_every_top_level_definition_is_reached():
     trees = _trees()
     definitions, used = _definitions(trees), _used_names(trees)
-    unreached = sorted(f"{module}.{name}" for module, name in definitions
-                       if name not in used and name not in ANALYSIS)
+    unreached = sorted(f"{module}.{name}" for module, name in definitions if name not in used)
     assert unreached == []
-    # an analysis name that code reaches, or that is gone, leaves the allowance
-    assert ANALYSIS <= {name for _, name in definitions} - used
 
 
 def test_only_scenes_builds_a_propagation_spec():
