@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,6 +381,24 @@ class TestFloat32Layers:
         assert _owner(gemm_out).size == size and _owner(gemm_out) is not _owner(bordered[0].cols)
         owners = {id(_owner(a)): _owner(a) for a in _layer_arrays(net)}
         assert sum(a.nbytes for a in owners.values()) < 8e6
+
+    def test_a_warmed_step_at_64_stays_under_the_mmap_threshold(self):
+        """Once its buffers exist, a default net's forward + backward at 64 px
+        allocates under 128 KiB in all, glibc's default mmap threshold, so
+        no step depends on where the allocator puts its temporaries."""
+        net = GeneratorNet(seed=0, dtype=np.float32)
+        rng = np.random.default_rng(0)
+        image, g_output = rng.random((64, 64)), rng.standard_normal((64, 64))
+        net.forward(image)
+        net.backward(g_output)
+        tracemalloc.start()
+        try:
+            net.forward(image)
+            net.backward(g_output)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024, peak
 
     @pytest.mark.parametrize("dtype", [np.float16, np.int32, np.complex128])
     def test_other_dtypes_rejected(self, dtype):
