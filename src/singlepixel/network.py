@@ -189,9 +189,10 @@ def bn_backward(g: np.ndarray, xhat: np.ndarray, gamma, inv_std, scratch: np.nda
 def _step_scratch(gemm_out: np.ndarray, count: int, shape) -> list:
     """`count` disjoint arrays of `shape` over the start of `conv`'s GEMM
     output, which is free between convolutions.  The elementwise steps of
-    both passes work there rather than in fresh temporaries: at 64 px those
-    would be up to 512 KiB each, over glibc's mmap threshold, and every step
-    would pay the page faults of a fresh mapping."""
+    both passes work there rather than in fresh temporaries: a layer-sized
+    one (256 KiB for 16 float32 channels at 64 px) is over glibc's default
+    mmap threshold of 128 KiB, so each step would pay the page faults of a
+    fresh mapping."""
     size = int(np.prod(shape))
     return [gemm_out[i * size : (i + 1) * size].reshape(shape) for i in range(count)]
 

@@ -2,9 +2,10 @@
 
 A scene pins the optical geometry shared by every stage of a run: grid size,
 field of view, vacuum wavelength, the refractive index of the medium between
-the object and the recording plane, object-to-recording-plane distance,
-object shape, modulation depth, noise level, and seed.  Lengths in scene files take `mm` or
-`um` suffixes; bare numbers are meters.
+the object and the recording plane (`medium_index`, default 1), the
+object-to-recording-plane distance, object shape, modulation depth, noise
+level, and seed.  Lengths in scene files take `mm` or `um` suffixes; bare
+numbers are meters.
 """
 
 from __future__ import annotations

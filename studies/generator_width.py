@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import multiprocessing
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -169,7 +170,7 @@ def main() -> None:
     args = parser.parse_args()
     grid = [(plan, geometry, noise_rel, seed) for geometry in GEOMETRIES for noise_rel in NOISE_REL
             for plan in PLANS for seed in SEEDS]
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ProcessPoolExecutor(args.workers, mp_context=multiprocessing.get_context("spawn")) as pool:
         checks = list(pool.map(float32_check, PLANS))
         runs = list(pool.map(run, *zip(*grid)))
     _write(ROOT / f"STUDY_{args.date}-width-float32.csv", FLOAT32_COLUMNS, checks)

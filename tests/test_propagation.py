@@ -58,9 +58,6 @@ class TestMediumIndex:
         shortened = PropagationSpec(WAVELENGTH / n, distance, 82e-6)
         assert np.array_equal(_transfer(64, 64, in_medium), _transfer(64, 64, shortened))
 
-    def test_index_one_is_vacuum(self):
-        assert PropagationSpec(WAVELENGTH, 0.5e-3, 1e-4, medium_index=1.0) == spec(0.5e-3)
-
 
 class TestPropagate:
     def test_zero_distance_identity(self, rng):
