@@ -124,14 +124,8 @@ seed = 7
         with pytest.raises(FormatError, match=f"invalid scene: seed {seed} is negative"):
             parse_scene("\n".join(lines + [f"seed = {seed}"]))
 
-    @pytest.mark.parametrize("index", ["0", "-3.417", "nan", "inf"])
-    def test_medium_index_outside_positive_finite_rejected(self, index):
-        with pytest.raises(FormatError, match=f"invalid scene: medium_index .* outside"):
-            parse_scene(self.SCENE + f"medium_index = {index}\n")
-
     def test_medium_index_defaults_to_vacuum(self):
         assert parse_scene(self.SCENE).medium_index == 1.0
-        assert parse_scene(self.SCENE + "medium_index = 3.417\n").medium_index == 3.417
 
     def test_repeated_key_rejected(self):
         text = "grid = 64\nobject = three_slit\n\ngrid = 32\n"
