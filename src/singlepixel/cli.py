@@ -26,7 +26,7 @@ from .measurement import (
     read_measurement_csv,
     write_measurement_csv,
 )
-from .metrics import SSIM_WINDOW, gap_dips, signal_region, snr, ssim
+from .metrics import check_ssim_size, gap_dips, signal_region, snr, ssim
 from .patterns import (
     PatternSet,
     load_patterns,
@@ -239,8 +239,7 @@ def _read_references(reference_path, snr_mask_path, shape):
 
     reference = snr_mask = None
     if reference_path is not None:
-        if min(shape) < SSIM_WINDOW:
-            raise ParameterError("image smaller than the SSIM window")
+        check_ssim_size(shape)
         reference = read(reference_path)
     if snr_mask_path is not None:
         snr_mask = signal_region(read(snr_mask_path).values >= 0.5)
@@ -317,8 +316,7 @@ def run_benchmark(
         _check_method(method)
     _check_iterations(iterations)
     _check_out_dir(os.path.dirname(os.path.abspath(out_path)))
-    if spec.grid < SSIM_WINDOW:  # every cell is scored by SSIM
-        raise ParameterError("image smaller than the SSIM window")
+    check_ssim_size((spec.grid, spec.grid))  # every cell is scored by SSIM
     obj, diffracted = diffract_scene(spec)
     snr_mask = signal_region(obj.values >= 0.5)  # fails before the first cell
     order = spec.grid

@@ -45,12 +45,17 @@ def _band(k: np.ndarray, n: int) -> np.ndarray:
     return band
 
 
+def check_ssim_size(shape) -> None:
+    """Raise ParameterError if an image of `shape` has no full SSIM window."""
+    if min(shape) < SSIM_WINDOW:
+        raise ParameterError("image smaller than the SSIM window")
+
+
 def ssim(a: IntensityImage, b: IntensityImage) -> float:
     """Mean local structural similarity over all fully valid windows."""
     if a.values.shape != b.values.shape:
         raise DimensionError(f"image shapes differ: {a.values.shape} vs {b.values.shape}")
-    if min(a.values.shape) < SSIM_WINDOW:
-        raise ParameterError("image smaller than the SSIM window")
+    check_ssim_size(a.values.shape)
     k = _kernel()
     xa, xb = a.values, b.values
     left, right = _band(k, xa.shape[0]), _band(k, xa.shape[1]).T

@@ -1,15 +1,12 @@
 """Angular-spectrum propagation with explicit homogeneous/evanescent handling.
 
 A field is a complex128 array of shape (n_y, n_x).  A `PropagationSpec` holds
-the whole geometry of a step: vacuum wavelength, the refractive index of the
-medium crossed, distance and pixel pitch, the only numbers besides the grid
-shape that the transfer function reads.  The step runs at the wavelength in
-the medium, lambda = lambda0 / n: a homogeneous medium of index n is free
-space at that wavelength.  The propagator is the spectral transfer method:
-FFT the field, multiply each plane-wave component by its distance-dependent
-transfer factor, inverse FFT.  With normalized transverse frequencies
-u = lambda*fx, v = lambda*fy, where fx and fy step by 1/(N*pitch) on an
-N-pixel axis, and k = 2*pi/lambda, the transfer is
+the whole geometry of a step: wavelength, distance and pixel pitch, the only
+numbers besides the grid shape that the transfer function reads.  The
+propagator is the spectral transfer method: FFT the field, multiply each
+plane-wave component by its distance-dependent transfer factor, inverse FFT.
+With normalized transverse frequencies u = lambda*fx, v = lambda*fy, where
+fx and fy step by 1/(n*pitch), the transfer is
 
     exp(+i*k*d*sqrt(1 - u^2 - v^2))   for u^2 + v^2 <= 1  (homogeneous)
     exp(-k*d*sqrt(u^2 + v^2 - 1))     for u^2 + v^2 >  1  (evanescent), d >= 0
@@ -32,24 +29,21 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class PropagationSpec:
-    """Geometry of one propagation step through a homogeneous medium.
+    """Geometry of one free-space propagation step.
 
     Attributes
     ----------
     wavelength : float
-        Vacuum wavelength in meters.
+        Free-space wavelength in meters.
     distance : float
         Signed propagation distance in meters; negative backpropagates.
     pitch : float
         Meters per pixel of the sampled field (same in x and y).
-    medium_index : float
-        Refractive index of the medium (1: vacuum).
     """
 
     wavelength: float
     distance: float
     pitch: float
-    medium_index: float = 1.0
 
     def __post_init__(self):
         if not (np.isfinite(self.wavelength) and self.wavelength > 0):
@@ -58,18 +52,10 @@ class PropagationSpec:
             raise ParameterError("propagation distance must be finite")
         if not (np.isfinite(self.pitch) and self.pitch > 0):
             raise ParameterError(f"pixel pitch must be positive and finite, got {self.pitch}")
-        if not (np.isfinite(self.medium_index) and self.medium_index > 0):
-            raise ParameterError(f"medium index must be positive and finite, got {self.medium_index}")
-
-    @property
-    def medium_wavelength(self) -> float:
-        """Wavelength in the medium, lambda0 / n."""
-        return self.wavelength / self.medium_index
 
     @property
     def wavenumber(self) -> float:
-        """Wavenumber in the medium, 2*pi / (lambda0 / n)."""
-        return 2.0 * np.pi / self.medium_wavelength
+        return 2.0 * np.pi / self.wavelength
 
 
 @lru_cache(maxsize=8)
@@ -83,7 +69,7 @@ def _transfer(n_y: int, n_x: int, spec: PropagationSpec) -> np.ndarray:
     d = spec.distance
     fx = np.fft.fftfreq(n_x, d=spec.pitch)
     fy = np.fft.fftfreq(n_y, d=spec.pitch)
-    rho_sq = (spec.medium_wavelength**2) * (fy[:, None] ** 2 + fx[None, :] ** 2)
+    rho_sq = (spec.wavelength**2) * (fy[:, None] ** 2 + fx[None, :] ** 2)
     inside = rho_sq <= 1.0
 
     transfer = np.zeros((n_y, n_x), dtype=np.complex128)

@@ -1,11 +1,9 @@
 """Scene construction and the flat key=value scene-file format.
 
 A scene pins the optical geometry shared by every stage of a run: grid size,
-field of view, vacuum wavelength, the refractive index of the medium between
-the object and the recording plane (`medium_index`, default 1), the
-object-to-recording-plane distance, object shape, modulation depth, noise
-level, and seed.  Lengths in scene files take `mm` or `um` suffixes; bare
-numbers are meters.
+field of view, wavelength, object-to-recording-plane distance, object shape,
+modulation depth, noise level, and seed.  Lengths in scene files take `mm` or
+`um` suffixes; bare numbers are meters.
 """
 
 from __future__ import annotations
@@ -38,13 +36,12 @@ class SceneSpec:
     modulation_depth: float = DEFAULT_MODULATION_DEPTH
     noise_sigma: float = 0.0
     seed: int = 0
-    medium_index: float = 1.0
 
     def __post_init__(self):
         if self.grid < 2 or self.grid & (self.grid - 1):
             raise ParameterError(f"grid must be a power of two >= 2, got {self.grid}")
         bounds = {"fov": 0.0, "wavelength": 0.0, "distance": -math.inf, "slit_height": 0.0,
-                  "slit_widths": 0.0, "slit_separations": 0.0, "medium_index": 0.0}
+                  "slit_widths": 0.0, "slit_separations": 0.0}
         for key, low in bounds.items():
             values = getattr(self, key)
             for value in values if isinstance(values, tuple) else (values,):
@@ -78,8 +75,7 @@ class SceneSpec:
         field of view (None: the scene grid), over `distance` (None: the
         scene's).  Every `PropagationSpec` of a run is made here."""
         return PropagationSpec(self.wavelength, self.distance if distance is None else distance,
-                               self.fov / (self.grid if order is None else order),
-                               self.medium_index)
+                               self.fov / (self.grid if order is None else order))
 
 
 def parse_length(text: str) -> float:
@@ -135,7 +131,6 @@ def parse_scene(text: str) -> SceneSpec:
             modulation_depth=float(pop("modulation_depth", DEFAULT_MODULATION_DEPTH)),
             noise_sigma=float(pop("noise_sigma", "0")),
             seed=int(pop("seed", "0")),
-            medium_index=float(pop("medium_index", "1")),
         )
         if spec.object_kind == THREE_SLIT:
             _slit_and_gap_spans(spec)  # never draw two bars for three slits

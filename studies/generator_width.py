@@ -6,8 +6,8 @@
 wall time is that of a fit on one core)
 
 The scene is the paper's FIG4C target (slits of 1217, 884 and 920 um, gaps
-of 118 um, 0.5 mm behind the object) through silicon, medium_index = 3.417,
-in two geometries: a 64 px pattern grid over 5.25 mm and a 128 px grid over
+of 118 um, 0.5 mm behind the object) through silicon: the vacuum wavelength
+of 833.3 um over the wafer's index of 3.417, in two geometries: a 64 px pattern grid over 5.25 mm and a 128 px grid over
 10.5 mm, each simulated FINER times finer and block-averaged onto the
 pattern grid.  Readings are taken at CR 0.25 in sequency order, noiseless
 and with Gaussian noise of 5% of the clean readings' standard deviation.
@@ -63,7 +63,7 @@ NOISE_REL = (0.0, 0.05)
 NOISE_SEED = 11
 CR = 0.25
 RESOLVED_DIP = 0.8
-FIG4C = dict(wavelength=833.3e-6, medium_index=3.417, distance=0.5e-3, object_kind="three_slit",
+FIG4C = dict(wavelength=833.3e-6 / 3.417, distance=0.5e-3, object_kind="three_slit",  # n = 3.417
              slit_widths=(1217e-6, 884e-6, 920e-6), slit_separations=(118e-6, 118e-6))
 
 RUN_COLUMNS = ("plan", "geometry", "noise_rel", "noise_sigma", "seed", "dip_gap1", "dip_gap2",

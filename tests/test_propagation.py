@@ -42,23 +42,6 @@ class TestSpecValidation:
                 PropagationSpec(wavelength=1e-3, distance=1e-3, pitch=pitch)
 
 
-    def test_medium_index_positive_and_finite(self):
-        for index in (0.0, -3.417, float("nan"), float("inf")):
-            with pytest.raises(ParameterError, match="medium index"):
-                PropagationSpec(wavelength=1e-3, distance=1e-3, pitch=1e-4, medium_index=index)
-
-
-class TestMediumIndex:
-    @pytest.mark.parametrize("distance", [0.5e-3, -0.5e-3])
-    def test_transfer_at_index_n_is_the_transfer_at_wavelength_over_n(self, distance):
-        """A homogeneous medium of index n is free space at lambda0 / n: the
-        same transfer, bit for bit, evanescent band included."""
-        n = 3.417
-        in_medium = PropagationSpec(WAVELENGTH, distance, 82e-6, medium_index=n)
-        shortened = PropagationSpec(WAVELENGTH / n, distance, 82e-6)
-        assert np.array_equal(_transfer(64, 64, in_medium), _transfer(64, 64, shortened))
-
-
 class TestPropagate:
     def test_zero_distance_identity(self, rng):
         fld = random_field(rng)

@@ -124,9 +124,6 @@ seed = 7
         with pytest.raises(FormatError, match=f"invalid scene: seed {seed} is negative"):
             parse_scene("\n".join(lines + [f"seed = {seed}"]))
 
-    def test_medium_index_defaults_to_vacuum(self):
-        assert parse_scene(self.SCENE).medium_index == 1.0
-
     def test_repeated_key_rejected(self):
         text = "grid = 64\nobject = three_slit\n\ngrid = 32\n"
         with pytest.raises(FormatError, match=r"scene key 'grid' on line 4 repeats line 1"):
@@ -134,24 +131,22 @@ seed = 7
 
     @given(grid=st.sampled_from([16, 32, 64]), distance=st.floats(-5e-3, 5e-3),
            modulation_depth=st.floats(0.01, 1.0), noise_sigma=st.floats(0.0, 10.0),
-           seed=st.integers(0, 2**31), medium_index=st.floats(1.0, 4.0),
-           junk=st.integers(1, 255))
+           seed=st.integers(0, 2**31), junk=st.integers(1, 255))
     @settings(max_examples=10, deadline=None, phases=FUZZ_PHASES)
     def test_round_trip_and_every_damaged_copy(self, tmp_path_factory, grid, distance,
-                                               modulation_depth, noise_sigma, seed,
-                                               medium_index, junk):
+                                               modulation_depth, noise_sigma, seed, junk):
         # every length in meters, written by repr, so the file reads back exactly
         spec = SceneSpec(grid=grid, fov=10.5e-3, wavelength=833.3e-6, distance=distance,
                          object_kind="three_slit", slit_widths=(2e-3, 1.5e-3, 1.5e-3),
                          slit_separations=(7e-4, 7e-4), modulation_depth=modulation_depth,
-                         noise_sigma=noise_sigma, seed=seed, medium_index=medium_index)
+                         noise_sigma=noise_sigma, seed=seed)
         lengths = ", ".join
         text = (f"grid = {grid}\nfov = {spec.fov!r}\nwavelength = {spec.wavelength!r}\n"
                 f"distance = {distance!r}\nobject = three_slit\n"
                 f"slit_widths = {lengths(map(repr, spec.slit_widths))}\n"
                 f"slit_separations = {lengths(map(repr, spec.slit_separations))}\n"
                 f"modulation_depth = {modulation_depth!r}\nnoise_sigma = {noise_sigma!r}\n"
-                f"seed = {seed}\nmedium_index = {medium_index!r}\n")
+                f"seed = {seed}\n")
         path = tmp_path_factory.mktemp("scene") / "scene.txt"
         path.write_text(text)
         assert load_scene(path) == spec
@@ -174,12 +169,6 @@ class TestPropagation:
         spec = self.SPEC
         assert spec.propagation() == PropagationSpec(833.3e-6, 0.5e-3, spec.pitch)
         assert spec.propagation().pitch == 10.5e-3 / 128
-
-    def test_medium_index_reaches_the_geometry(self):
-        spec = SceneSpec(grid=128, fov=10.5e-3, wavelength=833.3e-6, distance=0.5e-3,
-                         medium_index=3.417, **FIG4C)
-        assert spec.propagation(64) == PropagationSpec(833.3e-6, 0.5e-3, 10.5e-3 / 64, 3.417)
-        assert spec.propagation(distance=-0.5e-3).medium_index == 3.417
 
     def test_order_sets_the_pitch_over_the_field_of_view(self):
         assert self.SPEC.propagation(64) == PropagationSpec(833.3e-6, 0.5e-3, 10.5e-3 / 64)
