@@ -20,7 +20,7 @@ from .errors import (
 )
 from .field import IntensityImage, normalize
 from .measurement import Measurement, measure, read_measurement_csv, write_measurement_csv
-from .metrics import dip_contrast, line_profile, snr, ssim
+from .metrics import snr, ssim
 from .network import GeneratorNet
 from .patterns import (
     PatternSet,

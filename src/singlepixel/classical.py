@@ -3,7 +3,8 @@ imaging, and TV-regularized compressed sensing (monotone FISTA).
 
 All three operate on the pattern grid.  `raw` on the result keeps each
 method's native signed output (HSPI coefficients can dip negative under
-undersampling); `image` is the nonnegative [0, 1] rendering used for metric
+undersampling); `image` is the nonnegative [0, 1] rendering by
+`field.normalize` (DGI's after shifting its minimum to 0) used for metric
 evaluation and file output.
 """
 
@@ -17,7 +18,7 @@ from .errors import NumericalError, ParameterError
 from .field import IntensityImage, normalize
 from .measurement import Measurement, check_compatible, encode, encode_adjoint
 from .patterns import PatternSet, synthesize
-from .tvreg import tv_anisotropic, tv_prox
+from .tvreg import check_tv_weight, tv_anisotropic, tv_prox
 
 DEFAULT_CSTV_ITERATIONS = 200
 
@@ -32,15 +33,6 @@ class ReconResult:
     def iterations_used(self) -> int:
         """Iterations run: one recorded loss each, none for hspi and dgi."""
         return len(self.residual_history)
-
-
-def _to_unit_image(raw: np.ndarray) -> IntensityImage:
-    """Min-max shift/scale to [0, 1] (native affine calibration is arbitrary)."""
-    lo = float(raw.min())
-    hi = float(raw.max())
-    if hi - lo <= 0.0:
-        return IntensityImage(values=np.zeros_like(raw))
-    return IntensityImage(values=(raw - lo) / (hi - lo))
 
 
 def hspi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
@@ -64,8 +56,8 @@ def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
     <I> / (N/M) * N, and an ensemble without the DC row (<S> = 0) is left as
     it is.  The centered correlation over patterns then reduces to one
     synthesis because the mean-pattern term multiplies a zero-sum weight
-    vector.  Output image is min-max shifted to [0, 1]; its native affine
-    calibration is arbitrary.
+    vector.  The image is `normalize(raw - raw.min())`, spanning [0, 1]; the
+    native affine calibration is arbitrary.
 
     The image is invariant to a reading gain and to a background
     proportional to S_i (a uniform object or uniform stray light), which the
@@ -84,7 +76,7 @@ def dgi_reconstruct(meas: Measurement, pattern_set: PatternSet) -> ReconResult:
     normalized[dc] = readings[dc] - readings.mean() / (n_pixels / m_count) * n_pixels
     weights = (normalized - normalized.mean()) / m_count
     raw = synthesize(pattern_set, weights)
-    return ReconResult(image=_to_unit_image(raw), raw=raw)
+    return ReconResult(image=normalize(raw - raw.min()), raw=raw)
 
 
 def cstv_reconstruct(
@@ -112,8 +104,7 @@ def cstv_reconstruct(
         raise ParameterError("max_iters must be >= 1")
     if tv_weight is None:
         tv_weight = 1e-3 * float(np.abs(meas.readings).max())
-    if not 0 <= tv_weight < np.inf:
-        raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
+    check_tv_weight(tv_weight)
 
     n = pattern_set.order
     depth = pattern_set.modulation_depth

@@ -37,6 +37,7 @@ from .pgm import read_pgm, write_pgm
 from .prior import DEFAULT_ITERATIONS, reconstruct_untrained
 from .propagation import PropagationSpec
 from .scenes import SceneSpec, build_scene, load_scene, parse_length
+from .tvreg import check_tv_weight
 
 
 class Settings(NamedTuple):
@@ -184,6 +185,8 @@ def run_reconstruct(
         _check_iterations(iterations)
     if seed < 0:
         raise ParameterError(f"seed {seed} is negative")
+    if tv_weight is not None:  # None keeps each method's default
+        check_tv_weight(tv_weight)
     if cr is not None:
         _check_cr(cr)
     _check_out_dir(out_dir)

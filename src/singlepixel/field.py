@@ -7,8 +7,8 @@ arithmetic is double precision.  The image carries no pixel pitch: only
 propagation reads one, so it lives in `PropagationSpec` beside the
 wavelength and distance.  Complex fields inside the physics chain are plain
 complex128 arrays (see `propagation`).  `normalize` is the one rule that
-renders an image to peak 1: the HSPI and CS-TV outputs, `simulate`'s
-diffraction image and `benchmark`'s detector-plane reference.
+renders an image to peak 1: the classical outputs (DGI's after shifting its
+minimum to 0), `simulate`'s diffraction image and `benchmark`'s reference.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Quantitative evaluation: SSIM, signal-to-noise ratio, and the dip at each
-gap of a three-slit scene (line profiles with dip contrast), the score of
-the slit-resolution analysis.
+gap of a three-slit scene (`gap_dips`), the slit-resolution score.  The
+classical methods' images arrive through `field.normalize`, DGI's after
+shifting its minimum to 0.
 
 SSIM takes the published defaults of Wang et al. (IEEE TIP 13, 600, 2004) as
 constants: an 11 x 11 Gaussian window of sigma 1.5 (SSIM_WINDOW, SSIM_SIGMA),
@@ -101,68 +102,29 @@ def snr(image: IntensityImage, signal_mask: np.ndarray) -> float:
     return mu / sd
 
 
-def line_profile(image: IntensityImage, axis: str = "cols", region=None) -> np.ndarray:
-    """Per-column (or per-row) mean intensity, normalized to peak 1.
-
-    `region`, when given, is a (lo, hi) bound on the averaged axis, so the
-    profile covers only the imaging region of interest (e.g. the rows spanned
-    by a slit mask).
-    """
-    values = image.values
-    if region is not None:
-        lo, hi = region
-        values = values[lo:hi, :] if axis == "cols" else values[:, lo:hi]
-        if values.size == 0:
-            raise ParameterError(f"empty profiling region {region}")
-    if axis == "cols":
-        p = values.mean(axis=0)
-    elif axis == "rows":
-        p = values.mean(axis=1)
-    else:
-        raise ParameterError(f"axis must be 'rows' or 'cols', got {axis!r}")
-    peak = p.max()
-    if peak <= 0:
-        raise DegenerateInputError("cannot profile an all-zero image")
-    return p / peak
-
-
-def dip_contrast(profile: np.ndarray, peak_positions, valley_positions) -> float:
-    """Mean relative dip depth at known valley positions between known peaks.
-
-    For each valley the reference level is the smaller of the nearest peak
-    samples to its left and right; depths are clamped at 0.  With the slit
-    and gap columns of `scenes.slit_feature_columns` it measures how well a
-    reconstruction resolves the gaps of a three-slit scene.
-    """
-    p = np.asarray(profile, dtype=np.float64)
-    peaks = sorted(int(i) for i in peak_positions)
-    if not peaks or len(list(valley_positions)) == 0:
-        raise ParameterError("need at least one peak and one valley position")
-    depths = []
-    for v in valley_positions:
-        left = [i for i in peaks if i <= v]
-        right = [i for i in peaks if i >= v]
-        if not left or not right:
-            raise ParameterError(f"valley {v} is not bracketed by peaks")
-        ref = min(p[left[-1]], p[right[0]])
-        depths.append(max(0.0, (ref - p[int(v)]) / ref) if ref > 0 else 0.0)
-    return float(np.mean(depths))
-
-
 def gap_dips(image: IntensityImage, spec: SceneSpec) -> tuple:
-    """`dip_contrast` at each gap of a three-slit scene, one call per gap:
-    the mean over both gaps can hide a gap that is not resolved.
+    """The dip at each gap of a three-slit scene, read at the image's grid
+    (`replace(spec, grid=N)` for an N x N image).
 
-    The scene is read at the image's grid, `replace(spec, grid=N)` for an
-    N x N image, so a reconstruction on a pattern grid coarser than the
-    scene's is scored on its own columns, over the rows the slits span.
-    Raises ParameterError for a scene that is not three-slit, or whose slits
-    or gaps cover no column at that grid.
+    p is the image's column mean over the rows the slits span, scaled to
+    peak 1.  At each gap, with ref the smaller of p at the centres of the
+    slits to its left and right, dip = max(0, (ref - p[gap]) / ref), or 0
+    when ref <= 0.  Each gap is scored alone: a mean over both can hide a
+    gap that is not resolved.  Raises ParameterError for a scene that is not
+    three-slit or whose slits or gaps cover no column or row at that grid.
     """
     rows, cols = image.values.shape
     if rows != cols:
         raise DimensionError(f"gap dips need a square image, got {cols}x{rows}")
     at_image = replace(spec, grid=cols)
-    peaks, gaps = slit_feature_columns(at_image)
-    profile = line_profile(image, "cols", region=slit_row_bounds(at_image))
-    return tuple(dip_contrast(profile, peaks, [gap]) for gap in gaps)
+    slits, gaps = slit_feature_columns(at_image)
+    lo, hi = slit_row_bounds(at_image)
+    p = image.values[lo:hi].mean(axis=0)
+    if p.max() <= 0:
+        raise DegenerateInputError("cannot profile an all-zero image")
+    p = p / p.max()
+    dips = []
+    for left, gap, right in zip(slits, gaps, slits[1:]):
+        ref = min(p[left], p[right])
+        dips.append(float(max(0.0, (ref - p[gap]) / ref)) if ref > 0 else 0.0)
+    return tuple(dips)

@@ -28,7 +28,7 @@ from .measurement import Measurement, check_compatible, diffract_vjp, encode, en
 from .network import GeneratorNet
 from .patterns import PatternSet
 from .propagation import PropagationSpec
-from .tvreg import tv_anisotropic, tv_subgradient
+from .tvreg import check_tv_weight, tv_anisotropic, tv_subgradient
 
 DEFAULT_TV_WEIGHT = 1e-10
 DEFAULT_ITERATIONS = 300
@@ -83,8 +83,7 @@ def loss_and_gradient(
 ):
     """Physics-chain loss and its exact gradient w.r.t. every net parameter."""
     check_compatible(meas, pattern_set)
-    if not 0 <= tv_weight < np.inf:
-        raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
+    check_tv_weight(tv_weight)
 
     output = net.forward(input_image.values)
     if not np.all(np.isfinite(output)):
@@ -135,8 +134,7 @@ def reconstruct_untrained(
         raise ParameterError("iterations must be >= 1")
     if tv_weight is None:
         tv_weight = DEFAULT_TV_WEIGHT
-    if not 0 <= tv_weight < np.inf:
-        raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
+    check_tv_weight(tv_weight)
     input_image = dgi_reconstruct(meas, pattern_set).image
     if net is None:
         net = GeneratorNet(seed=seed, dtype=np.float32)

@@ -134,6 +134,7 @@ def parse_scene(text: str) -> SceneSpec:
         )
         if spec.object_kind == THREE_SLIT:
             _slit_and_gap_spans(spec)  # never draw two bars for three slits
+            slit_row_bounds(spec)  # nor bars of no row
     except ValueError as err:  # a ParameterError, or a non-numeric value
         raise FormatError(f"invalid scene: {err}") from err
     if entries:
@@ -226,10 +227,12 @@ def slit_feature_columns(spec: SceneSpec) -> tuple:
 
 
 def slit_row_bounds(spec: SceneSpec) -> tuple:
-    """Row range [lo, hi) covered by the slits of a three-slit scene."""
+    """Row range [lo, hi) covered by the slits of a three-slit scene, never empty."""
     if spec.object_kind != THREE_SLIT:
         raise ParameterError("slit_row_bounds needs a three_slit scene")
     height = spec.slit_height if spec.slit_height is not None else 0.6 * spec.fov
     lo = _edge_to_pixel((spec.fov - height) / 2.0, spec.pitch)
     hi = _edge_to_pixel((spec.fov + height) / 2.0, spec.pitch)
+    if hi <= lo:
+        raise ParameterError(f"the slits cover no pixel row at grid {spec.grid}")
     return lo, hi

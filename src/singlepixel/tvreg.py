@@ -8,6 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterError
+
+
+def check_tv_weight(tv_weight: float) -> None:
+    """Raise ParameterError unless `tv_weight` is finite and >= 0."""
+    if not 0 <= tv_weight < np.inf:  # also rejects nan
+        raise ParameterError(f"tv_weight {tv_weight} is not finite and >= 0")
+
 
 def tv_anisotropic(u: np.ndarray) -> float:
     return float(np.abs(np.diff(u, axis=0)).sum() + np.abs(np.diff(u, axis=1)).sum())

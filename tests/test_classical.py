@@ -1,5 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from singlepixel.classical import (
     cstv_reconstruct,
@@ -26,6 +31,15 @@ def readings_like(pset, values):
         noise_sigma=0.0,
         seed=0,
     )
+
+
+def _min_max_unit_image(raw):
+    """The DGI rendering that `normalize(raw - raw.min())` replaced, kept as its oracle."""
+    lo = float(raw.min())
+    hi = float(raw.max())
+    if hi - lo <= 0.0:
+        return IntensityImage(values=np.zeros_like(raw))
+    return IntensityImage(values=(raw - lo) / (hi - lo))
 
 
 def pattern_sums(pset):
@@ -181,8 +195,40 @@ class TestDgi:
         with pytest.raises(ParameterError):
             dgi_reconstruct(readings_like(pset, [1.0]), pset)
 
+    @given(raw=arrays(float, (8, 8), elements=st.floats(-1e300, 1e300)
+                      | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])))
+    @example(raw=np.full((8, 8), 2.5))
+    @example(raw=np.full((8, 8), -0.0))
+    @example(raw=np.array([[0.0, -0.0], [1.0, -0.0]]).repeat(4, 0).repeat(4, 1))
+    @example(raw=np.array([[-0.0, 0.0], [-1e300, 1e300]]).repeat(4, 0).repeat(4, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_of_the_replaced_min_max_rendering(self, raw):
+        """Signed, constant and signed-zero rasters at scales from 1e-300 to
+        1e300, set as the correlation's output, render as they did, except
+        that `normalize` writes no negative zero: a -0.0 pixel beside a +0.0
+        minimum once rendered as -0.0 and now renders as +0.0."""
+        pset = walsh_hadamard_patterns(8, 16)
+        meas = readings_like(pset, np.arange(16.0))
+        with mock.patch.object(singlepixel.classical, "synthesize", return_value=raw):
+            image = dgi_reconstruct(meas, pset).image
+        # adding +0.0 turns -0.0 into +0.0 and leaves every other value's bits alone
+        assert image.values.tobytes() == (_min_max_unit_image(raw).values + 0.0).tobytes()
+
+    def test_bytes_of_the_replaced_min_max_rendering_on_measured_readings(self, rng):
+        pset = walsh_hadamard_patterns(16, 64)
+        for _ in range(20):
+            meas = measure(image(rng.random((16, 16))), pset, noise_sigma=0.1, seed=0)
+            result = dgi_reconstruct(meas, pset)
+            assert result.image.values.tobytes() == _min_max_unit_image(result.raw).values.tobytes()
+
 
 class TestCstv:
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+    def test_bad_tv_weight_rejected(self, weight):
+        pset = walsh_hadamard_patterns(4, 16)
+        with pytest.raises(ParameterError, match=f"tv_weight {weight} is not finite and >= 0"):
+            cstv_reconstruct(readings_like(pset, np.ones(16)), pset, tv_weight=weight)
+
     def test_unregularized_full_sampling_matches_hspi(self, rng):
         n = 8
         pset = walsh_hadamard_patterns(n, n * n, modulation_depth=1.0)

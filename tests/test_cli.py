@@ -584,20 +584,21 @@ def test_simulate_non_finite_noise_sigma_exits_3(workspace, capsys, where, sigma
     assert not (tmp_path / "sim" / "measurement.csv").exists()
 
 
-@pytest.mark.parametrize("method", ["cstv", "untrained"])
-@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize("method", cli.METHODS)
+@pytest.mark.parametrize("weight", ["nan", "inf", "-1"])
 def test_non_finite_tv_weight_exits_3(workspace, capsys, monkeypatch, method, weight):
-    """A non-finite `--tv-weight` is a parameter error, raised before the
-    solver iterates and, for the generator, before a net is built."""
+    """A `--tv-weight` that is not finite and >= 0 is a parameter error for
+    every method, also those that read no weight, raised before any input
+    file is read."""
     tmp_path, scene, patterns = workspace
-    sim_dir = simulated(workspace)
 
-    def no_net(*args, **kwargs):
-        raise AssertionError("a generator was built")
+    def no_work(*args, **kwargs):
+        raise AssertionError("an input file was read")
 
-    monkeypatch.setattr(singlepixel.prior, "GeneratorNet", no_net)
+    monkeypatch.setattr(cli, "read_measurement_csv", no_work)
+    monkeypatch.setattr(cli, "load_patterns", no_work)
     out_dir = tmp_path / "rec"
-    assert main(["reconstruct", "--measurement", str(sim_dir / "measurement.csv"),
+    assert main(["reconstruct", "--measurement", str(tmp_path / "measurement.csv"),
                  "--patterns", str(patterns), "--scene", str(scene), "--method", method,
                  "--iterations", "3", "--tv-weight", weight, "--out-dir", str(out_dir)]) == 3
     assert f"error: tv_weight {float(weight)} is not finite and >= 0" in capsys.readouterr().err
@@ -692,6 +693,32 @@ def test_non_finite_backprop_distance_exits_3_for_every_method(workspace, capsys
                  "--backprop-distance=nan", "--out-dir", str(tmp_path / "rec")]) == 3
     assert "error: propagation distance must be finite" in capsys.readouterr().err
     assert not (tmp_path / "rec").exists()
+
+
+def test_simulate_with_slits_of_no_row_exits_3(workspace, capsys):
+    """A 10 um band at the 328 um pitch of 32 px covers no row: the scene is
+    rejected, not drawn as an all-zero object."""
+    tmp_path, scene, _ = workspace
+    scene.write_text(SCENE.replace("grid = 16", "grid = 32") + "slit_height = 10um\n")
+    patterns = tmp_path / "p32.spip"
+    assert main(["patterns", "--order", "32", "--count", "64", "--out", str(patterns)]) == 0
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(tmp_path / "sim")]) == 3
+    assert capsys.readouterr().err == ("error: invalid scene: "
+                                       "the slits cover no pixel row at grid 32\n")
+    assert not (tmp_path / "sim").exists()
+
+
+def test_metrics_image_too_coarse_for_the_slit_band_exits_3(tmp_path, capsys):
+    """A 0.4 mm band covers rows of the 32 px scene but none of a 16 px image."""
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE.replace("grid = 16", "grid = 32") + "slit_height = 0.4mm\n")
+    image = tmp_path / "a.pgm"
+    write_pgm(image, IntensityImage(values=np.ones((16, 16))))
+    assert main(["metrics", "--image", str(image), "--scene", str(scene)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the slits cover no pixel row at grid 16\n"
 
 
 def test_failed_simulate_makes_no_output_directory(workspace, capsys):

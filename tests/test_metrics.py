@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +14,11 @@ from singlepixel.metrics import (
     SSIM_SIGMA,
     SSIM_WINDOW,
     _kernel,
-    dip_contrast,
-    line_profile,
+    gap_dips,
     snr,
     ssim,
 )
+from singlepixel.scenes import SceneSpec, build_scene, slit_feature_columns, slit_row_bounds
 
 
 def image(values):
@@ -129,53 +131,112 @@ class TestSnr:
             snr(image(rng.random((8, 8))), mask)
 
 
-class TestLineProfile:
-    def test_uniform_image_flat_profile(self):
-        profile = line_profile(image(np.ones((8, 8))))
-        assert np.array_equal(profile, np.ones(8))
+FIG4C = dict(object_kind="three_slit", slit_widths=(1217e-6, 884e-6, 920e-6),
+             slit_separations=(118e-6, 118e-6))
+CLI_SLITS = dict(object_kind="three_slit", slit_widths=(2e-3, 1.5e-3, 1.5e-3),
+                 slit_separations=(7e-4, 7e-4))
+# (grid, field of view, slits): FIG4C at 64 px over 5.25 mm and at 128 and
+# 256 px over 10.5 mm, and the CLI tests' slits at 16 and 32 px
+GEOMETRIES = [
+    pytest.param(64, 5.25e-3, FIG4C, id="fig4c-64px"),
+    pytest.param(128, 10.5e-3, FIG4C, id="fig4c-128px"),
+    pytest.param(256, 10.5e-3, FIG4C, id="fig4c-256px"),
+    pytest.param(16, 10.5e-3, CLI_SLITS, id="cli-16px"),
+    pytest.param(32, 10.5e-3, CLI_SLITS, id="cli-32px"),
+]
 
-    def test_single_bright_column_is_unit_spike(self):
-        values = np.zeros((8, 8))
-        values[:, 5] = 2.0
-        profile = line_profile(image(values))
-        expected = np.zeros(8)
-        expected[5] = 1.0
-        assert np.array_equal(profile, expected)
 
-    def test_three_slit_plateaus_with_gaps(self):
-        values = np.zeros((16, 16))
-        for lo in (2, 7, 12):
-            values[:, lo : lo + 3] = 1.0
-        profile = line_profile(image(values))
-        assert dip_contrast(profile, [3, 8, 13], [6, 11]) == 1.0
+def scene(grid=128, fov=10.5e-3, slits=FIG4C):
+    return SceneSpec(grid=grid, fov=fov, wavelength=833.3e-6, distance=0.0, **slits)
 
-    def test_transposed_image_swapped_axis(self, rng):
-        values = rng.random((8, 8))
-        a = line_profile(image(values), axis="cols")
-        b = line_profile(image(values.T), axis="rows")
-        assert np.array_equal(a, b)
 
-    def test_region_restricts_averaging(self):
-        values = np.zeros((8, 8))
-        values[0:2, 3] = 1.0
-        profile = line_profile(image(values), region=(0, 2))
-        assert profile[3] == 1.0
+def _line_profile(image, axis="cols", region=None):
+    """The profile that `gap_dips` folded in, kept as its oracle."""
+    values = image.values
+    if region is not None:
+        lo, hi = region
+        values = values[lo:hi, :] if axis == "cols" else values[:, lo:hi]
+        if values.size == 0:
+            raise ParameterError(f"empty profiling region {region}")
+    p = values.mean(axis=0) if axis == "cols" else values.mean(axis=1)
+    peak = p.max()
+    if peak <= 0:
+        raise DegenerateInputError("cannot profile an all-zero image")
+    return p / peak
 
-    def test_all_zero_rejected(self):
+
+def _dip_contrast(profile, peak_positions, valley_positions):
+    """The dip that `gap_dips` folded in, kept as its oracle."""
+    p = np.asarray(profile, dtype=np.float64)
+    peaks = sorted(int(i) for i in peak_positions)
+    depths = []
+    for v in valley_positions:
+        left = [i for i in peaks if i <= v]
+        right = [i for i in peaks if i >= v]
+        ref = min(p[left[-1]], p[right[0]])
+        depths.append(max(0.0, (ref - p[int(v)]) / ref) if ref > 0 else 0.0)
+    return float(np.mean(depths))
+
+
+def _replaced_gap_dips(image, spec):
+    at_image = replace(spec, grid=image.width)
+    peaks, gaps = slit_feature_columns(at_image)
+    profile = _line_profile(image, "cols", region=slit_row_bounds(at_image))
+    return tuple(_dip_contrast(profile, peaks, [gap]) for gap in gaps)
+
+
+class TestGapDips:
+    @pytest.mark.parametrize("grid,fov,slits", GEOMETRIES)
+    def test_scene_mask_scores_full_contrast(self, grid, fov, slits):
+        spec = scene(grid, fov, slits)
+        assert gap_dips(build_scene(spec), spec) == (1.0, 1.0)
+
+    def test_filled_gap_scores_zero_there(self):
+        spec = scene()
+        (first, second, _), _ = slit_feature_columns(spec)
+        values = build_scene(spec).values.copy()
+        lo, hi = slit_row_bounds(spec)
+        values[lo:hi, first : second + 1] = 1.0
+        assert gap_dips(image(values), spec) == (0.0, 1.0)
+
+    def test_gap_brighter_than_its_slits_clamps_to_zero(self):
+        spec = scene()
+        _, (gap, _) = slit_feature_columns(spec)
+        values = build_scene(spec).values.copy()
+        values[:, gap] = 2.0
+        assert gap_dips(image(values), spec) == (0.0, 1.0)
+
+    def test_flat_image_scores_zero(self):
+        assert gap_dips(image(np.ones((128, 128))), scene()) == (0.0, 0.0)
+
+    def test_all_zero_image_rejected(self):
         with pytest.raises(DegenerateInputError):
-            line_profile(image(np.zeros((8, 8))))
+            gap_dips(image(np.zeros((128, 128))), scene())
 
+    def test_non_square_image_rejected(self):
+        with pytest.raises(DimensionError):
+            gap_dips(image(np.ones((64, 128))), scene())
 
-class TestDipContrast:
-    def test_ideal_profile_full_contrast(self):
-        profile = np.zeros(16)
-        profile[2:5] = 1.0
-        profile[8:11] = 1.0
-        assert dip_contrast(profile, [3, 9], [6]) == pytest.approx(1.0)
-
-    def test_flat_profile_zero_contrast(self):
-        assert dip_contrast(np.ones(16), [3, 9], [6]) == 0.0
-
-    def test_unbracketed_valley_rejected(self):
+    def test_bitmap_scene_rejected(self):
+        spec = SceneSpec(grid=128, fov=10.5e-3, wavelength=833.3e-6, distance=0.0,
+                         object_kind="bitmap", bitmap_path="unread.pgm")
         with pytest.raises(ParameterError):
-            dip_contrast(np.ones(16), [8], [2])
+            gap_dips(image(np.ones((128, 128))), spec)
+
+    def test_band_of_no_row_at_the_image_grid_rejected(self):
+        """A 0.4 mm band covers rows at 32 px but none at 16 px."""
+        spec = replace(scene(32, slits=CLI_SLITS), slit_height=4e-4)
+        assert gap_dips(build_scene(spec), spec) == (1.0, 1.0)
+        with pytest.raises(ParameterError, match="cover no pixel row at grid 16"):
+            gap_dips(image(np.ones((16, 16))), spec)
+
+    @pytest.mark.parametrize("grid,fov,slits", GEOMETRIES)
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+    def test_bytes_of_the_replaced_profile_and_dip(self, rng, grid, fov, slits, scale):
+        spec = scene(grid, fov, slits)
+        for _ in range(20):
+            values = scale * rng.random((grid, grid)) ** rng.uniform(0.2, 5.0)
+            values[:, rng.random(grid) < 0.3] = 0.0  # dark slit centres give ref = 0
+            got = np.array(gap_dips(image(values), spec))
+            expected = np.array(_replaced_gap_dips(image(values), spec))
+            assert got.tobytes() == expected.tobytes()

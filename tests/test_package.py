@@ -55,3 +55,17 @@ def test_only_scenes_builds_a_propagation_spec():
              or getattr(node.func, "attr", None) == "PropagationSpec")
     )
     assert callers == ["scenes"]
+
+
+def test_only_scenes_and_metrics_read_the_slit_features():
+    """`metrics.gap_dips` is the one three-slit score: no other module reads
+    the slit columns or rows to score a reconstruction its own way."""
+    readers = sorted(
+        {module
+         for module, tree in _trees().items()
+         for node in ast.walk(tree)
+         if isinstance(node, ast.Call)
+         and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+         & {"slit_feature_columns", "slit_row_bounds"}}
+    )
+    assert readers == ["metrics", "scenes"]

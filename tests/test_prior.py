@@ -172,6 +172,21 @@ class TestReconstructUntrained:
         with pytest.raises(ParameterError):
             reconstruct_untrained(meas, pset, prop, iterations=0)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -1.0])
+    def test_bad_tv_weight_rejected_before_a_net_is_built(self, rng, monkeypatch, weight):
+        obj, pset, prop, meas = instance(rng)
+        message = f"tv_weight {weight} is not finite and >= 0"
+        net = GeneratorNet(plan=(1, 4, 4, 1), seed=0)
+        with pytest.raises(ParameterError, match=message):
+            loss_and_gradient(net, obj, meas, pset, prop, weight)
+
+        def no_net(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(prior, "GeneratorNet", no_net)
+        with pytest.raises(ParameterError, match=message):
+            reconstruct_untrained(meas, pset, prop, iterations=3, tv_weight=weight)
+
     def test_numerical_error_names_stage_and_iteration_once(self, rng, monkeypatch):
         obj, pset, prop, meas = instance(rng)
 

@@ -108,6 +108,11 @@ seed = 7
         with pytest.raises(FormatError, match="covers no pixel column"):
             parse_scene(text)
 
+    def test_slits_without_a_row_rejected(self):
+        # 82 um pitch: a 10 um band falls between two row edges
+        with pytest.raises(FormatError, match="the slits cover no pixel row at grid 128"):
+            parse_scene(self.SCENE + "slit_height = 10um\n")
+
     @pytest.mark.parametrize("line,message", [
         ("slit_widths = 5mm, 5mm, 5mm", "exceeds the field of view"),
         ("slit_height = 11mm", "slit height exceeds the field of view"),
