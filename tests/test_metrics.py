@@ -209,6 +209,12 @@ class TestGapDips:
     def test_flat_image_scores_zero(self):
         assert gap_dips(image(np.ones((128, 128))), scene()) == (0.0, 0.0)
 
+    def test_flat_profile_of_row_varying_image_scores_zero(self):
+        """Every column is the same, so the slit-row profile is flat even though
+        no two rows are alike."""
+        values = np.linspace(0.5, 2.0, 128)[:, None] * np.ones((1, 128))
+        assert gap_dips(image(values), scene()) == (0.0, 0.0)
+
     def test_all_zero_image_rejected(self):
         with pytest.raises(DegenerateInputError):
             gap_dips(image(np.zeros((128, 128))), scene())
