@@ -19,7 +19,7 @@ from .errors import (
     SinglePixelError,
 )
 from .field import IntensityImage, normalize
-from .measurement import Measurement, measure, read_measurement_csv, write_measurement_csv
+from .measurement import Measurement, measure, objective, read_measurement_csv, write_measurement_csv
 from .metrics import snr, ssim
 from .network import GeneratorNet
 from .patterns import (

@@ -110,7 +110,7 @@ def cstv_reconstruct(
     depth = pattern_set.modulation_depth
     step = 1.0 / (depth * depth * pattern_set.pixels)
 
-    def objective(x: np.ndarray, ax: np.ndarray) -> float:
+    def cost(x: np.ndarray, ax: np.ndarray) -> float:
         r = ax - meas.readings
         return 0.5 * float(r @ r) + tv_weight * tv_anisotropic(x)
 
@@ -118,7 +118,7 @@ def cstv_reconstruct(
     ax = np.zeros(meas.count)  # encode(x), known without a transform
     y, ay = x, ax
     t = 1.0
-    f_x = objective(x, ax)
+    f_x = cost(x, ax)
     f_init = max(f_x, 1e-300)
     history = []
     for _ in range(max_iters):
@@ -126,7 +126,7 @@ def cstv_reconstruct(
         z = tv_prox(y - step * grad, tv_weight * step)
         np.maximum(z, 0.0, out=z)
         az = encode(z, pattern_set)
-        f_z = objective(z, az)
+        f_z = cost(z, az)
         if not np.isfinite(f_z) or f_z > 1e3 * f_init:
             raise NumericalError("CS-TV diverged; step-size failure", stage="fista")
         if f_z <= f_x:

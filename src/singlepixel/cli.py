@@ -374,7 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out-dir", required=True)
 
     rec = sub.add_parser("reconstruct", help="measurement CSV -> reconstructed image")
-    rec.add_argument("--measurement", required=True)
+    rec.add_argument("--measurement", required=True,
+                     help="readings CSV: an open aperture reads m*N at the DC pattern and 0 at "
+                          "every other (m the modulation depth, N the pattern grid's pixels)")
     rec.add_argument("--patterns", required=True)
     rec.add_argument("--scene", required=True)
     rec.add_argument("--method", required=True, choices=METHODS)

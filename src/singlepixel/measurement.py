@@ -1,20 +1,19 @@
-"""Single-pixel forward model: diffract, encode, integrate, add noise.
+"""The single-pixel forward model, and `objective`, the one data term of a fit.
 
 `diffract` carries an object-plane intensity O to the modulator as the
-diffraction image O_d = |propagate(sqrt(O))|^2, and `diffract_vjp` adds its
-reverse mode.  A differential reading subtracts the bucket signals of the
-two complementary binary half-masks of one +/-1 pattern.  Because the pumped
-(blocked) regions for the positive half are exactly the -1 cells and vice
-versa, the two-mask algebra collapses to
+diffraction image O_d = |propagate(sqrt(O))|^2.  A differential reading
+subtracts the bucket signals of the two complementary binary half-masks of
+one +/-1 pattern, each pumping the other's cells, so
 
     I_i = m * <P_i, O_d>  +  (eta_i_plus - eta_i_minus)
 
-which is how the readings are computed here (`encode`, with its adjoint
-`encode_adjoint` on the pattern grid): one separable 2-D Walsh-Hadamard
-transform of the diffraction image, block-averaged onto the n x n pattern
-grid, yields every <P_i, O_d> at once.  eta are independent
-zero-mean Gaussian draws per half-measurement, all taken from one generator
-seeded with the measurement's seed.
+with eta zero-mean Gaussian draws per half-measurement from one generator
+seeded with the measurement's seed.  `encode` yields every <P_i, O_d> at
+once: one separable 2-D Walsh-Hadamard transform of O_d, block-averaged onto
+the n x n pattern grid.  So an open aperture (O = 1 everywhere) reads m * N
+at the DC pattern and 0 at every other, N = n * n.  `objective` is the one
+place where the physics of a fit is written: the data term
+|| encode(diffract(O)) - I ||^2 and its exact gradient dL/dO.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionError, FormatError, ParameterError, read_text
+from .errors import (ConsistencyError, DimensionError, FormatError, NumericalError,
+                     ParameterError, read_text)
 from .field import IntensityImage
 from .patterns import PatternSet, project, synthesize
 from .propagation import PropagationSpec, propagate, transfer_gradient
@@ -52,29 +52,11 @@ class Measurement:
         return self.readings.shape[0]
 
 
-def diffract_vjp(values: np.ndarray, prop: PropagationSpec):
-    """Diffraction image O_d of an object-plane intensity O, and the
-    pullback that maps g = dL/dO_d to dL/dO.
-
-    Through the complex stages the pullback carries c = dL/d(conj E): the
-    intensity stage gives c_d = g * E_d, the propagation maps it through its
-    adjoint (`transfer_gradient`), and the zero-phase amplitude sqrt(O) lands
-    on the real gradient Re(c_0) / sqrt(O).  That needs O > 0; the floor only
-    guards float underflow.
-    """
-    amp = np.sqrt(values)
-    field_d = propagate(amp.astype(np.complex128), prop)
-
-    def pullback(g: np.ndarray) -> np.ndarray:
-        return transfer_gradient(g * field_d, prop).real / np.maximum(amp, 1e-200)
-
-    return field_d.real * field_d.real + field_d.imag * field_d.imag, pullback
-
-
 def diffract(obj: IntensityImage, prop: PropagationSpec) -> IntensityImage:
     """Intensity that an object-plane intensity, sampled at prop.pitch, casts
     on the recording plane."""
-    return IntensityImage(values=diffract_vjp(obj.values, prop)[0])
+    field_d = propagate(np.sqrt(obj.values).astype(np.complex128), prop)
+    return IntensityImage(values=field_d.real * field_d.real + field_d.imag * field_d.imag)
 
 
 def block_pool(values: np.ndarray, order: int) -> np.ndarray:
@@ -108,6 +90,28 @@ def check_compatible(meas: Measurement, pattern_set: PatternSet) -> None:
         )
 
 
+def objective(values: np.ndarray, meas: Measurement, pattern_set: PatternSet,
+              prop: PropagationSpec):
+    """(L, dL/dO) of the data term L = || encode(diffract(O)) - I ||^2, with O
+    the intensity `values` at prop.pitch and I the readings of `meas` (an open
+    aperture, O = 1 everywhere, reads m * N at the DC pattern, 0 elsewhere).
+
+    Reverse mode carries c = dL/d(conj E): encode_adjoint(2 * residual) * E_d,
+    then `transfer_gradient`, then Re(c_0) / sqrt(O), which needs O > 0 (the
+    floor only guards float underflow).  A non-finite L raises NumericalError
+    at stage "loss" before the reverse pass."""
+    check_compatible(meas, pattern_set)
+    amp = np.sqrt(values)
+    field_d = propagate(amp.astype(np.complex128), prop)
+    diffracted = field_d.real * field_d.real + field_d.imag * field_d.imag
+    residual = encode(diffracted, pattern_set) - meas.readings
+    data_loss = float(residual @ residual)
+    if not np.isfinite(data_loss):
+        raise NumericalError("non-finite loss", stage="loss")
+    c_d = encode_adjoint(2.0 * residual, pattern_set) * field_d
+    return data_loss, transfer_gradient(c_d, prop).real / np.maximum(amp, 1e-200)
+
+
 def measure(
     diffracted: IntensityImage,
     pattern_set: PatternSet,
@@ -130,12 +134,8 @@ def measure(
         rng = np.random.Generator(np.random.PCG64(seed))
         eta = rng.normal(0.0, noise_sigma, (pattern_set.count, 2))
         readings = readings + (eta[:, 0] - eta[:, 1])
-    return Measurement(
-        readings=readings,
-        pattern_ref=pattern_set.identifier,
-        noise_sigma=float(noise_sigma),
-        seed=int(seed),
-    )
+    return Measurement(readings=readings, pattern_ref=pattern_set.identifier,
+                       noise_sigma=float(noise_sigma), seed=int(seed))
 
 
 def write_measurement_csv(path, meas: Measurement) -> None:
@@ -166,6 +166,8 @@ def read_measurement_csv(path) -> Measurement:
                 try:
                     if key == "noise_sigma":
                         noise_sigma = float(val)
+                        if not 0 <= noise_sigma < np.inf:
+                            raise ValueError(val)
                     elif key == "seed":
                         seed = int(val)
                     elif key == "differential" and val != "true":  # readings are differential only
@@ -189,9 +191,5 @@ def read_measurement_csv(path) -> Measurement:
         if index != row_no:
             raise FormatError(f"non-contiguous index at row {row_no} in {path}")
         readings.append(reading)
-    return Measurement(
-        readings=np.array(readings, dtype=np.float64),
-        pattern_ref=pattern_ref,
-        noise_sigma=noise_sigma,
-        seed=seed,
-    )
+    return Measurement(readings=np.array(readings, dtype=np.float64), pattern_ref=pattern_ref,
+                       noise_sigma=noise_sigma, seed=seed)

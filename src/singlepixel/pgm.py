@@ -95,5 +95,8 @@ def read_pgm(path):
         )
     dtype = ">u2" if bytes_per == 2 else "u1"
     raster = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
+    above = np.flatnonzero(raster > maxval)
+    if above.size:
+        raise FormatError(f"sample above maxval {maxval} at byte {pos + int(above[0]) * bytes_per}")
     values = raster.reshape(height, width).astype(np.float64) / maxval
     return IntensityImage(values=values), comments

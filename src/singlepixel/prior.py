@@ -1,14 +1,15 @@
 """Untrained-generator reconstruction against the physics forward model.
 
-The generator output O_0 is treated as an object-plane intensity; the loss
-chains it through the forward model of `measurement` (zero-phase diffraction
-to the modulator, then the differential pattern integration) and compares
-with the measured readings:
+The generator output O_0 is an object-plane intensity, scored by the data
+term of `measurement.objective` (diffraction to the modulator, then the
+differential pattern integration) plus a TV term:
 
-    L(theta) = || I - Ihat(theta) ||^2 + tv_weight * TV(O_0)
+    L(theta) = || encode(diffract(O_0)) - I ||^2 + tv_weight * TV(O_0)
 
-The gradient is exact reverse mode: `encode_adjoint`, then the pullback of
-`diffract_vjp`, then the net's backward pass.
+The readings I are in units where an open aperture (O_0 = 1 everywhere)
+reads m * N at the DC pattern and 0 at every other.  The gradient is exact
+reverse mode: objective's dL/dO_0 plus the TV subgradient, then the net's
+backward pass.
 
 The fit is a fixed method, as in deep image prior: DEFAULT_ITERATIONS Adam
 updates with the BASE_LR, DECAY_RATE, DECAY_STEPS, BETA1, BETA2 and ADAM_EPS
@@ -24,7 +25,7 @@ import numpy as np
 from .classical import ReconResult, dgi_reconstruct
 from .errors import NumericalError, ParameterError
 from .field import IntensityImage
-from .measurement import Measurement, check_compatible, diffract_vjp, encode, encode_adjoint
+from .measurement import Measurement, objective
 from .network import GeneratorNet
 from .patterns import PatternSet
 from .propagation import PropagationSpec
@@ -82,22 +83,17 @@ def loss_and_gradient(
     tv_weight: float = DEFAULT_TV_WEIGHT,
 ):
     """Physics-chain loss and its exact gradient w.r.t. every net parameter."""
-    check_compatible(meas, pattern_set)
     check_tv_weight(tv_weight)
 
     output = net.forward(input_image.values)
     if not np.all(np.isfinite(output)):
         raise NumericalError("non-finite generator output", stage="generate")
 
-    diffracted, pullback = diffract_vjp(output, prop)
-    residual = encode(diffracted, pattern_set) - meas.readings
-    data_loss = float(residual @ residual)
+    # The sigmoid keeps O strictly positive, so objective's gradient through sqrt(O) holds.
+    data_loss, g_output = objective(output, meas, pattern_set, prop)
     loss = data_loss + tv_weight * tv_anisotropic(output)
     if not np.isfinite(loss):
         raise NumericalError("non-finite loss", stage="loss")
-
-    # The sigmoid keeps O strictly positive, so the pullback through sqrt(O) holds.
-    g_output = pullback(encode_adjoint(2.0 * residual, pattern_set))
     if tv_weight > 0:
         g_output = g_output + tv_weight * tv_subgradient(output)
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from singlepixel.cli import diffract_scene
 from singlepixel.field import IntensityImage
-from singlepixel.measurement import block_pool, diffract, encode, measure
+from singlepixel.measurement import block_pool, measure, objective
 from singlepixel.metrics import gap_dips, ssim
 from singlepixel.network import GeneratorNet
 from singlepixel.patterns import walsh_hadamard_patterns
@@ -103,11 +103,11 @@ def run(plan, geometry: str, noise_rel: float, seed: int) -> dict:
                                    net=GeneratorNet(plan, seed, dtype=np.float32))
     wall = time.perf_counter() - start
     dips = gap_dips(result.image, spec)
-    residual = encode(diffract(result.image, prop).values, pset) - meas.readings
     return dict(plan=plan_name(plan), geometry=geometry, noise_rel=noise_rel,
                 noise_sigma=meas.noise_sigma, seed=seed, dip_gap1=dips[0], dip_gap2=dips[1],
                 resolved=int(min(dips) > RESOLVED_DIP), ssim=ssim(result.image, reference),
-                final_data_loss=float(residual @ residual), wall_s=round(wall, 3))
+                final_data_loss=objective(result.image.values, meas, pset, prop)[0],
+                wall_s=round(wall, 3))
 
 
 def float32_check(plan) -> dict:

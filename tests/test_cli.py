@@ -14,7 +14,7 @@ from singlepixel.cli import main
 from singlepixel.errors import SinglePixelError
 from singlepixel.field import IntensityImage, normalize
 from singlepixel.measurement import read_measurement_csv
-from singlepixel.patterns import load_patterns
+from singlepixel.patterns import load_patterns, walsh_hadamard_patterns
 from singlepixel.pgm import read_pgm, write_pgm
 from singlepixel.scenes import parse_scene
 
@@ -64,6 +64,20 @@ def test_simulate_writes_expected_files(workspace):
     assert meas.count == 256
     assert meas.noise_sigma == 0.1
     assert meas.seed == 5
+
+
+def test_open_aperture_reads_m_n_at_dc_and_zero_elsewhere(tmp_path):
+    """The readings' units: an all-white bitmap (O = 1 everywhere) reads
+    m * N at the DC pattern and 0 at every other, N the pattern grid's pixels."""
+    white = tmp_path / "white.pgm"
+    write_pgm(white, IntensityImage(values=np.ones((16, 16))))
+    spec = parse_scene(SCENE.replace("object = three_slit", f"object = bitmap\nbitmap_path = {white}")
+                       .replace("noise_sigma = 0.1", "noise_sigma = 0"))
+    cli.run_simulate(spec, walsh_hadamard_patterns(16, 256, modulation_depth=0.9),
+                     tmp_path / "sim")
+    readings = read_measurement_csv(tmp_path / "sim" / "measurement.csv").readings
+    assert readings[0] == pytest.approx(0.9 * 256, rel=1e-12)
+    assert np.allclose(readings[1:], 0.0, atol=1e-9)
 
 
 @pytest.mark.parametrize("flags, expected", [
@@ -280,6 +294,17 @@ def test_metrics_scene_without_gaps_exits_3(tmp_path, capsys, scene_text):
     assert main(["metrics", "--image", str(image), "--scene", str(scene)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_metrics_reference_with_a_sample_above_maxval_exits_3(tmp_path, capsys):
+    image = tmp_path / "a.pgm"
+    write_pgm(image, star_mask(16, outer=0.4, inner=0.2))
+    reference = tmp_path / "b.pgm"
+    reference.write_bytes(b"P5\n16 16\n100\n" + bytes([200]) + bytes(255))
+    assert main(["metrics", "--image", str(image), "--reference", str(reference)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "above maxval 100 at byte 13" in captured.err
 
 
 def test_metrics_prints_inf_for_a_constant_noise_region(tmp_path, capsys):

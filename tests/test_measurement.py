@@ -3,15 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singlepixel.errors import ConsistencyError, FormatError, ParameterError
+from singlepixel.errors import ConsistencyError, FormatError, NumericalError, ParameterError
 from singlepixel.field import IntensityImage
 from singlepixel.measurement import (
     Measurement,
     diffract,
-    diffract_vjp,
     encode,
-    encode_adjoint,
     measure,
+    objective,
     read_measurement_csv,
     write_measurement_csv,
 )
@@ -156,31 +155,50 @@ class TestMeasure:
         assert measure(image(np.zeros((4, 4))), pset, seed=-1).seed == -1
 
 
-class TestDiffraction:
+class TestObjective:
     @pytest.mark.parametrize("distance", [0.5e-3, -0.4e-3])
-    def test_pullback_matches_central_difference(self, rng, distance):
-        """<pullback(encode_adjoint(w)), v> is the directional derivative of
-        <w, encode(diffract(O))> along v, forward and back-propagating, on
-        the 16 px pattern grid."""
+    def test_gradient_matches_central_difference(self, rng, distance):
+        """<dL/dO, v> of `objective` is the directional derivative of its
+        loss along v, forward and back-propagating, on the 16 px pattern
+        grid."""
         pset = walsh_hadamard_patterns(16, 80, modulation_depth=0.8)
         prop = PropagationSpec(wavelength=833.3e-6, distance=distance, pitch=10.5e-3 / 64)
         obj = 0.2 + rng.random((16, 16))
-        weights = rng.standard_normal(pset.count)
+        meas = Measurement(readings=rng.standard_normal(pset.count), pattern_ref="",
+                           noise_sigma=0.0, seed=0)
         direction = rng.standard_normal((16, 16))
 
-        def functional(values):
-            return encode(diffract_vjp(values, prop)[0], pset) @ weights
+        def loss(values):
+            return objective(values, meas, pset, prop)[0]
 
-        _, pullback = diffract_vjp(obj, prop)
-        analytic = np.sum(pullback(encode_adjoint(weights, pset)) * direction)
+        analytic = np.sum(objective(obj, meas, pset, prop)[1] * direction)
         step = 1e-6
-        fd = (functional(obj + step * direction) - functional(obj - step * direction)) / (2 * step)
+        fd = (loss(obj + step * direction) - loss(obj - step * direction)) / (2 * step)
         assert analytic == pytest.approx(fd, rel=1e-6)
 
-    def test_diffract_is_the_forward_pass_of_diffract_vjp(self, rng):
+    def test_loss_is_the_residual_of_the_forward_model(self, rng):
         obj = image(rng.random((16, 16)))
+        pset = walsh_hadamard_patterns(16, 64, modulation_depth=0.9)
         prop = PropagationSpec(wavelength=833.3e-6, distance=0.4e-3, pitch=2e-4)
-        assert np.array_equal(diffract(obj, prop).values, diffract_vjp(obj.values, prop)[0])
+        meas = measure(image(rng.random((16, 16))), pset, noise_sigma=0.3, seed=4)
+        residual = encode(diffract(obj, prop).values, pset) - meas.readings
+        assert objective(obj.values, meas, pset, prop)[0] == float(residual @ residual)
+
+    def test_readings_of_another_pattern_set_rejected(self, rng):
+        pset = walsh_hadamard_patterns(16, 64)
+        meas = measure(image(rng.random((16, 16))), pset.subset(32))
+        prop = PropagationSpec(wavelength=833.3e-6, distance=0.4e-3, pitch=2e-4)
+        with pytest.raises(ConsistencyError, match="32 readings but pattern set has 64"):
+            objective(rng.random((16, 16)), meas, pset, prop)
+
+    # The overflowing loss itself warns; the reverse pass must not run on it.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_non_finite_loss_raises_before_the_reverse_pass(self, rng):
+        pset = walsh_hadamard_patterns(16, 64)
+        meas = Measurement(readings=np.full(64, 1e307), pattern_ref="", noise_sigma=0.0, seed=0)
+        prop = PropagationSpec(wavelength=833.3e-6, distance=0.4e-3, pitch=2e-4)
+        with pytest.raises(NumericalError, match=r"^non-finite loss \(stage: loss\)$"):
+            objective(rng.random((16, 16)), meas, pset, prop)
 
 
 class TestPatternTotalIntensity:
@@ -237,6 +255,9 @@ class TestMeasurementCsv:
         ("index,reading\n0,1.0\nx,1.0\n", "row 1"),
         ("index,reading\n0,abc\n", "row 0"),
         ("# noise_sigma=abc seed=0\nindex,reading\n0,1.0\n", "noise_sigma"),
+        ("# noise_sigma=nan seed=0\nindex,reading\n0,1.0\n", "bad noise_sigma 'nan'"),
+        ("# noise_sigma=inf seed=0\nindex,reading\n0,1.0\n", "bad noise_sigma 'inf'"),
+        ("# noise_sigma=-1 seed=0\nindex,reading\n0,1.0\n", "bad noise_sigma '-1'"),
         ("# noise_sigma=0.1 seed=1.5\nindex,reading\n0,1.0\n", "seed"),
         ("# differential=false\nindex,reading\n0,1.0\n", "bad differential 'false'"),
     ])

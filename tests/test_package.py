@@ -57,6 +57,21 @@ def test_only_scenes_builds_a_propagation_spec():
     assert callers == ["scenes"]
 
 
+def test_only_measurement_propagates():
+    """`measurement.objective` is the one place the fit's physics chain is
+    written: no other module propagates a field or pulls a gradient back
+    through the propagation."""
+    callers = sorted(
+        {module
+         for module, tree in _trees().items()
+         for node in ast.walk(tree)
+         if isinstance(node, ast.Call)
+         and {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+         & {"propagate", "transfer_gradient"}}
+    )
+    assert callers == ["measurement"]
+
+
 def test_only_scenes_and_metrics_read_the_slit_features():
     """`metrics.gap_dips` is the one three-slit score: no other module reads
     the slit columns or rows to score a reconstruction its own way."""

@@ -83,6 +83,16 @@ class TestFormatErrors:
         with pytest.raises(FormatError, match="width"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("maxval, raster, offset", [
+        (100, bytes([7, 100, 200, 101]), 13),  # header "P5\n2 2\n100\n": raster at byte 11
+        (1000, b"\x03\xe8\x00\x07\x03\xe9\xff\xff", 16),  # raster at byte 12
+    ], ids=["8-bit", "16-bit"])
+    def test_sample_above_maxval_reports_offset(self, tmp_path, maxval, raster, offset):
+        path = tmp_path / "above.pgm"
+        path.write_bytes(b"P5\n2 2\n%d\n" % maxval + raster)
+        with pytest.raises(FormatError, match=f"sample above maxval {maxval} at byte {offset}$"):
+            read_pgm(path)
+
     def test_maxval_out_of_range(self, tmp_path):
         path = tmp_path / "maxval.pgm"
         path.write_bytes(b"P5\n2 2\n70000\n" + bytes(8))
