@@ -105,7 +105,8 @@ def objective(values: np.ndarray, meas: Measurement, pattern_set: PatternSet,
     field_d = propagate(amp.astype(np.complex128), prop)
     diffracted = field_d.real * field_d.real + field_d.imag * field_d.imag
     residual = encode(diffracted, pattern_set) - meas.readings
-    data_loss = float(residual @ residual)
+    with np.errstate(over="ignore"):  # an overflow is the inf checked below
+        data_loss = float(residual @ residual)
     if not np.isfinite(data_loss):
         raise NumericalError("non-finite loss", stage="loss")
     c_d = encode_adjoint(2.0 * residual, pattern_set) * field_d

@@ -142,20 +142,24 @@ def reference_div(py: np.ndarray, px: np.ndarray) -> np.ndarray:
     return d
 
 
-def reference_tv_prox(v: np.ndarray, alpha: float, iterations: int = 10) -> np.ndarray:
+def reference_tv_prox(v: np.ndarray, alpha: float, iterations: int = 10, duals=None):
     """The TV prox with full-size dual fields and fresh arrays per step
-    (the former `tvreg.tv_prox`, kept as the oracle of the in-place one)."""
+    (the former `tvreg.tv_prox`, kept as the oracle of the in-place one).
+
+    With `duals`, a (py, px) pair, the iteration starts from them, not from
+    zero, and the call returns (u, (py, px)) with the duals it ends on: the
+    oracle of the warm-started prox."""
     if alpha <= 0:
-        return v.copy()
+        return v.copy() if duals is None else (v.copy(), duals)
     tau = 0.25
-    py = np.zeros_like(v)
-    px = np.zeros_like(v)
+    py, px = (np.zeros_like(v), np.zeros_like(v)) if duals is None else duals
     for _ in range(iterations):
         u = v + alpha * reference_div(py, px)
         gy, gx = reference_grad(u)
         py = np.clip(py + (tau / alpha) * gy, -1.0, 1.0)
         px = np.clip(px + (tau / alpha) * gx, -1.0, 1.0)
-    return v + alpha * reference_div(py, px)
+    u = v + alpha * reference_div(py, px)
+    return u if duals is None else (u, (py, px))
 
 
 # Bytes that carry structure in the file formats (line and field separators,

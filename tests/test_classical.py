@@ -7,17 +7,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from singlepixel.classical import (
+    DEFAULT_CSTV_ITERATIONS,
+    PROX_ITERATIONS,
     cstv_reconstruct,
     dgi_reconstruct,
     hspi_reconstruct,
 )
 from singlepixel.errors import ParameterError
-from singlepixel.field import IntensityImage
+from singlepixel.field import IntensityImage, normalize
 import singlepixel.classical
 from singlepixel.measurement import Measurement, diffract, encode, encode_adjoint, measure
+from singlepixel.metrics import ssim
 from singlepixel.patterns import walsh_hadamard_patterns
 from singlepixel.propagation import PropagationSpec
+from singlepixel.scenes import SceneSpec, build_scene
 from singlepixel.tvreg import tv_anisotropic, tv_prox
+
+from conftest import reference_tv_prox
 
 
 def image(values):
@@ -71,9 +77,11 @@ def dgi_oracle(pset, readings):
     return out / m_count
 
 
-def fista_oracle(meas, pset, tv_weight, iterations):
+def fista_oracle(meas, pset, tv_weight, iterations, prox_iterations=None):
     """Monotone FISTA for CS-TV (Beck & Teboulle 2009) that encodes every
-    point it needs afresh: (x, loss history)."""
+    point it needs afresh: (x, loss history).  Each TV prox is the cold
+    10-step one, or with `prox_iterations` that many steps from the duals
+    the last prox ended on (the conftest oracle carries them)."""
     n = pset.order
     step = 1.0 / (pset.modulation_depth**2 * pset.pixels)
 
@@ -82,10 +90,15 @@ def fista_oracle(meas, pset, tv_weight, iterations):
         return 0.5 * float(r @ r) + tv_weight * tv_anisotropic(u)
 
     x = y = np.zeros((n, n))
+    duals = (np.zeros((n, n)), np.zeros((n, n)))
     t, f_x, history = 1.0, objective(x), []
     for _ in range(iterations):
-        grad = encode_adjoint(encode(y, pset) - meas.readings, pset)
-        z = np.maximum(tv_prox(y - step * grad, tv_weight * step), 0.0)
+        v = y - step * encode_adjoint(encode(y, pset) - meas.readings, pset)
+        if prox_iterations is None:
+            z = tv_prox(v, tv_weight * step)
+        else:
+            z, duals = reference_tv_prox(v, tv_weight * step, prox_iterations, duals)
+        z = np.maximum(z, 0.0)
         f_z = objective(z)
         x_next, f_x = (z, f_z) if f_z <= f_x else (x, f_x)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -93,6 +106,24 @@ def fista_oracle(meas, pset, tv_weight, iterations):
         x, t = x_next, t_next
         history.append(f_x)
     return x, history
+
+
+def slits_32():
+    """The 32 px three-slit object of `benchmark-32` (perfbench): slits of
+    2, 1.5 and 1.5 mm, gaps of 0.6 mm, over 10.5 mm."""
+    return build_scene(SceneSpec(grid=32, fov=10.5e-3, wavelength=833.3e-6, distance=0.5e-3,
+                                 object_kind="three_slit", slit_widths=(2e-3, 1.5e-3, 1.5e-3),
+                                 slit_separations=(0.6e-3, 0.6e-3)))
+
+
+def rectangles_32():
+    """A 32 px bitmap of four overlapping rectangles of different grey."""
+    values = np.zeros((32, 32))
+    values[3:12, 4:14] = 1.0
+    values[16:29, 6:13] = 0.7
+    values[6:26, 18:28] = 0.45
+    values[20:25, 15:30] = 0.9
+    return image(values)
 
 
 class TestHspi:
@@ -269,10 +300,25 @@ class TestCstv:
         meas = readings_like(pset, rng.standard_normal(64) * 5)
         result = cstv_reconstruct(meas, pset, tv_weight=5.0, max_iters=40)
         assert len(calls) == 40
-        x, history = fista_oracle(meas, pset, 5.0, 40)
+        x, history = fista_oracle(meas, pset, 5.0, 40, PROX_ITERATIONS)
         assert 0 in np.diff(history)  # some trial steps were rejected
         assert np.allclose(result.residual_history, history, rtol=1e-12, atol=0)
         assert np.abs(result.raw - x).max() <= 1e-12 * np.abs(x).max()
+
+    @pytest.mark.parametrize("scene", [slits_32, rectangles_32])
+    @pytest.mark.parametrize("sigma", [0.0, 0.2])
+    def test_warm_prox_keeps_the_quality_of_the_cold_one(self, scene, sigma):
+        # the benchmark's CS-TV cell at 32 px: CR 0.25, its default iteration
+        # count, scored against the detector-plane image
+        pset = walsh_hadamard_patterns(32, 256, modulation_depth=0.9)
+        diffracted = diffract(scene(), PropagationSpec(833.3e-6, 0.5e-3, 10.5e-3 / 32))
+        meas = measure(diffracted, pset, noise_sigma=sigma, seed=5)
+        weight = 1e-3 * float(np.abs(meas.readings).max())  # CS-TV's default
+        result = cstv_reconstruct(meas, pset)
+        x, history = fista_oracle(meas, pset, weight, DEFAULT_CSTV_ITERATIONS)
+        reference = normalize(diffracted.values)
+        assert result.residual_history[-1] <= 1.005 * history[-1]
+        assert ssim(result.image, reference) >= ssim(normalize(x), reference) - 0.003
 
     def test_subnormal_weight_solves_as_unregularized(self, rng):
         # tv_weight * step is so small that the prox's dual step overflows

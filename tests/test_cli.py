@@ -1,8 +1,10 @@
+import dataclasses
 import os
 import struct
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ import singlepixel.cli as cli
 from singlepixel.cli import main
 from singlepixel.errors import SinglePixelError
 from singlepixel.field import IntensityImage, normalize
-from singlepixel.measurement import read_measurement_csv
+from singlepixel.measurement import read_measurement_csv, write_measurement_csv
 from singlepixel.patterns import load_patterns, walsh_hadamard_patterns
 from singlepixel.pgm import read_pgm, write_pgm
 from singlepixel.scenes import parse_scene
@@ -241,6 +243,27 @@ def test_corrupt_measurement_exits_3(workspace, tmp_path):
         "--out-dir", str(tmp_path / "rec"),
     ])
     assert code == 3
+
+
+@pytest.mark.parametrize("method,message", [
+    ("untrained", "non-finite loss (stage: loss) (iteration 0)"),
+    ("cstv", "readings up to 1e+200 overflow 0.5 * ||I||^2 (stage: fista)"),
+])
+def test_overflowing_readings_exit_4_without_a_warning(workspace, capsys, method, message):
+    tmp_path, scene, patterns = workspace
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--scene", str(scene), "--patterns", str(patterns),
+                 "--out-dir", str(sim)]) == 0
+    meas = read_measurement_csv(sim / "measurement.csv")
+    write_measurement_csv(sim / "huge.csv", dataclasses.replace(meas, readings=np.full(256, 1e200)))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # as python -W error
+        code = main(["reconstruct", "--measurement", str(sim / "huge.csv"),
+                     "--patterns", str(patterns), "--scene", str(scene), "--method", method,
+                     "--iterations", "5", "--out-dir", str(tmp_path / "rec")])
+    assert code == 4
+    assert capsys.readouterr().err == f"numerical failure: {message}\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -191,8 +191,7 @@ class TestObjective:
         with pytest.raises(ConsistencyError, match="32 readings but pattern set has 64"):
             objective(rng.random((16, 16)), meas, pset, prop)
 
-    # The overflowing loss itself warns; the reverse pass must not run on it.
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    # the reverse pass must not run on an overflowing loss, which must not warn
     def test_non_finite_loss_raises_before_the_reverse_pass(self, rng):
         pset = walsh_hadamard_patterns(16, 64)
         meas = Measurement(readings=np.full(64, 1e307), pattern_ref="", noise_sigma=0.0, seed=0)

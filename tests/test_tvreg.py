@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from singlepixel.tvreg import tv_anisotropic, tv_prox, tv_subgradient
+from singlepixel.errors import DimensionError
+from singlepixel.tvreg import TvDual, tv_anisotropic, tv_prox, tv_subgradient
 
 from conftest import reference_tv_prox
 
@@ -80,6 +81,63 @@ class TestTvProx:
         out = tv_prox(v, alpha)
         assert out.tobytes() == v.tobytes()
         assert not np.shares_memory(out, v)
+
+
+def signed_zero_input(shape, rng):
+    """Whole numbers, each zero's sign drawn at random."""
+    v = np.round(rng.standard_normal(shape))
+    v[(v == 0) & (rng.random(shape) < 0.5)] = -0.0
+    return v
+
+
+WARM_SHAPES = [(32, 32), (16, 48), (5, 7)]
+INPUTS = {"normal": lambda shape, rng: rng.standard_normal(shape), "signed zeros": signed_zero_input}
+
+
+class TestWarmTvProx:
+    @pytest.mark.parametrize("shape", WARM_SHAPES)
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 10])
+    @pytest.mark.parametrize("draw", INPUTS)
+    def test_chain_equals_the_oracle_that_carries_its_duals(self, shape, alpha, iterations, draw, rng):
+        state = TvDual(shape)
+        duals = (np.zeros(shape), np.zeros(shape))
+        for _ in range(3):
+            v = INPUTS[draw](shape, rng)
+            expected, duals = reference_tv_prox(v, alpha, iterations, duals)
+            assert tv_prox(v, alpha, iterations, state).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", WARM_SHAPES)
+    @pytest.mark.parametrize("alpha", [1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("iterations", [0, 1, 2, 10])
+    @pytest.mark.parametrize("draw", INPUTS)
+    def test_first_call_on_a_new_state_is_the_cold_prox(self, shape, alpha, iterations, draw, rng):
+        v = INPUTS[draw](shape, rng)
+        warm = tv_prox(v, alpha, iterations, TvDual(shape))
+        assert warm.tobytes() == tv_prox(v, alpha, iterations).tobytes()
+
+    def test_each_call_returns_a_new_array(self, rng):
+        state = TvDual((16, 16))
+        first = tv_prox(rng.standard_normal((16, 16)), 0.1, 2, state)
+        kept = first.copy()
+        second = tv_prox(rng.standard_normal((16, 16)), 0.1, 2, state)
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1e-320])
+    def test_copy_path_leaves_the_duals(self, alpha, rng):
+        state = TvDual((9, 12))
+        tv_prox(rng.standard_normal((9, 12)), 0.1, 2, state)
+        v = rng.standard_normal((9, 12))
+        kept = state.inner.copy()
+        out = tv_prox(v, alpha, 2, state)
+        assert out.tobytes() == v.tobytes() and not np.shares_memory(out, v)
+        assert state.inner.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("shape,dtype", [((9, 11), np.float64), ((9, 12), np.float32)])
+    def test_state_of_another_grid_rejected(self, shape, dtype, rng):
+        with pytest.raises(DimensionError, match="TV dual state of"):
+            tv_prox(rng.standard_normal((9, 12)), 0.1, 2, TvDual(shape, dtype))
 
 
 class TestTvTerms:
